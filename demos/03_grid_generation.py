@@ -2,8 +2,9 @@
 
 A positive monitor omega(x) defines a grid through the requirement that
 omega times interval length is the same in every cell.  The discrete
-equations are solved by freezing omega at the current nodes and solving
-a tridiagonal system, repeated to convergence.  For monitors with a
+equations are solved by freezing omega at the current nodes, which makes
+the flux omega * dx constant, so the new nodes follow from a cumulative
+sum of 1/omega; this is repeated to convergence.  For monitors with a
 closed-form answer we can check the machinery against it.
 """
 

@@ -1,13 +1,13 @@
-"""Numerical grid equidistribution by iterated linearized tridiagonal solves.
+"""Numerical grid equidistribution by iterated constant-flux sweeps.
 
 The node positions solve the nonlinear central-difference system
 
     omega_{j+1/2} (x_{j+1} - x_j) - omega_{j-1/2} (x_j - x_{j-1}) = 0,
 
-with x_0 = 0, x_N = ell.  Each sweep freezes the weights at the current
-iterate and solves the resulting tridiagonal system; at the fixed point
-the discrete equidistribution principle omega_{j+1/2} J_{j+1/2} = const
-holds.
+with x_0 = 0, x_N = ell.  With the weights frozen at the current iterate
+it says the flux omega * dx is constant, so each sweep is solved by a
+cumulative sum of 1/omega; at the fixed point the discrete
+equidistribution principle omega_{j+1/2} J_{j+1/2} = const holds.
 
 Smooth monitors contract plainly.  Piecewise-constant monitors (the
 solution-adaptive family) make the sweep map discontinuous and it can
@@ -26,7 +26,7 @@ import numpy as np
 from .grid import Grid, uniform_grid
 from .monitor import MonitorFunction
 from .problem import ProblemSpec
-from .tridiag import TridiagonalSystem, solve_tridiagonal
+from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 DAMPING_FLOOR = 0.25
 
@@ -65,15 +65,14 @@ def _interval_weights(monitor: MonitorFunction, nodes: np.ndarray) -> np.ndarray
 
 
 def _sweep(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One linearized solve: weights frozen, node positions unknown."""
-    rhs = np.zeros(len(w) - 1)
-    rhs[0] += w[0] * nodes[0]
-    rhs[-1] += w[-1] * nodes[-1]
-    sys = TridiagonalSystem(lower=-w[1:-1], diag=w[:-1] + w[1:], upper=-w[1:-1], rhs=rhs)
-    new = np.empty_like(nodes)
-    new[0] = nodes[0]
+    """Exact solve of the frozen-weight system: constant flux w * dx, ends pinned.
+
+    Dividing by w.min() keeps every term of the sum in (0, 1], so no weight
+    ratio can overflow it.
+    """
+    cum = np.cumsum(w.min() / w)
+    new = nodes[0] + (nodes[-1] - nodes[0]) / cum[-1] * np.concatenate([[0.0], cum])
     new[-1] = nodes[-1]
-    new[1:-1] = solve_tridiagonal(sys)
     return new
 
 

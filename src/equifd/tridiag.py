@@ -1,9 +1,10 @@
 """Tridiagonal systems and the Thomas algorithm.
 
-Every linear solve in this package (finite-difference scheme, linearized
-grid equations) goes through solve_tridiagonal.  The systems produced
-here are diagonally dominant M-matrices, so plain forward elimination
-without pivoting is stable.
+The finite-difference scheme's linear solves go through solve_tridiagonal
+(the frozen-weight grid equations have constant flux and are solved by a
+cumulative sum in equidist).  The systems produced here are diagonally
+dominant M-matrices, so plain forward elimination without pivoting is
+stable.
 """
 
 from __future__ import annotations

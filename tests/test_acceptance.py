@@ -55,6 +55,21 @@ SWEEP_REFERENCE = {
     (1e4, 1.0): (0.754e-1, 37), (1e4, 2.0): (0.202, 64),
 }
 
+# alpha -> outer iteration counts of this implementation for beta = 1/8, 1/4, 1/2, 1, 2;
+# exact, so a silent change of behaviour inside the factor-3 band above shows
+TABLE2_ITERATIONS = {
+    0.0: (1, 1, 1, 1, 1),
+    0.1: (7, 8, 9, 12, 29),
+    0.5: (9, 10, 12, 21, 131),
+    1.0: (10, 12, 16, 27, 206),
+    2.0: (11, 13, 19, 47, 653),
+    10.0: (13, 21, 58, 111, 13),
+    1e2: (14, 36, 62, 80, 87),
+    1e3: (14, 22, 61, 78, 89),
+    1e4: (14, 22, 62, 78, 89),
+}
+TABLE2_BETAS = (0.125, 0.25, 0.5, 1.0, 2.0)
+
 
 ACCEPTANCE_LINES = []
 
@@ -162,6 +177,13 @@ def test_criterion_5_adaptive_sweep(table2_cells):
         if not errors[(alpha, 2.0)] > 0.375e-2:
             failures.append(f"beta=2 not worse than uniform at alpha={alpha:g}")
     _finish(5, "table2 adaptive sweep (45 cells, factor-2 errors)", failures)
+
+
+def test_table2_iteration_counts_pinned(table2_cells):
+    got = {(c.alpha, c.beta): c.iterations for c in table2_cells}
+    expected = {(alpha, beta): n for alpha, row in TABLE2_ITERATIONS.items()
+                for beta, n in zip(TABLE2_BETAS, row)}
+    assert got == expected
 
 
 def test_criterion_6_fourth_order_identity():

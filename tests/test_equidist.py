@@ -12,15 +12,48 @@ from equifd import (
     equidistribute,
     uniform_grid,
 )
+from equifd.equidist import _sweep
 from conftest import random_grid
 
 
 def test_constant_monitor_yields_uniform(spec10):
     rng = np.random.default_rng(3)
     initial = random_grid(rng, 20)
-    res = equidistribute(ConstantMonitor(), spec10, 20, initial=initial)
-    assert np.allclose(res.grid.nodes, uniform_grid(spec10, 20).nodes, atol=1e-13)
-    assert res.equidist_defect <= 1e-12
+    # 1e-310 is subnormal: its reciprocal overflows, so the sweep must not form 1/w
+    for value in (1.0, 1e-310):
+        res = equidistribute(ConstantMonitor(value), spec10, 20, initial=initial)
+        assert np.allclose(res.grid.nodes, uniform_grid(spec10, 20).nodes, atol=1e-13)
+        assert res.equidist_defect <= 1e-12
+
+
+def test_sweep_solves_dense_linearized_system():
+    """One sweep solves the frozen-weight tridiagonal system to rounding.
+
+    Checked by the componentwise backward error against the dense system:
+    with weights over twelve decades that system is too ill-conditioned
+    for np.linalg.solve to serve as a forward reference at N=1000.
+    """
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 20, 1000):
+        w = 10.0 ** rng.uniform(-6.0, 6.0, n)
+        nodes = random_grid(rng, n, ell=2.5).nodes
+        dense = np.diag(w[:-1] + w[1:]) - np.diag(w[1:-1], 1) - np.diag(w[1:-1], -1)
+        rhs = np.zeros(n - 1)
+        rhs[0] += w[0] * nodes[0]
+        rhs[-1] += w[-1] * nodes[-1]
+        got = _sweep(nodes, w)
+        assert got[0] == nodes[0] and got[-1] == nodes[-1]
+        x = got[1:-1]
+        scale = np.abs(dense) @ np.abs(x) + np.abs(rhs)
+        assert np.all(np.abs(dense @ x - rhs) <= 1e-12 * scale)
+
+
+def test_large_n_converges_past_roundoff_floor(spec10):
+    """At N=1e4 the sweeps reach tol=1e-12 about as fast as at N=640."""
+    monitor = ExactPowerMonitor(spec10, 0.5)
+    small = equidistribute(monitor, spec10, 640, tol=1e-12, max_iter=300)
+    large = equidistribute(monitor, spec10, 10_000, tol=1e-12, max_iter=300)
+    assert large.iterations <= small.iterations + 2
 
 
 def test_power_beta_zero_single_iteration(spec10):
