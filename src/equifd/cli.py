@@ -1,8 +1,14 @@
 """Command-line experiment runner.
 
 Subcommands: solve, convergence, adapt, table1, table2, error-profile.
-Flags may be pre-populated from a key=value file via --config; the
-default output directory honors EQUIFD_OUTDIR.
+A --config file of `key = value` lines pre-populates flags. Each key is
+a long flag name spelled in full (`lambda`, `n-ladder` or `n_ladder`;
+flags are never abbreviated, on the command line either), and each line
+is parsed as `--key=value`, so its value is checked exactly like the
+flag's (type and choices). Flags given on the command line always win,
+required ones included. Every usage error exits 2 with a message and no
+traceback.
+The default output directory honors EQUIFD_OUTDIR.
 """
 
 from __future__ import annotations
@@ -22,31 +28,46 @@ from .experiments import (
     run_table2,
     solve_single,
 )
-from .grid import GridMapping, analytic_mapped_grid, uniform_grid
 from .io import default_output_dir
 from .problem import ProblemSpec
-from .analysis import refinement_ladder
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str) -> dict:
-    """key=value lines; '#' starts a comment; keys match long flag names."""
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+def _load_config(path: str) -> list[str]:
+    """key = value lines as ['--key=value', ...]; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ConfigError(f"cannot read config file: {err}") from None
+    tokens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key = key.strip().replace("_", "-")
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
-        values[key] = val.strip()
-    return values
+        tokens.append(f"--{key}={val.strip()}")
+    return tokens
+
+
+def _ladder(text: str) -> list[int]:
+    """--n-ladder value: comma-separated N values, each twice the one before."""
+    try:
+        n_values = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if any(b != 2 * a for a, b in zip(n_values, n_values[1:])):
+        raise argparse.ArgumentTypeError(
+            "entries must double (order estimation assumes mesh halving)")
+    return n_values
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -78,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--grid", choices=["uniform", "analytic"], default="uniform")
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--n-ladder", default=",".join(str(n) for n in LADDER),
+    p.add_argument("--n-ladder", type=_ladder, default=",".join(str(n) for n in LADDER),
                    help="comma-separated doubling N values")
 
     p = sub.add_parser("adapt", help="adaptive solve with optional iteration trace")
@@ -105,31 +126,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int, default=80)
 
+    for p in sub.choices.values():
+        # no prefix matching: a config key `n` must not become `--n-ladder`
+        p.allow_abbrev = False
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        overrides = _load_config(args.config)
-        defaults = vars(build_parser().parse_args([args.command] + _required_stub(args)))
-        for key, val in overrides.items():
-            if key == "lambda":
-                key = "lam"
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r} for command {args.command}")
-            # only fill flags the command line left at their defaults
-            if getattr(args, key) == defaults[key]:
-                setattr(args, key, type(defaults[key])(val) if defaults[key] is not None else val)
-    return args
-
-
-def _required_stub(args) -> list:
-    # 'adapt' has required flags; feed parsed values back when re-deriving defaults
-    if args.command == "adapt":
-        return ["--alpha", str(args.alpha), "--beta", str(args.beta)]
-    return []
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """One parse; a --config file's lines go in as flags before argv's own,
+    so argparse checks them like flags and the command line wins."""
+    finder = argparse.ArgumentParser(prog="equifd", add_help=False, allow_abbrev=False)
+    finder.add_argument("--config", nargs="?")  # a missing value is build_parser's error
+    config = finder.parse_known_args(argv)[0].config
+    if config:
+        argv = [*argv[:1], *_load_config(config), *argv[1:]]
+    return build_parser().parse_args(argv)
 
 
 def _out_path(args, default_name: str) -> Path:
@@ -144,6 +155,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except SystemExit as exit_:  # argparse usage error (2) or --help (0)
+        return exit_.code
 
     try:
         spec = ProblemSpec(lam=args.lam, ell=args.ell)
@@ -164,19 +177,8 @@ def main(argv=None) -> int:
             return 0 if converged else 1
 
         if args.command == "convergence":
-            n_values = [int(s) for s in args.n_ladder.split(",")]
-            if any(b != 2 * a for a, b in zip(n_values, n_values[1:])):
-                print("error: --n-ladder entries must double (order estimation "
-                      "assumes mesh halving)", file=sys.stderr)
-                return 2
-            if args.grid == "uniform":
-                factory = lambda n: uniform_grid(spec, n)
-                label = "uniform"
-            else:
-                mapping = GridMapping(spec, args.beta)
-                factory = lambda n: analytic_mapped_grid(mapping, n)
-                label = f"beta={args.beta:g}"
-            report = refinement_ladder(spec, factory, n_values, label)
+            beta = 0.0 if args.grid == "uniform" else args.beta
+            report = run_table1(spec, n_values=args.n_ladder, betas=(beta,))[0]
             path = _out_path(args, "convergence.csv")
             report.write_csv(path)
             print(report.format_table())

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapt import AdaptiveConfig, AdaptiveResult, adaptive_solve
-from .analysis import ConvergenceReport, max_error, refinement_ladder
-from .grid import GridMapping, analytic_mapped_grid, uniform_grid
+from .adapt import AdaptiveConfig, adaptive_solve
+from .analysis import ConvergenceReport, refinement_ladder
+from .grid import GridMapping, analytic_mapped_grid
 from .io import write_csv
 from .problem import ProblemSpec, exact_solution
 from .solver import solve_bvp
@@ -157,11 +157,10 @@ def solve_single(spec: ProblemSpec, n_cells: int, grid_mode: str, beta: float = 
                  alpha: float = 0.0, tol: float = 1e-12, max_iter: int = 10000,
                  eps: float = 1e-10, max_outer: int = 1000):
     """One solve in the requested grid mode; returns (solution, converged)."""
-    if grid_mode == "uniform":
-        return solve_bvp(uniform_grid(spec, n_cells), spec), True
-    if grid_mode == "analytic":
-        grid = analytic_mapped_grid(GridMapping(spec, beta), n_cells)
-        return solve_bvp(grid, spec), True
+    if grid_mode in ("uniform", "analytic"):
+        # the uniform grid is the beta = 0 member of the mapped family
+        mapping = GridMapping(spec, 0.0 if grid_mode == "uniform" else beta)
+        return solve_bvp(analytic_mapped_grid(mapping, n_cells), spec), True
     if grid_mode == "equidistributed":
         from .equidist import equidistribute
         from .monitor import ExactPowerMonitor

@@ -12,6 +12,7 @@ with the uniform grid x(q) = q*ell as the beta = 0 member.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,9 +32,12 @@ class Grid:
         nodes = np.array(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError("grid needs at least 3 nodes (N >= 2)")
+        if not math.isfinite(self.ell):
+            raise ValueError(f"grid length ell must be finite, got {self.ell}")
         if nodes[0] != 0.0 or nodes[-1] != self.ell:
             raise ValueError("grid endpoints must be exactly 0 and ell")
-        if np.any(np.diff(nodes) <= 0.0):
+        # written so that a NaN node fails the check too
+        if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("grid nodes must be strictly increasing")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -42,11 +46,6 @@ class Grid:
     def n_cells(self) -> int:
         """Number of intervals N."""
         return self.nodes.size - 1
-
-    @property
-    def ref_step(self) -> float:
-        """Uniform reference-domain step h = 1/N."""
-        return 1.0 / self.n_cells
 
     @property
     def steps(self) -> np.ndarray:
@@ -63,12 +62,6 @@ class Grid:
     def midpoint_jacobian(self) -> np.ndarray:
         """J_{j+1/2} = h_{j+1/2} / h, length N."""
         return self.steps * self.n_cells
-
-    @property
-    def node_jacobian(self) -> np.ndarray:
-        """J_j = (J_{j-1/2} + J_{j+1/2})/2 at interior nodes, length N-1."""
-        jm = self.midpoint_jacobian
-        return 0.5 * (jm[:-1] + jm[1:])
 
     @property
     def max_step(self) -> float:
@@ -96,10 +89,6 @@ class GridMapping:
     def __post_init__(self):
         if self.beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-
-    @classmethod
-    def uniform(cls, spec: ProblemSpec) -> "GridMapping":
-        return cls(spec, 0.0)
 
     def _decay(self) -> float:
         """e^{-beta*lam*ell}; warns if it underflows to zero."""

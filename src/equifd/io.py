@@ -7,12 +7,13 @@ which round-trips IEEE doubles exactly; integers are rendered as such.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 from pathlib import Path
 
 
 def format_value(v) -> str:
-    if isinstance(v, (int,)) and not isinstance(v, bool):
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
         return str(v)
     if isinstance(v, str):
         return v
@@ -21,6 +22,10 @@ def format_value(v) -> str:
 
 def write_csv(path, header, columns) -> None:
     """Write named columns (equal length) to a CSV file."""
+    lengths = [len(c) for c in columns]
+    if len(header) != len(columns) or len(set(lengths)) > 1:
+        raise ValueError(f"need one equal-length column per header name, got "
+                         f"{len(header)} names and column lengths {lengths}")
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ MAX_DERIVATIVE_ORDER = 5
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Parameters of the layer problem: lam > 0 and domain length ell > 0.
+    """Parameters of the layer problem: finite lam > 0 and domain length ell > 0.
 
     Boundary values are not free: they are pinned to the exact solution,
     left_bc = exp(-lam*ell) and right_bc = 1.
@@ -31,10 +31,10 @@ class ProblemSpec:
     right_bc: float = field(init=False)
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if not self.ell > 0.0:
-            raise ValueError(f"ell must be > 0, got {self.ell}")
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        if not (self.ell > 0.0 and math.isfinite(self.ell)):
+            raise ValueError(f"ell must be finite and > 0, got {self.ell}")
         object.__setattr__(self, "left_bc", math.exp(-self.lam * self.ell))
         object.__setattr__(self, "right_bc", 1.0)
 

@@ -115,7 +115,7 @@ def test_fourth_order_residual_other_betas(spec10):
 
 
 def test_fourth_order_residual_uniform_mapping(spec10):
-    mapping = GridMapping.uniform(spec10)
+    mapping = GridMapping(spec10, 0.0)
     raw = fourth_order_residual(mapping, 0.5, normalized=False)
     expected = 0.25 * spec10.ell**2 * spec10.lam**4 * np.exp(spec10.lam * (0.5 - 1.0))
     assert raw == pytest.approx(expected, rel=1e-13)

@@ -25,6 +25,13 @@ def test_csv_roundtrip_exact(tmp_path):
     data = read_csv(path)
     assert np.array_equal(data["a"], a)
     assert np.array_equal(data["b"], b)
+    # numpy integers are written as integers; ragged columns are refused
+    write_csv(path, ["i"], [np.arange(3)])
+    assert path.read_text().split() == ["i", "0", "1", "2"]
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], [a, b[:-1]])
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], [a])
 
 
 def test_solve_analytic_quarter(tmp_path, capsys):
@@ -47,6 +54,9 @@ def test_solve_uniform(tmp_path):
 
 def test_solve_rejects_lambda_zero(tmp_path, capsys):
     rc = main(["solve", "--lambda", "0.0", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "lam" in capsys.readouterr().err
+    rc = main(["solve", "--lambda", "inf", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "lam" in capsys.readouterr().err
 
@@ -73,7 +83,7 @@ def test_convergence_command(tmp_path, capsys):
 
 
 def test_convergence_rejects_bad_ladder(tmp_path, capsys):
-    for ladder in ("20,10", "10,30"):
+    for ladder in ("20,10", "10,30", "10,x"):
         rc = main(["convergence", "--n-ladder", ladder, "--out", str(tmp_path / "c.csv")])
         assert rc == 2
         assert "ladder" in capsys.readouterr().err
@@ -156,6 +166,12 @@ def test_config_file_prepopulates_flags(tmp_path):
     rc = main(["solve", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     assert np.max(read_csv(out)["abs_error"]) == pytest.approx(0.342e-8, rel=0.05)
+    # a config may also supply the flags a command requires
+    cfg.write_text("alpha = 10\nbeta = 0.25\n")
+    ref = tmp_path / "ref.csv"
+    assert main(["adapt", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["adapt", "--alpha", "10", "--beta", "0.25", "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_config_file_flags_take_precedence(tmp_path):
@@ -166,6 +182,16 @@ def test_config_file_flags_take_precedence(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert len(read_csv(out)["x"]) == 11
+    # a flag equal to its default still wins
+    assert main(["solve", "--config", str(cfg), "--n", "20", "--out", str(out)]) == 0
+    assert len(read_csv(out)["x"]) == 21
+    # and so does a required one
+    cfg.write_text("alpha = 1\n")
+    ref = tmp_path / "ref.csv"
+    assert main(["adapt", "--config", str(cfg), "--alpha", "10", "--beta", "0.25",
+                 "--out", str(out)]) == 0
+    assert main(["adapt", "--alpha", "10", "--beta", "0.25", "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_config_file_error_reports_line(tmp_path, capsys):
@@ -174,11 +200,20 @@ def test_config_file_error_reports_line(tmp_path, capsys):
     rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
     assert rc == 2
     assert ":2:" in capsys.readouterr().err
+    rc = main(["solve", "--config", str(tmp_path / "missing.cfg")])
+    assert rc == 2
+    assert "missing.cfg" in capsys.readouterr().err
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
+    # bad values go through argparse exactly like flags: exit 2, no traceback
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("frobnicate = 1\n")
-    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
-    assert rc == 2
-    assert "frobnicate" in capsys.readouterr().err
+    for line, flag in [("frobnicate = 1", "frobnicate"), ("n = 20.5", "--n"),
+                       ("lambda = abc", "--lambda"), ("grid = bogus", "--grid"),
+                       ("alp = 1", "alp")]:
+        cfg.write_text(line + "\n")
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err

@@ -96,6 +96,10 @@ def test_grid_validation():
         Grid(np.array([0.1, 0.5, 1.0]), 1.0)
     with pytest.raises(ValueError):
         Grid(np.array([0.0, 0.5, 0.9]), 1.0)
+    with pytest.raises(ValueError):
+        Grid(np.array([0.0, np.nan, 1.0]), 1.0)
+    with pytest.raises(ValueError):
+        Grid(np.array([0.0, 1.0, np.inf]), np.inf)
 
 
 def test_grid_nodes_immutable(spec10):

@@ -84,7 +84,8 @@ def test_derivative_order_bounds(spec10, order):
         exact_derivative(spec10, 0.5, order)
 
 
-@pytest.mark.parametrize("lam,ell", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+@pytest.mark.parametrize("lam,ell", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                     (math.inf, 1.0), (1.0, math.inf)])
 def test_invalid_spec(lam, ell):
     with pytest.raises(ValueError):
         ProblemSpec(lam=lam, ell=ell)
