@@ -11,8 +11,10 @@ The solve-remesh alternation can oscillate for aggressive monitors
 (large alpha with beta >= 1); as in the inner solver, the grid update
 is progressively damped whenever the solution change grows.  A stalled
 inner equidistribution (possible for rough piecewise-constant monitors,
-which need not admit an exact discrete fixed point) is not fatal: its
-best iterate is taken and the outer iteration proceeds.
+which need not admit an exact discrete fixed point) is not fatal: the
+inner solver stops at the first exact cycle at its damping floor, its
+best iterate is taken, the stall is counted in the result, and the outer
+iteration proceeds.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ class AdaptiveConfig:
             raise ValueError("alpha and beta must be >= 0")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
+        if not self.inner_tol > 0.0:
+            raise ValueError("inner_tol must be positive")
+        if self.max_outer < 1 or self.inner_max_iter < 1:
+            raise ValueError("max_outer and inner_max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,9 @@ class AdaptiveResult:
 
     outer_iterations counts BVP solves.  history rows are
     (n, error_norm, solution_change, grid_change) with nan for
-    quantities undefined at the first iteration.
+    quantities undefined at the first iteration.  inner_stalls counts
+    the equidistributions that stopped without converging and whose
+    best iterate was taken instead.
     """
 
     solution: DiscreteSolution
@@ -61,6 +69,7 @@ class AdaptiveResult:
     error_norm: float
     converged: bool
     history: list = field(default_factory=list)
+    inner_stalls: int = 0
 
     def write_trace_csv(self, path) -> None:
         from .io import write_csv
@@ -76,7 +85,7 @@ def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> A
     prev_change = None
     relax = 1.0
     history = []
-    solution = None
+    stalls = 0
     for n in range(1, config.max_outer + 1):
         solution = solve_bvp(grid, spec)
         change = np.nan
@@ -84,7 +93,7 @@ def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> A
             change = float(np.max(np.abs(solution.values - prev_values)))
             if change < config.eps:
                 history.append((n, max_error(solution), change, 0.0))
-                return AdaptiveResult(solution, n, max_error(solution), True, history)
+                return AdaptiveResult(solution, n, max_error(solution), True, history, stalls)
             if prev_change is not None and change > prev_change:
                 relax = max(0.5 * relax, DAMPING_FLOOR)
             prev_change = change
@@ -101,14 +110,16 @@ def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> A
             ).grid
         except EquidistributionError as err:
             target = err.grid
+            stalls += 1
         new_nodes = grid.nodes + relax * (target.nodes - grid.nodes)
         grid_change = float(np.max(np.abs(new_nodes - grid.nodes)))
         history.append((n, max_error(solution), change, grid_change))
         if grid_change < config.inner_tol:
             # stationary grid: the next solve would reproduce this solution
-            return AdaptiveResult(solution, n, max_error(solution), True, history)
+            return AdaptiveResult(solution, n, max_error(solution), True, history, stalls)
         new_nodes[0] = 0.0
         new_nodes[-1] = spec.ell
         prev_values = solution.values
         grid = Grid(new_nodes, spec.ell)
-    return AdaptiveResult(solution, config.max_outer, max_error(solution), False, history)
+    return AdaptiveResult(solution, config.max_outer, max_error(solution), False, history,
+                          stalls)

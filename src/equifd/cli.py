@@ -57,13 +57,37 @@ def _load_config(path: str) -> list[str]:
     return tokens
 
 
-def _ladder(text: str) -> list[int]:
-    """--n-ladder value: comma-separated N values, each twice the one before."""
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_n_cells = _int_at_least(2)
+_count = _int_at_least(1)
+
+
+def _positive(text: str) -> float:
+    """argparse type: a float > 0."""
     try:
-        n_values = [int(s) for s in text.split(",")]
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _ladder(text: str) -> list[int]:
+    """--n-ladder value: comma-separated N values >= 2, each twice the one before."""
+    n_values = [_n_cells(s) for s in text.split(",")]
     if any(b != 2 * a for a, b in zip(n_values, n_values[1:])):
         raise argparse.ArgumentTypeError(
             "entries must double (order estimation assumes mesh halving)")
@@ -85,15 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="single solve, CSV columns x,u,u_exact,abs_error")
     _add_common(p)
-    p.add_argument("--n", type=int, default=20, help="number of grid intervals")
+    p.add_argument("--n", type=_n_cells, default=20, help="number of grid intervals")
     p.add_argument("--grid", choices=["uniform", "analytic", "equidistributed", "adaptive"],
                    default="uniform")
     p.add_argument("--beta", type=float, default=0.0, help="monitor exponent")
     p.add_argument("--alpha", type=float, default=0.0, help="adaptive monitor weight")
-    p.add_argument("--tol", type=float, default=1e-12, help="equidistribution tolerance")
-    p.add_argument("--max-iter", type=int, default=10000, help="equidistribution sweep cap")
-    p.add_argument("--eps", type=float, default=1e-10, help="adaptive stopping tolerance")
-    p.add_argument("--max-outer", type=int, default=1000, help="adaptive iteration cap")
+    p.add_argument("--tol", type=_positive, default=1e-12, help="equidistribution tolerance")
+    p.add_argument("--max-iter", type=_count, default=10000, help="equidistribution sweep cap")
+    p.add_argument("--eps", type=_positive, default=1e-10, help="adaptive stopping tolerance")
+    p.add_argument("--max-outer", type=_count, default=1000, help="adaptive iteration cap")
 
     p = sub.add_parser("convergence", help="refinement ladder for one grid family")
     _add_common(p)
@@ -104,13 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adapt", help="adaptive solve with optional iteration trace")
     _add_common(p)
-    p.add_argument("--n", type=int, default=20)
+    p.add_argument("--n", type=_n_cells, default=20)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--max-outer", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--eps", type=_positive, default=1e-10)
+    p.add_argument("--max-outer", type=_count, default=1000)
+    p.add_argument("--tol", type=_positive, default=1e-12)
+    p.add_argument("--max-iter", type=_count, default=10000)
     p.add_argument("--trace", default=None, help="per-iteration trace CSV path")
 
     p = sub.add_parser("table1", help="convergence orders of the analytic grid families")
@@ -118,13 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table2", help="adaptive-monitor (alpha, beta) sweep at N=20")
     _add_common(p)
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--max-outer", type=int, default=5000)
+    p.add_argument("--n", type=_n_cells, default=20)
+    p.add_argument("--eps", type=_positive, default=1e-10)
+    p.add_argument("--max-outer", type=_count, default=5000)
 
     p = sub.add_parser("error-profile", help="pointwise error of the four grid families")
     _add_common(p)
-    p.add_argument("--n", type=int, default=80)
+    p.add_argument("--n", type=_n_cells, default=80)
 
     for p in sub.choices.values():
         # no prefix matching: a config key `n` must not become `--n-ladder`
@@ -195,8 +219,9 @@ def main(argv=None) -> int:
             if args.trace:
                 res.write_trace_csv(args.trace)
             status = "converged" if res.converged else "NOT converged"
-            print(f"max error {res.error_norm:.6e} after n={res.outer_iterations} solves "
-                  f"({status})  ({path})")
+            stalls = f", {res.inner_stalls} inner stalls" if res.inner_stalls else ""
+            print(f"max error {res.error_norm:.6e} after n={res.outer_iterations} solves"
+                  f"{stalls} ({status})  ({path})")
             return 0 if res.converged else 1
 
         if args.command == "table1":

@@ -15,6 +15,13 @@ enter a small limit cycle instead of converging; when the displacement
 grows between sweeps the update is therefore progressively damped.
 Convergence is always measured on the undamped sweep displacement, so a
 converged grid moves less than tol under one more full sweep.
+
+Once the damping reaches its floor the sweep map is fixed, so an iterate
+that repeats exactly repeats forever.  Such a cycle is detected with
+Brent's power-of-two method (one saved iterate) and reported at once as
+an EquidistributionError carrying the best iterate: the same grid and
+update that running on to the sweep cap would give, because the cycle
+has already been swept in full.
 """
 
 from __future__ import annotations
@@ -96,11 +103,14 @@ def equidistribute(
 
     Starts from the uniform grid unless an initial grid with the same
     N and ell is supplied.  Raises EquidistributionError after max_iter
-    sweeps (the exception carries the best iterate), MonotonicityError
-    if an iterate loses node ordering.
+    sweeps, or as soon as an iterate at the damping floor repeats exactly
+    (the exception carries the best iterate either way), and
+    MonotonicityError if an iterate loses node ordering.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too: no update is ever below it
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if initial is None:
         initial = uniform_grid(spec, n_cells)
     if initial.n_cells != n_cells or initial.ell != spec.ell:
@@ -110,6 +120,7 @@ def equidistribute(
     relax = 1.0
     prev_update = None
     best = (np.inf, x)
+    saved = None  # Brent cycle finding: (sweep, update, iterate) at powers of two
     for it in range(1, max_iter + 1):
         w = _interval_weights(monitor, x)
         target = _sweep(x, w)
@@ -119,6 +130,20 @@ def equidistribute(
         if update < tol:
             grid = Grid(x, spec.ell)
             return EquidistResult(grid, it, update, equidist_defect(grid, monitor))
+        if relax == DAMPING_FLOOR:
+            # x came from a floor step and the map x -> x + relax * (sweep(x) - x)
+            # is fixed from here on, so a repeat of x is a cycle; equal iterates
+            # have equal updates, so the arrays are compared only when those match
+            if saved is not None and update == saved[1] and np.array_equal(x, saved[2]):
+                raise EquidistributionError(
+                    f"the iterate of sweep {it - 1} repeats that of sweep {saved[0]} at the "
+                    f"damping floor (period {it - 1 - saved[0]}; best update {best[0]:.3e})",
+                    grid=Grid(best[1], spec.ell),
+                    final_update=best[0],
+                    iterations=it,
+                )
+            if (it - 1) & (it - 2) == 0:
+                saved = (it - 1, update, x)
         if prev_update is not None and update > prev_update:
             relax = max(0.5 * relax, DAMPING_FLOOR)
         prev_update = update

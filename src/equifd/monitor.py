@@ -71,10 +71,13 @@ class DiscreteGradientMonitor(MonitorFunction):
             raise ValueError("alpha and beta must be >= 0")
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self._nodes = np.asarray(nodes, dtype=float)
+        nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
-        slopes = np.abs(np.diff(values)) / np.diff(self._nodes)
+        slopes = np.abs(np.diff(values)) / np.diff(nodes)
         self._weights = 1.0 + self.alpha * slopes**self.beta
+        # interior breakpoints only: a query left of the first node or right
+        # of the last one lands in the end interval
+        self._breaks = nodes[1:-1]
 
     @classmethod
     def from_solution(cls, alpha: float, beta: float, solution) -> "DiscreteGradientMonitor":
@@ -82,8 +85,7 @@ class DiscreteGradientMonitor(MonitorFunction):
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         mid = 0.5 * (nodes[:-1] + nodes[1:])
-        k = np.clip(np.searchsorted(self._nodes, mid, side="right") - 1, 0, len(self._weights) - 1)
-        return self._weights[k]
+        return self._weights[np.searchsorted(self._breaks, mid, side="right")]
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,16 @@ def test_inner_stall_is_survivable(spec10):
     assert res.error_norm == pytest.approx(0.750e-2, rel=0.5)
 
 
+def test_inner_stalls_counted(spec10):
+    """Each equidistribution whose best iterate was taken is counted."""
+    res = adaptive_solve(spec10, 20, AdaptiveConfig(alpha=10.0, beta=1.0))
+    assert res.converged
+    assert res.inner_stalls == 1
+    res = adaptive_solve(spec10, 20, AdaptiveConfig(alpha=1.0, beta=0.5))
+    assert res.converged
+    assert res.inner_stalls == 0
+
+
 def test_final_grid_valid(spec10):
     res = adaptive_solve(spec10, 20, AdaptiveConfig(alpha=100.0, beta=0.25))
     nodes = res.solution.grid.nodes
@@ -97,3 +107,8 @@ def test_config_validation():
         AdaptiveConfig(alpha=1.0, beta=-0.5)
     with pytest.raises(ValueError):
         AdaptiveConfig(alpha=1.0, beta=0.5, eps=0.0)
+    # caps below one and tolerances that are not positive are refused
+    for bad in ({"max_outer": 0}, {"inner_max_iter": 0}, {"inner_tol": 0.0},
+                {"inner_tol": -1e-12}, {"inner_tol": float("nan")}):
+        with pytest.raises(ValueError):
+            AdaptiveConfig(alpha=1.0, beta=0.5, **bad)

@@ -83,13 +83,31 @@ def test_convergence_command(tmp_path, capsys):
 
 
 def test_convergence_rejects_bad_ladder(tmp_path, capsys):
-    for ladder in ("20,10", "10,30", "10,x"):
+    for ladder in ("20,10", "10,30", "10,x", "1,2"):
         rc = main(["convergence", "--n-ladder", ladder, "--out", str(tmp_path / "c.csv")])
         assert rc == 2
         assert "ladder" in capsys.readouterr().err
 
 
-def test_adapt_command_with_trace(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
+    # sizes, caps and tolerances are checked by argparse, before any numerics
+    for argv, flag in [
+        (["solve", "--n", "1"], "--n"),
+        (["solve", "--grid", "equidistributed", "--tol", "-1"], "--tol"),
+        (["solve", "--grid", "adaptive", "--eps", "0"], "--eps"),
+        (["adapt", "--alpha", "10", "--beta", "1", "--max-iter", "0"], "--max-iter"),
+        (["adapt", "--alpha", "10", "--beta", "1", "--max-outer", "0"], "--max-outer"),
+        (["table2", "--n", "1"], "--n"),
+        (["error-profile", "--n", "0"], "--n"),
+    ]:
+        rc = main([*argv, "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
+
+def test_adapt_command_with_trace(tmp_path, capsys):
     out = tmp_path / "sol.csv"
     trace = tmp_path / "trace.csv"
     rc = main(["adapt", "--alpha", "10", "--beta", "0.25", "--n", "20",
@@ -98,6 +116,11 @@ def test_adapt_command_with_trace(tmp_path):
     assert np.max(read_csv(out)["abs_error"]) == pytest.approx(0.824e-4, rel=0.15)
     tr = read_csv(trace)
     assert list(tr) == ["n", "error_norm", "solution_change", "grid_change"]
+    assert "inner stalls" not in capsys.readouterr().out
+    # a swallowed inner stall is reported in the summary line
+    rc = main(["adapt", "--alpha", "10", "--beta", "1", "--out", str(out)])
+    assert rc == 0
+    assert ", 1 inner stalls (converged)" in capsys.readouterr().out
 
 
 def test_adapt_nonconverged_exit_code(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from equifd import (
     ConstantMonitor,
+    DiscreteGradientMonitor,
     EquidistributionError,
     ExactPowerMonitor,
     GridMapping,
@@ -10,9 +11,10 @@ from equifd import (
     analytic_mapped_grid,
     equidist_defect,
     equidistribute,
+    solve_bvp,
     uniform_grid,
 )
-from equifd.equidist import _sweep
+from equifd.equidist import DAMPING_FLOOR, _interval_weights, _sweep
 from conftest import random_grid
 
 
@@ -127,6 +129,34 @@ def test_nonconvergence_raises_with_best_iterate(spec10):
     assert err.value.grid.n_cells == 20
 
 
+def test_cycle_at_damping_floor_stops_with_capped_result(spec10):
+    """A rough monitor cycles exactly at the damping floor; the early stop
+    returns bit for bit the best iterate of a run to the full sweep cap."""
+    sol = solve_bvp(uniform_grid(spec10, 20), spec10)
+    monitor = DiscreteGradientMonitor.from_solution(10.0, 1.0, sol)
+
+    # oracle: the sweep loop without cycle detection, run to the cap
+    x = uniform_grid(spec10, 20).nodes.copy()
+    relax, prev_update, best = 1.0, None, (np.inf, x)
+    for _ in range(10000):
+        target = _sweep(x, _interval_weights(monitor, x))
+        update = float(np.max(np.abs(target - x)))
+        if update < best[0]:
+            best = (update, x)
+        assert update >= 1e-12
+        if prev_update is not None and update > prev_update:
+            relax = max(0.5 * relax, DAMPING_FLOOR)
+        prev_update = update
+        x = x + relax * (target - x)
+
+    with pytest.raises(EquidistributionError) as err:
+        equidistribute(monitor, spec10, 20, tol=1e-12, max_iter=10000)
+    assert err.value.iterations <= 300
+    assert np.array_equal(err.value.grid.nodes, best[1])
+    assert err.value.final_update == best[0]
+    assert "period" in str(err.value)
+
+
 def test_bad_monitor_rejected(spec10):
     class NegativeMonitor(MonitorFunction):
         def interval_values(self, nodes):
@@ -147,5 +177,8 @@ def test_initial_grid_validation(spec10):
     wrong_n = uniform_grid(spec10, 8)
     with pytest.raises(ValueError):
         equidistribute(ConstantMonitor(), spec10, 10, initial=wrong_n)
+    for tol in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            equidistribute(ConstantMonitor(), spec10, 10, tol=tol)
     with pytest.raises(ValueError):
-        equidistribute(ConstantMonitor(), spec10, 10, tol=0.0)
+        equidistribute(ConstantMonitor(), spec10, 10, max_iter=0)

@@ -49,6 +49,19 @@ def test_discrete_gradient_lookup_off_grid():
     assert np.array_equal(mon.interval_values(np.array([0.6, 1.0])), [2.0])
 
 
+def test_discrete_gradient_lookup_matches_clipped_search():
+    """The interior-breakpoint search picks the interval the clipped
+    full-node search picked, for queries inside and outside [0, ell]."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 40):
+        nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, n - 1)), [2.0]])
+        mon = DiscreteGradientMonitor(1.0, 1.0, nodes, rng.standard_normal(n + 1))
+        query = np.sort(np.concatenate([rng.uniform(-1.0, 3.0, 200), nodes]))
+        mid = 0.5 * (query[:-1] + query[1:])
+        k = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, n - 1)
+        assert np.array_equal(mon.interval_values(query), mon._weights[k])
+
+
 def test_discrete_gradient_positive(spec10):
     sol = solve_bvp(uniform_grid(spec10, 20), spec10)
     mon = DiscreteGradientMonitor.from_solution(1e4, 2.0, sol)
