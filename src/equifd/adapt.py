@@ -43,8 +43,9 @@ class AdaptiveConfig:
     inner_max_iter: int = 10000
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("alpha and beta must be >= 0")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
         if not self.inner_tol > 0.0:
@@ -86,14 +87,17 @@ def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> A
     relax = 1.0
     history = []
     stalls = 0
+    converged = False
     for n in range(1, config.max_outer + 1):
         solution = solve_bvp(grid, spec)
+        error = max_error(solution)
         change = np.nan
         if prev_values is not None:
             change = float(np.max(np.abs(solution.values - prev_values)))
             if change < config.eps:
-                history.append((n, max_error(solution), change, 0.0))
-                return AdaptiveResult(solution, n, max_error(solution), True, history, stalls)
+                history.append((n, error, change, 0.0))
+                converged = True
+                break
             if prev_change is not None and change > prev_change:
                 relax = max(0.5 * relax, DAMPING_FLOOR)
             prev_change = change
@@ -111,15 +115,14 @@ def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> A
         except EquidistributionError as err:
             target = err.grid
             stalls += 1
+        # exact at the ends: 0 + r*(0 - 0) == 0 and ell + r*(ell - ell) == ell
         new_nodes = grid.nodes + relax * (target.nodes - grid.nodes)
         grid_change = float(np.max(np.abs(new_nodes - grid.nodes)))
-        history.append((n, max_error(solution), change, grid_change))
+        history.append((n, error, change, grid_change))
         if grid_change < config.inner_tol:
             # stationary grid: the next solve would reproduce this solution
-            return AdaptiveResult(solution, n, max_error(solution), True, history, stalls)
-        new_nodes[0] = 0.0
-        new_nodes[-1] = spec.ell
+            converged = True
+            break
         prev_values = solution.values
         grid = Grid(new_nodes, spec.ell)
-    return AdaptiveResult(solution, config.max_outer, max_error(solution), False, history,
-                          stalls)
+    return AdaptiveResult(solution, n, error, converged, history, stalls)

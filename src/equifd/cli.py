@@ -14,6 +14,7 @@ The default output directory honors EQUIFD_OUTDIR.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -74,15 +75,21 @@ _n_cells = _int_at_least(2)
 _count = _int_at_least(1)
 
 
-def _positive(text: str) -> float:
-    """argparse type: a float > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+def _float_where(ok, requirement: str):
+    """argparse type: a float for which ok(value) holds."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    return parse
+
+
+_positive = _float_where(lambda v: v > 0.0, "> 0")
+_exponent = _float_where(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 
 
 def _ladder(text: str) -> list[int]:
@@ -112,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_n_cells, default=20, help="number of grid intervals")
     p.add_argument("--grid", choices=["uniform", "analytic", "equidistributed", "adaptive"],
                    default="uniform")
-    p.add_argument("--beta", type=float, default=0.0, help="monitor exponent")
-    p.add_argument("--alpha", type=float, default=0.0, help="adaptive monitor weight")
+    p.add_argument("--beta", type=_exponent, default=0.0, help="monitor exponent")
+    p.add_argument("--alpha", type=_exponent, default=0.0, help="adaptive monitor weight")
     p.add_argument("--tol", type=_positive, default=1e-12, help="equidistribution tolerance")
     p.add_argument("--max-iter", type=_count, default=10000, help="equidistribution sweep cap")
     p.add_argument("--eps", type=_positive, default=1e-10, help="adaptive stopping tolerance")
@@ -122,15 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="refinement ladder for one grid family")
     _add_common(p)
     p.add_argument("--grid", choices=["uniform", "analytic"], default="uniform")
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--beta", type=_exponent, default=0.0)
     p.add_argument("--n-ladder", type=_ladder, default=",".join(str(n) for n in LADDER),
                    help="comma-separated doubling N values")
 
     p = sub.add_parser("adapt", help="adaptive solve with optional iteration trace")
     _add_common(p)
     p.add_argument("--n", type=_n_cells, default=20)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--alpha", type=_exponent, required=True)
+    p.add_argument("--beta", type=_exponent, required=True)
     p.add_argument("--eps", type=_positive, default=1e-10)
     p.add_argument("--max-outer", type=_count, default=1000)
     p.add_argument("--tol", type=_positive, default=1e-12)
@@ -244,6 +251,9 @@ def main(argv=None) -> int:
             run_error_profile(spec, n_cells=args.n, csv_path=path)
             print(f"wrote {path}")
             return 0
+    except OSError as err:  # an output path that cannot be written
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

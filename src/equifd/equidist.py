@@ -54,12 +54,12 @@ class MonotonicityError(RuntimeError):
 
 @dataclass(frozen=True)
 class EquidistResult:
-    """Converged grid plus iteration diagnostics."""
+    """Converged grid plus iteration diagnostics; the equidistribution
+    defect is computed on demand by equidist_defect(grid, monitor)."""
 
     grid: Grid
     iterations: int
     final_update: float
-    equidist_defect: float
 
 
 def _interval_weights(monitor: MonitorFunction, nodes: np.ndarray) -> np.ndarray:
@@ -116,7 +116,7 @@ def equidistribute(
     if initial.n_cells != n_cells or initial.ell != spec.ell:
         raise ValueError("initial grid does not match n_cells and ell")
 
-    x = initial.nodes.copy()
+    x = initial.nodes  # read-only, and x is only ever rebound
     relax = 1.0
     prev_update = None
     best = (np.inf, x)
@@ -128,20 +128,15 @@ def equidistribute(
         if update < best[0]:
             best = (update, x)
         if update < tol:
-            grid = Grid(x, spec.ell)
-            return EquidistResult(grid, it, update, equidist_defect(grid, monitor))
+            return EquidistResult(Grid(x, spec.ell), it, update)
         if relax == DAMPING_FLOOR:
             # x came from a floor step and the map x -> x + relax * (sweep(x) - x)
             # is fixed from here on, so a repeat of x is a cycle; equal iterates
             # have equal updates, so the arrays are compared only when those match
             if saved is not None and update == saved[1] and np.array_equal(x, saved[2]):
-                raise EquidistributionError(
-                    f"the iterate of sweep {it - 1} repeats that of sweep {saved[0]} at the "
-                    f"damping floor (period {it - 1 - saved[0]}; best update {best[0]:.3e})",
-                    grid=Grid(best[1], spec.ell),
-                    final_update=best[0],
-                    iterations=it,
-                )
+                message = (f"the iterate of sweep {it - 1} repeats that of sweep {saved[0]} at the "
+                           f"damping floor (period {it - 1 - saved[0]}; best update {best[0]:.3e})")
+                break
             if (it - 1) & (it - 2) == 0:
                 saved = (it - 1, update, x)
         if prev_update is not None and update > prev_update:
@@ -152,9 +147,7 @@ def equidistribute(
             raise MonotonicityError(
                 f"node ordering lost after sweep {it}; monitor values may be invalid"
             )
-    raise EquidistributionError(
-        f"no convergence after {max_iter} sweeps (best update {best[0]:.3e})",
-        grid=Grid(best[1], spec.ell),
-        final_update=best[0],
-        iterations=max_iter,
-    )
+    else:
+        message = f"no convergence after {it} sweeps (best update {best[0]:.3e})"
+    raise EquidistributionError(message, grid=Grid(best[1], spec.ell),
+                                final_update=best[0], iterations=it)

@@ -87,8 +87,8 @@ class GridMapping:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
     def _decay(self) -> float:
         """e^{-beta*lam*ell}; warns if it underflows to zero."""

@@ -34,8 +34,8 @@ class ConstantMonitor(MonitorFunction):
     value: float = 1.0
 
     def __post_init__(self):
-        if not self.value > 0.0:
-            raise ValueError("monitor value must be positive")
+        if not 0.0 < self.value < np.inf:
+            raise ValueError(f"monitor value must be finite and > 0, got {self.value}")
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         return np.full(len(nodes) - 1, self.value)
@@ -49,8 +49,8 @@ class ExactPowerMonitor(MonitorFunction):
     beta: float
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         mid = 0.5 * (nodes[:-1] + nodes[1:])
@@ -67,8 +67,9 @@ class DiscreteGradientMonitor(MonitorFunction):
     """
 
     def __init__(self, alpha: float, beta: float, nodes, values):
-        if alpha < 0.0 or beta < 0.0:
-            raise ValueError("alpha and beta must be >= 0")
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         self.alpha = float(alpha)
         self.beta = float(beta)
         nodes = np.asarray(nodes, dtype=float)
@@ -96,8 +97,8 @@ class ScaledMonitor(MonitorFunction):
     factor: float
 
     def __post_init__(self):
-        if not self.factor > 0.0:
-            raise ValueError("scale factor must be positive")
+        if not 0.0 < self.factor < np.inf:
+            raise ValueError(f"scale factor must be finite and > 0, got {self.factor}")
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         return self.factor * self.inner.interval_values(nodes)

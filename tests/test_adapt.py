@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equifd import AdaptiveConfig, adaptive_solve, uniform_grid
+from equifd import AdaptiveConfig, adaptive_solve, max_error, uniform_grid
 from equifd.io import read_csv
 
 
@@ -89,15 +89,27 @@ def test_stopping_norm_is_indexwise(spec10):
 
 
 def test_history_and_trace(tmp_path, spec10):
-    res = adaptive_solve(spec10, 20, AdaptiveConfig(alpha=1.0, beta=0.25))
-    ns = [row[0] for row in res.history]
-    assert ns == list(range(1, res.outer_iterations + 1))
-    assert np.isnan(res.history[0][2])  # no previous solution at n=1
-    path = tmp_path / "trace.csv"
-    res.write_trace_csv(path)
-    data = read_csv(path)
-    assert list(data) == ["n", "error_norm", "solution_change", "grid_change"]
-    assert len(data["n"]) == res.outer_iterations
+    # one configuration per way out of the loop: solution change below eps,
+    # a stationary grid at n=1, and the max_outer cap
+    for cfg, converged in [
+        (AdaptiveConfig(alpha=1.0, beta=0.25), True),
+        (AdaptiveConfig(alpha=0.0, beta=1.0), True),
+        (AdaptiveConfig(alpha=10.0, beta=0.5, max_outer=3), False),
+    ]:
+        res = adaptive_solve(spec10, 20, cfg)
+        assert res.converged == converged
+        ns = [row[0] for row in res.history]
+        assert ns == list(range(1, res.outer_iterations + 1))
+        assert res.outer_iterations == len(res.history)
+        assert np.isnan(res.history[0][2])  # no previous solution at n=1
+        assert res.error_norm == res.history[-1][1] == max_error(res.solution)
+        nodes = res.solution.grid.nodes
+        assert nodes[0] == 0.0 and nodes[-1] == spec10.ell
+        path = tmp_path / "trace.csv"
+        res.write_trace_csv(path)
+        data = read_csv(path)
+        assert list(data) == ["n", "error_norm", "solution_change", "grid_change"]
+        assert len(data["n"]) == res.outer_iterations
 
 
 def test_config_validation():
@@ -107,6 +119,11 @@ def test_config_validation():
         AdaptiveConfig(alpha=1.0, beta=-0.5)
     with pytest.raises(ValueError):
         AdaptiveConfig(alpha=1.0, beta=0.5, eps=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            AdaptiveConfig(alpha=bad, beta=0.5)
+        with pytest.raises(ValueError, match="beta"):
+            AdaptiveConfig(alpha=1.0, beta=bad)
     # caps below one and tolerances that are not positive are refused
     for bad in ({"max_outer": 0}, {"inner_max_iter": 0}, {"inner_tol": 0.0},
                 {"inner_tol": -1e-12}, {"inner_tol": float("nan")}):

@@ -99,11 +99,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["adapt", "--alpha", "10", "--beta", "1", "--max-outer", "0"], "--max-outer"),
         (["table2", "--n", "1"], "--n"),
         (["error-profile", "--n", "0"], "--n"),
+        # alpha and beta must be finite and >= 0 (NaN used to reach the numerics)
+        (["adapt", "--alpha", "nan", "--beta", "1"], "--alpha"),
+        (["adapt", "--alpha", "-1", "--beta", "1"], "--alpha"),
+        (["adapt", "--alpha", "1", "--beta", "inf"], "--beta"),
+        (["solve", "--grid", "analytic", "--beta", "inf"], "--beta"),
+        (["solve", "--grid", "adaptive", "--alpha", "nan", "--beta", "0.25"], "--alpha"),
+        (["convergence", "--grid", "analytic", "--beta", "nan"], "--beta"),
     ]:
         rc = main([*argv, "--out", str(tmp_path / "s.csv")])
         assert rc == 2
         err = capsys.readouterr().err
         assert flag in err
+        assert "Traceback" not in err
+    # an output path that cannot be written (here a directory)
+    for argv in (["solve", "--out", str(tmp_path)],
+                 ["adapt", "--alpha", "1", "--beta", "0.5", "--out", str(tmp_path / "s.csv"),
+                  "--trace", str(tmp_path)]):
+        rc = main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert "Traceback" not in err
 
 

@@ -23,9 +23,10 @@ def test_constant_monitor_yields_uniform(spec10):
     initial = random_grid(rng, 20)
     # 1e-310 is subnormal: its reciprocal overflows, so the sweep must not form 1/w
     for value in (1.0, 1e-310):
-        res = equidistribute(ConstantMonitor(value), spec10, 20, initial=initial)
+        monitor = ConstantMonitor(value)
+        res = equidistribute(monitor, spec10, 20, initial=initial)
         assert np.allclose(res.grid.nodes, uniform_grid(spec10, 20).nodes, atol=1e-13)
-        assert res.equidist_defect <= 1e-12
+        assert equidist_defect(res.grid, monitor) <= 1e-12
 
 
 def test_sweep_solves_dense_linearized_system():
@@ -79,8 +80,9 @@ def test_power_quarter_matches_analytic_grid(spec10):
 
 
 def test_converged_defect_small(spec10):
-    res = equidistribute(ExactPowerMonitor(spec10, 0.25), spec10, 20, tol=1e-12)
-    assert res.equidist_defect <= 10 * 1e-12
+    monitor = ExactPowerMonitor(spec10, 0.25)
+    res = equidistribute(monitor, spec10, 20, tol=1e-12)
+    assert equidist_defect(res.grid, monitor) <= 10 * 1e-12
 
 
 def test_fixed_point_consistency(spec10):
@@ -127,6 +129,8 @@ def test_nonconvergence_raises_with_best_iterate(spec10):
         equidistribute(ExactPowerMonitor(spec10, 0.25), spec10, 20, max_iter=1)
     assert err.value.final_update > 0
     assert err.value.grid.n_cells == 20
+    assert err.value.iterations == 1
+    assert "no convergence after 1 sweeps" in str(err.value)
 
 
 def test_cycle_at_damping_floor_stops_with_capped_result(spec10):

@@ -109,8 +109,9 @@ def test_grid_nodes_immutable(spec10):
 
 
 def test_mapping_negative_beta(spec10):
-    with pytest.raises(ValueError):
-        GridMapping(spec10, -0.5)
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta"):
+            GridMapping(spec10, bad)
 
 
 def test_grid_csv_roundtrip(tmp_path, spec10):

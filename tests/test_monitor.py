@@ -86,3 +86,15 @@ def test_parameter_validation(spec10):
         DiscreteGradientMonitor(-1.0, 1.0, [0.0, 1.0], [0.0, 1.0])
     with pytest.raises(ValueError):
         DiscreteGradientMonitor(1.0, -1.0, [0.0, 1.0], [0.0, 1.0])
+    # NaN passes a plain `< 0` test and inf is no exponent or weight either
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta"):
+            ExactPowerMonitor(spec10, bad)
+        with pytest.raises(ValueError, match="alpha"):
+            DiscreteGradientMonitor(bad, 1.0, [0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="beta"):
+            DiscreteGradientMonitor(1.0, bad, [0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="value"):
+        ConstantMonitor(np.inf)
+    with pytest.raises(ValueError, match="factor"):
+        ConstantMonitor().scaled(np.inf)
