@@ -24,9 +24,10 @@ for beta in (0.25, 2.0):
 
 print("iteration trace for alpha = 10, beta = 1/4:")
 res = adaptive_solve(spec, n, AdaptiveConfig(alpha=10.0, beta=0.25))
-print(f"{'n':>4} {'error':>10} {'du':>9} {'dgrid':>9}")
-for step, err, du, dgrid in res.history[:8]:
+print(f"{'n':>4} {'error':>10} {'du':>9} {'dgrid':>9} {'sweeps':>6} {'relax':>5}")
+for step, err, du, dgrid, sweeps, stalled, relax in res.history[:8]:
     du_txt = "---" if du != du else f"{du:.2e}"
-    print(f"{step:>4} {err:>10.3e} {du_txt:>9} {dgrid:>9.2e}")
+    stall_txt = " (inner stall)" if stalled else ""
+    print(f"{step:>4} {err:>10.3e} {du_txt:>9} {dgrid:>9.2e} {sweeps:>6d} {relax:>5.3g}{stall_txt}")
 print(f"... converged after {res.outer_iterations} solves "
       f"with error {res.error_norm:.3e}")

@@ -31,6 +31,10 @@ from .problem import ProblemSpec
 from .solver import DiscreteSolution, solve_bvp
 
 
+TRACE_COLUMNS = ["n", "error_norm", "solution_change", "grid_change",
+                 "inner_sweeps", "inner_stall", "relax"]
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Monitor parameters and stopping tolerances for the adaptive loop."""
@@ -46,10 +50,9 @@ class AdaptiveConfig:
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not 0.0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
+        for name, value in (("eps", self.eps), ("inner_tol", self.inner_tol)):
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.max_outer < 1 or self.inner_max_iter < 1:
             raise ValueError("max_outer and inner_max_iter must be >= 1")
 
@@ -58,11 +61,15 @@ class AdaptiveConfig:
 class AdaptiveResult:
     """Final solution with iteration diagnostics.
 
-    outer_iterations counts BVP solves.  history rows are
-    (n, error_norm, solution_change, grid_change) with nan for
-    quantities undefined at the first iteration.  inner_stalls counts
-    the equidistributions that stopped without converging and whose
-    best iterate was taken instead.
+    outer_iterations counts BVP solves.  history has one row per solve,
+    with the columns of TRACE_COLUMNS: the solve's index n, its max error,
+    the change from the previous solution (nan at n=1), the largest node
+    move of the grid update, the equidistribution's sweeps, 1 if it
+    stalled (0 otherwise) and the damping factor relax applied to the
+    update.  The row that stops the loop on eps has no equidistribution:
+    0 sweeps and a grid change of 0.  inner_stalls counts the
+    equidistributions that stopped without converging and whose best
+    iterate was taken instead.
     """
 
     solution: DiscreteSolution
@@ -75,8 +82,8 @@ class AdaptiveResult:
     def write_trace_csv(self, path) -> None:
         from .io import write_csv
 
-        cols = list(zip(*self.history)) if self.history else [[], [], [], []]
-        write_csv(path, ["n", "error_norm", "solution_change", "grid_change"], cols)
+        cols = list(zip(*self.history)) if self.history else [[]] * len(TRACE_COLUMNS)
+        write_csv(path, TRACE_COLUMNS, cols)
 
 
 def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> AdaptiveResult:
@@ -95,7 +102,7 @@ def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> A
         if prev_values is not None:
             change = float(np.max(np.abs(solution.values - prev_values)))
             if change < config.eps:
-                history.append((n, error, change, 0.0))
+                history.append((n, error, change, 0.0, 0, 0, relax))
                 converged = True
                 break
             if prev_change is not None and change > prev_change:
@@ -104,21 +111,22 @@ def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> A
 
         monitor = DiscreteGradientMonitor.from_solution(config.alpha, config.beta, solution)
         try:
-            target = equidistribute(
+            inner = equidistribute(
                 monitor,
                 spec,
                 n_cells,
                 initial=grid,
                 tol=config.inner_tol,
                 max_iter=config.inner_max_iter,
-            ).grid
+            )
+            target, sweeps, stalled = inner.grid, inner.iterations, 0
         except EquidistributionError as err:
-            target = err.grid
-            stalls += 1
+            target, sweeps, stalled = err.grid, err.iterations, 1
+        stalls += stalled
         # exact at the ends: 0 + r*(0 - 0) == 0 and ell + r*(ell - ell) == ell
         new_nodes = grid.nodes + relax * (target.nodes - grid.nodes)
         grid_change = float(np.max(np.abs(new_nodes - grid.nodes)))
-        history.append((n, error, change, grid_change))
+        history.append((n, error, change, grid_change, sweeps, stalled, relax))
         if grid_change < config.inner_tol:
             # stationary grid: the next solve would reproduce this solution
             converged = True

@@ -88,7 +88,7 @@ def _float_where(ok, requirement: str):
     return parse
 
 
-_positive = _float_where(lambda v: v > 0.0, "> 0")
+_tolerance = _float_where(lambda v: 0.0 < v < math.inf, "finite and > 0")
 _exponent = _float_where(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 
 
@@ -121,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="uniform")
     p.add_argument("--beta", type=_exponent, default=0.0, help="monitor exponent")
     p.add_argument("--alpha", type=_exponent, default=0.0, help="adaptive monitor weight")
-    p.add_argument("--tol", type=_positive, default=1e-12, help="equidistribution tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-12, help="equidistribution tolerance")
     p.add_argument("--max-iter", type=_count, default=10000, help="equidistribution sweep cap")
-    p.add_argument("--eps", type=_positive, default=1e-10, help="adaptive stopping tolerance")
+    p.add_argument("--eps", type=_tolerance, default=1e-10, help="adaptive stopping tolerance")
     p.add_argument("--max-outer", type=_count, default=1000, help="adaptive iteration cap")
 
     p = sub.add_parser("convergence", help="refinement ladder for one grid family")
@@ -138,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_n_cells, default=20)
     p.add_argument("--alpha", type=_exponent, required=True)
     p.add_argument("--beta", type=_exponent, required=True)
-    p.add_argument("--eps", type=_positive, default=1e-10)
+    p.add_argument("--eps", type=_tolerance, default=1e-10)
     p.add_argument("--max-outer", type=_count, default=1000)
-    p.add_argument("--tol", type=_positive, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--max-iter", type=_count, default=10000)
     p.add_argument("--trace", default=None, help="per-iteration trace CSV path")
 
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="adaptive-monitor (alpha, beta) sweep at N=20")
     _add_common(p)
     p.add_argument("--n", type=_n_cells, default=20)
-    p.add_argument("--eps", type=_positive, default=1e-10)
+    p.add_argument("--eps", type=_tolerance, default=1e-10)
     p.add_argument("--max-outer", type=_count, default=5000)
 
     p = sub.add_parser("error-profile", help="pointwise error of the four grid families")

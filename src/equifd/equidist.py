@@ -107,8 +107,8 @@ def equidistribute(
     (the exception carries the best iterate either way), and
     MonotonicityError if an iterate loses node ordering.
     """
-    if not tol > 0.0:  # NaN too: no update is ever below it
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:  # NaN never stops the sweeps, inf stops them at once
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if initial is None:

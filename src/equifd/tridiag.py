@@ -1,10 +1,31 @@
-"""Tridiagonal systems and the Thomas algorithm.
+"""Tridiagonal systems and two direct solvers for them.
 
 The finite-difference scheme's linear solves go through solve_tridiagonal
 (the frozen-weight grid equations have constant flux and are solved by a
 cumulative sum in equidist).  The systems produced here are diagonally
-dominant M-matrices, so plain forward elimination without pivoting is
-stable.
+dominant M-matrices, so elimination without pivoting is stable.
+
+solve_tridiagonal picks its kernel by the number of unknowns n:
+
+* n < CR_CUTOFF: the Thomas algorithm, looping over Python floats.  The
+  arithmetic and its order are those of the loop over numpy arrays it
+  replaces, so the results are the same bit for bit; a Python float
+  costs a fraction of a numpy scalar per operation.
+* n >= CR_CUTOFF: odd-even cyclic reduction (Hockney, J. ACM 12, 1965).
+  Each of its log2(n) levels eliminates every other remaining row with
+  whole-array numpy operations, and a back substitution runs the levels
+  in reverse.  Each level costs a fixed ~20 us of numpy calls, so short
+  systems are faster by Thomas; the cutoff is the measured crossover.
+
+Cyclic reduction carries the row sums s = a + b + c of the remaining
+rows, updates them as s - k_l s_l - k_r s_r, and forms each pivot as
+s - a - c.  For an M-matrix (a, c <= 0 <= s) every one of these updates
+adds terms of one sign.  The textbook update b - k_l c_l - k_r a_r
+subtracts quantities of size 2/h^2 to leave a diagonal excess of size
+lam^2, and the rounding error this cancellation leaves grows with every
+level: it moves the max error of the uniform layer problem at N=40960 by
+18%.  The device is that of Grassmann, Taksar & Heyman (Oper. Res. 33,
+1985) for Markov chains.
 """
 
 from __future__ import annotations
@@ -14,10 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_FLOOR = 1e-300
+# unknowns from which cyclic reduction is faster than the Thomas loop: the
+# crossover measured between 544 and 608 (2.1 GHz Xeon vCPU, numpy 2.4)
+CR_CUTOFF = 576
 
 
 class PivotError(ArithmeticError):
-    """Raised when forward elimination meets a vanishing pivot."""
+    """Raised when elimination meets a pivot below PIVOT_FLOOR in magnitude.
+
+    index is the row of the original system whose pivot vanished, for
+    either kernel (cyclic reduction meets the pivots in another order
+    than Thomas, so the two may name different rows of one system).
+    """
 
     def __init__(self, index: int, pivot: float):
         self.index = index
@@ -69,24 +98,104 @@ class TridiagonalSystem:
 
 
 def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
-    """Solve the system by the Thomas algorithm; the input is not mutated."""
-    n = sys.n
-    c = np.empty(n - 1) if n > 1 else np.empty(0)
-    d = np.empty(n)
-    piv = sys.diag[0]
+    """Solve the system; the input is not mutated.
+
+    Thomas below CR_CUTOFF unknowns, cyclic reduction from there on.
+    """
+    if sys.n < CR_CUTOFF:
+        return _thomas(sys)
+    return _cyclic_reduction(sys)
+
+
+def _thomas(sys: TridiagonalSystem) -> np.ndarray:
+    lower, diag, upper, rhs = (band.tolist() for band in (sys.lower, sys.diag, sys.upper, sys.rhs))
+    upper.append(0.0)  # the last row has no upper entry; its c is never read
+    piv = diag[0]
     if abs(piv) < PIVOT_FLOOR:
         raise PivotError(0, piv)
-    if n > 1:
-        c[0] = sys.upper[0] / piv
-    d[0] = sys.rhs[0] / piv
-    for i in range(1, n):
-        piv = sys.diag[i] - sys.lower[i - 1] * c[i - 1]
+    ci = upper[0] / piv
+    di = rhs[0] / piv
+    c = [ci]
+    d = [di]
+    for i in range(1, len(diag)):
+        li = lower[i - 1]
+        piv = diag[i] - li * ci
         if abs(piv) < PIVOT_FLOOR:
             raise PivotError(i, piv)
-        if i < n - 1:
-            c[i] = sys.upper[i] / piv
-        d[i] = (sys.rhs[i] - sys.lower[i - 1] * d[i - 1]) / piv
-    x = d
-    for i in range(n - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
+        ci = upper[i] / piv
+        di = (rhs[i] - li * di) / piv
+        c.append(ci)
+        d.append(di)
+    for i in range(len(d) - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return np.array(d)
+
+
+def _cyclic_reduction(sys: TridiagonalSystem) -> np.ndarray:
+    """Cyclic reduction with row sums, in place on copies of the bands.
+
+    Row i reads a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i], with row sum
+    s[i].  At stride st the rows left are st-1, 2st-1, ... (n // st of
+    them).  The first, third, ... of these are eliminated: each is divided
+    by minus its pivot, which leaves -a/b, -c/b, -s/b and -d/b in its own
+    slots for the back substitution, and is added into its neighbours,
+    which are the rows left at stride 2st.  Besides the four bands the
+    only storage is one buffer of n/2.  (Negated slots need no negation of
+    the kept rows' a and c, and np.negative is avoided: in numpy 2.4.6 it
+    writes wrong values into an output view with a stride of 8 elements.)
+    """
+    n = sys.n
+    a = np.concatenate(([0.0], sys.lower))
+    c = np.concatenate((sys.upper, [0.0]))
+    s = a + sys.diag
+    s += c
+    x = sys.rhs.copy()
+    buf = np.empty((n + 1) // 2)
+    st = 1
+    while 2 * st <= n:
+        e = slice(st - 1, None, 2 * st)
+        k = slice(2 * st - 1, None, 2 * st)
+        ae, ce, se, xe = a[e], c[e], s[e], x[e]
+        ak, ck, sk, xk = a[k], c[k], s[k], x[k]
+        nk, r = ak.size, ae.size - 1  # rows kept; of them, rows with a right neighbour
+        nb = buf[: ae.size]  # minus the pivots: a - s + c, all terms <= 0 for an M-matrix
+        if st == 1:
+            np.multiply(sys.diag[e], -1.0, out=nb)
+        else:
+            np.subtract(ae, se, out=nb)
+            nb += ce
+        if nb.max() > -PIVOT_FLOOR:  # not all pivots positive: find any small one
+            small = np.abs(nb) < PIVOT_FLOOR
+            if small.any():
+                i = int(small.argmax())
+                raise PivotError(2 * st * i + st - 1, -float(nb[i]))
+        for band in (ae, ce, se, xe):
+            band /= nb
+        t = buf[:nk]
+        for kept, elim in ((sk, se), (xk, xe)):
+            np.multiply(ak, elim[:nk], out=t)
+            kept += t
+            np.multiply(ck[:r], elim[1:], out=t[:r])
+            kept[:r] += t[:r]
+        ak *= ae[:nk]
+        ck[:r] *= ce[1:]
+        st *= 2
+    i = st - 1  # the one row left: its a and c are 0, its pivot is its row sum
+    piv = s[i]
+    if abs(piv) < PIVOT_FLOOR:
+        raise PivotError(i, float(piv))
+    x[i] /= piv
+    while st > 1:
+        st //= 2
+        e = slice(st - 1, None, 2 * st)
+        ae, ce, xe, xk = a[e], c[e], x[e], x[2 * st - 1 :: 2 * st]
+        # x = d/b - (a/b) x_left - (c/b) x_right, from slots holding -a/b, -c/b,
+        # -d/b; the first of these rows has no left neighbour
+        t = buf[: xe.size - 1]
+        np.multiply(ae[1:], xk[: t.size], out=t)
+        np.subtract(t, xe[1:], out=xe[1:])
+        xe[0] = -xe[0]
+        t = buf[: xk.size]
+        np.multiply(ce[: t.size], xk, out=t)
+        xe[: t.size] += t
     return x

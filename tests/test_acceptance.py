@@ -24,6 +24,7 @@ from equifd import (
     solve_tridiagonal,
     uniform_grid,
 )
+from equifd.tridiag import CR_CUTOFF
 from conftest import random_grid
 
 LADDER = (10, 20, 40, 80, 160, 320, 640)
@@ -207,8 +208,9 @@ def test_criterion_6_fourth_order_identity():
 def test_criterion_7_oracle_equivalences(spec10):
     failures = []
     rng = np.random.default_rng(2718)
-    for k in range(100):
-        n = int(rng.integers(1, 33))
+    # 100 short systems, then a few long enough for cyclic reduction
+    for k in range(105):
+        n = int(rng.integers(1, 33) if k < 100 else rng.integers(CR_CUTOFF, 4 * CR_CUTOFF))
         lower = rng.uniform(-1, 1, max(n - 1, 0))
         upper = rng.uniform(-1, 1, max(n - 1, 0))
         diag = np.ones(n) + rng.uniform(0.1, 2.0, n)

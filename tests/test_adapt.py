@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from equifd import AdaptiveConfig, adaptive_solve, max_error, uniform_grid
+from equifd.equidist import DAMPING_FLOOR
 from equifd.io import read_csv
 
 
@@ -105,11 +106,26 @@ def test_history_and_trace(tmp_path, spec10):
         assert res.error_norm == res.history[-1][1] == max_error(res.solution)
         nodes = res.solution.grid.nodes
         assert nodes[0] == 0.0 and nodes[-1] == spec10.ell
+        # the inner loop: sweeps and stall flag of each equidistribution, and
+        # a damping factor that only ever halves, down to the floor
+        sweeps = [row[4] for row in res.history]
+        assert all(s >= 1 for s in sweeps[:-1]) and sweeps[-1] >= 0
+        assert res.inner_stalls == sum(row[5] for row in res.history)
+        assert {row[5] for row in res.history} <= {0, 1}
+        relax = [row[6] for row in res.history]
+        assert relax[0] == 1.0 and min(relax) >= DAMPING_FLOOR
+        assert all(b in (a, max(a / 2, DAMPING_FLOOR)) for a, b in zip(relax, relax[1:]))
         path = tmp_path / "trace.csv"
         res.write_trace_csv(path)
         data = read_csv(path)
-        assert list(data) == ["n", "error_norm", "solution_change", "grid_change"]
+        assert list(data) == ["n", "error_norm", "solution_change", "grid_change",
+                              "inner_sweeps", "inner_stall", "relax"]
         assert len(data["n"]) == res.outer_iterations
+        assert list(data["inner_sweeps"]) == sweeps
+        assert list(data["relax"]) == relax
+    # the row that stops the loop on eps runs no equidistribution
+    res = adaptive_solve(spec10, 20, AdaptiveConfig(alpha=1.0, beta=0.25))
+    assert res.history[-1][3:6] == (0.0, 0, 0)
 
 
 def test_config_validation():
@@ -124,8 +140,10 @@ def test_config_validation():
             AdaptiveConfig(alpha=bad, beta=0.5)
         with pytest.raises(ValueError, match="beta"):
             AdaptiveConfig(alpha=1.0, beta=bad)
-    # caps below one and tolerances that are not positive are refused
+    # caps below one and tolerances that are not positive and finite are
+    # refused (an infinite eps would stop the loop at its second solve)
     for bad in ({"max_outer": 0}, {"inner_max_iter": 0}, {"inner_tol": 0.0},
-                {"inner_tol": -1e-12}, {"inner_tol": float("nan")}):
-        with pytest.raises(ValueError):
+                {"inner_tol": -1e-12}, {"inner_tol": float("nan")}, {"inner_tol": np.inf},
+                {"eps": np.inf}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             AdaptiveConfig(alpha=1.0, beta=0.5, **bad)

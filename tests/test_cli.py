@@ -106,6 +106,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["solve", "--grid", "analytic", "--beta", "inf"], "--beta"),
         (["solve", "--grid", "adaptive", "--alpha", "nan", "--beta", "0.25"], "--alpha"),
         (["convergence", "--grid", "analytic", "--beta", "nan"], "--beta"),
+        # tolerances must be finite (`solve --tol inf` returned the uniform grid)
+        (["solve", "--grid", "equidistributed", "--beta", "0.25", "--tol", "inf"], "--tol"),
+        (["solve", "--grid", "adaptive", "--alpha", "10", "--beta", "0.25", "--eps", "inf"],
+         "--eps"),
+        (["adapt", "--alpha", "10", "--beta", "0.25", "--eps", "inf"], "--eps"),
+        (["adapt", "--alpha", "10", "--beta", "0.25", "--tol", "inf"], "--tol"),
+        (["table2", "--eps", "inf"], "--eps"),
     ]:
         rc = main([*argv, "--out", str(tmp_path / "s.csv")])
         assert rc == 2
@@ -131,12 +138,16 @@ def test_adapt_command_with_trace(tmp_path, capsys):
     assert rc == 0
     assert np.max(read_csv(out)["abs_error"]) == pytest.approx(0.824e-4, rel=0.15)
     tr = read_csv(trace)
-    assert list(tr) == ["n", "error_norm", "solution_change", "grid_change"]
+    assert list(tr) == ["n", "error_norm", "solution_change", "grid_change",
+                        "inner_sweeps", "inner_stall", "relax"]
+    assert not tr["inner_stall"].any()
     assert "inner stalls" not in capsys.readouterr().out
-    # a swallowed inner stall is reported in the summary line
-    rc = main(["adapt", "--alpha", "10", "--beta", "1", "--out", str(out)])
+    # a swallowed inner stall is reported in the summary line and the trace
+    rc = main(["adapt", "--alpha", "10", "--beta", "1", "--out", str(out),
+               "--trace", str(trace)])
     assert rc == 0
     assert ", 1 inner stalls (converged)" in capsys.readouterr().out
+    assert read_csv(trace)["inner_stall"].sum() == 1
 
 
 def test_adapt_nonconverged_exit_code(tmp_path):

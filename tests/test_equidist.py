@@ -181,8 +181,9 @@ def test_initial_grid_validation(spec10):
     wrong_n = uniform_grid(spec10, 8)
     with pytest.raises(ValueError):
         equidistribute(ConstantMonitor(), spec10, 10, initial=wrong_n)
-    for tol in (0.0, np.nan):
-        with pytest.raises(ValueError):
+    # an infinite tol would end the first sweep as converged
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
             equidistribute(ConstantMonitor(), spec10, 10, tol=tol)
     with pytest.raises(ValueError):
         equidistribute(ConstantMonitor(), spec10, 10, max_iter=0)

@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
-from equifd import PivotError, TridiagonalSystem, solve_tridiagonal
+from equifd import (
+    DiscreteSolution,
+    ProblemSpec,
+    PivotError,
+    TridiagonalSystem,
+    assemble_scheme,
+    max_error,
+    solve_bvp,
+    solve_tridiagonal,
+    uniform_grid,
+)
+from equifd.tridiag import CR_CUTOFF, PIVOT_FLOOR, _cyclic_reduction
+
+# sizes around the kernel cutoff and around powers of two (the reduction's
+# levels change shape there)
+CR_SIZES = (CR_CUTOFF - 1, CR_CUTOFF, 511, 512, 513, 1023, 1024, 1025, 2047)
 
 
 def random_dominant_system(rng, n):
@@ -15,6 +30,31 @@ def random_dominant_system(rng, n):
     diag *= rng.choice([-1.0, 1.0], size=n)
     rhs = rng.uniform(-5.0, 5.0, size=n)
     return TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs)
+
+
+def reference_thomas(sys):
+    """The Thomas loop over numpy arrays that solve_tridiagonal ran before
+    it had two kernels, kept unchanged as the reference for both."""
+    n = sys.n
+    c = np.empty(n - 1) if n > 1 else np.empty(0)
+    d = np.empty(n)
+    piv = sys.diag[0]
+    if abs(piv) < PIVOT_FLOOR:
+        raise PivotError(0, piv)
+    if n > 1:
+        c[0] = sys.upper[0] / piv
+    d[0] = sys.rhs[0] / piv
+    for i in range(1, n):
+        piv = sys.diag[i] - sys.lower[i - 1] * c[i - 1]
+        if abs(piv) < PIVOT_FLOOR:
+            raise PivotError(i, piv)
+        if i < n - 1:
+            c[i] = sys.upper[i] / piv
+        d[i] = (sys.rhs[i] - sys.lower[i - 1] * d[i - 1]) / piv
+    x = d
+    for i in range(n - 2, -1, -1):
+        x[i] -= c[i] * x[i + 1]
+    return x
 
 
 def test_identity_system():
@@ -56,23 +96,26 @@ def test_dense_oracle_sweep():
 
 def test_residual_bound():
     rng = np.random.default_rng(11)
-    for n in [1, 2, 5, 17, 32]:
+    for n in [1, 2, 5, 17, 32, *CR_SIZES]:
         sys = random_dominant_system(rng, n)
-        x = solve_tridiagonal(sys)
-        resid = np.max(np.abs(sys.matvec(x) - sys.rhs))
         norm_a = np.max(np.abs(sys.dense()).sum(axis=1))
-        bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(sys.rhs)))
-        assert resid <= bound
+        for solve in (solve_tridiagonal, _cyclic_reduction):
+            x = solve(sys)
+            resid = np.max(np.abs(sys.matvec(x) - sys.rhs))
+            bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(sys.rhs)))
+            assert resid <= bound, (solve.__name__, n)
 
 
 def test_solve_does_not_mutate_input():
-    sys = TridiagonalSystem(lower=[1.0], diag=[3.0, 3.0], upper=[1.0], rhs=[1.0, 2.0])
-    before = (sys.lower.copy(), sys.diag.copy(), sys.upper.copy(), sys.rhs.copy())
-    solve_tridiagonal(sys)
-    assert np.array_equal(sys.lower, before[0])
-    assert np.array_equal(sys.diag, before[1])
-    assert np.array_equal(sys.upper, before[2])
-    assert np.array_equal(sys.rhs, before[3])
+    long = random_dominant_system(np.random.default_rng(5), 2 * CR_CUTOFF + 1)
+    for sys in (TridiagonalSystem(lower=[1.0], diag=[3.0, 3.0], upper=[1.0], rhs=[1.0, 2.0]),
+                long):
+        before = (sys.lower.copy(), sys.diag.copy(), sys.upper.copy(), sys.rhs.copy())
+        solve_tridiagonal(sys)
+        assert np.array_equal(sys.lower, before[0])
+        assert np.array_equal(sys.diag, before[1])
+        assert np.array_equal(sys.upper, before[2])
+        assert np.array_equal(sys.rhs, before[3])
 
 
 def test_zero_pivot_at_start():
@@ -95,3 +138,55 @@ def test_band_length_validation():
         TridiagonalSystem(lower=[1.0, 2.0], diag=[1.0, 1.0], upper=[1.0], rhs=[1.0, 1.0])
     with pytest.raises(ValueError):
         TridiagonalSystem(lower=[], diag=[], upper=[], rhs=[])
+
+
+def test_short_systems_match_reference_bit_for_bit():
+    """Below the cutoff the same arithmetic in the same order: equal results."""
+    rng = np.random.default_rng(99)
+    for n in range(1, CR_CUTOFF):
+        sys = random_dominant_system(rng, n)
+        assert np.array_equal(solve_tridiagonal(sys), reference_thomas(sys)), n
+
+
+def test_cyclic_reduction_matches_dense_oracle():
+    rng = np.random.default_rng(4096)
+    for n in CR_SIZES:
+        sys = random_dominant_system(rng, n)
+        x_dense = np.linalg.solve(sys.dense(), sys.rhs)
+        for x in (solve_tridiagonal(sys), _cyclic_reduction(sys)):
+            assert np.max(np.abs(x - x_dense)) <= 1e-12, n
+
+
+def _identity_system(n):
+    return np.zeros(n - 1), np.ones(n), np.zeros(n - 1), np.ones(n)
+
+
+def test_cyclic_reduction_zero_pivot_first_level():
+    # rows 0, 2, 4, ... are eliminated first; row 6 has no pivot
+    lower, diag, upper, rhs = _identity_system(CR_CUTOFF + 3)
+    diag[6] = 0.0
+    with pytest.raises(PivotError) as err:
+        solve_tridiagonal(TridiagonalSystem(lower, diag, upper, rhs))
+    assert err.value.index == 6
+
+
+def test_cyclic_reduction_zero_pivot_deeper_level():
+    # rows 8-10 couple as [1 1 0; 0.5 1 0.5; 0 1 1]; eliminating rows 8 and
+    # 10 leaves row 9 (reduced row 2 at stride 2) with pivot 1 - 0.5 - 0.5 = 0
+    lower, diag, upper, rhs = _identity_system(CR_CUTOFF + 3)
+    upper[8], lower[8], upper[9], lower[9] = 1.0, 0.5, 0.5, 1.0
+    with pytest.raises(PivotError) as err:
+        solve_tridiagonal(TridiagonalSystem(lower, diag, upper, rhs))
+    assert err.value.index == 9
+    assert err.value.pivot == 0.0
+
+
+def test_weakly_dominant_scheme_matches_reference():
+    """The uniform-grid scheme at N=40960: diagonal ~2N^2 over a row sum of
+    lam^2.  Cyclic reduction without row sums moves this error by 18%."""
+    spec = ProblemSpec(lam=10.0, ell=1.0)
+    grid = uniform_grid(spec, 40960)
+    interior = reference_thomas(assemble_scheme(grid, spec))
+    values = np.concatenate([[spec.left_bc], interior, [spec.right_bc]])
+    reference = max_error(DiscreteSolution(grid, values, spec))
+    assert max_error(solve_bvp(grid, spec)) == pytest.approx(reference, rel=0.01)
