@@ -100,7 +100,7 @@ def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> A
         error = max_error(solution)
         change = np.nan
         if prev_values is not None:
-            change = float(np.max(np.abs(solution.values - prev_values)))
+            change = float(abs(solution.values - prev_values).max())
             if change < config.eps:
                 history.append((n, error, change, 0.0, 0, 0, relax))
                 converged = True
@@ -125,7 +125,7 @@ def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> A
         stalls += stalled
         # exact at the ends: 0 + r*(0 - 0) == 0 and ell + r*(ell - ell) == ell
         new_nodes = grid.nodes + relax * (target.nodes - grid.nodes)
-        grid_change = float(np.max(np.abs(new_nodes - grid.nodes)))
+        grid_change = float(abs(new_nodes - grid.nodes).max())
         history.append((n, error, change, grid_change, sweeps, stalled, relax))
         if grid_change < config.inner_tol:
             # stationary grid: the next solve would reproduce this solution

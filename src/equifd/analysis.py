@@ -24,7 +24,7 @@ from .solver import DiscreteSolution, scheme_residual
 def max_error(solution: DiscreteSolution) -> float:
     """Max-norm distance to the exact solution at the nodes."""
     exact = exact_solution(solution.spec, solution.grid.nodes)
-    return float(np.max(np.abs(solution.values - exact)))
+    return float(abs(solution.values - exact).max())
 
 
 def convergence_order(error_coarse: float, error_fine: float) -> float:
@@ -48,7 +48,7 @@ def fourth_order_residual(mapping: GridMapping, q, normalized: bool = True):
     beta = 1/4.
     """
     q = np.asarray(q, dtype=float)
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
+    if not ((q > 0.0) & (q < 1.0)).all():  # written so that a NaN q fails too
         raise ValueError("q must lie strictly inside (0, 1)")
     x = mapping.evaluate(q)
     t1 = mapping.second_derivative(q) * exact_derivative(mapping.spec, x, 3)

@@ -66,7 +66,8 @@ def _interval_weights(monitor: MonitorFunction, nodes: np.ndarray) -> np.ndarray
     w = np.asarray(monitor.interval_values(nodes), dtype=float)
     if w.shape != (len(nodes) - 1,):
         raise ValueError(f"monitor returned {w.shape}, expected ({len(nodes) - 1},)")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+    # NaN fails both comparisons (np.min and np.max propagate it), so it is rejected too
+    if not (w.min() > 0.0 and w.max() < np.inf):
         raise ValueError("monitor values must be finite and strictly positive")
     return w
 
@@ -74,11 +75,13 @@ def _interval_weights(monitor: MonitorFunction, nodes: np.ndarray) -> np.ndarray
 def _sweep(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exact solve of the frozen-weight system: constant flux w * dx, ends pinned.
 
-    Dividing by w.min() keeps every term of the sum in (0, 1], so no weight
-    ratio can overflow it.
+    Dividing by w.min() keeps every term of the sum in [0, 1], so no weight
+    ratio can overflow it.  A ratio beyond the double range underflows to 0
+    instead: neighbouring nodes collapse and the sweep loop ends in
+    MonotonicityError.
     """
-    cum = np.cumsum(w.min() / w)
-    new = nodes[0] + (nodes[-1] - nodes[0]) / cum[-1] * np.concatenate([[0.0], cum])
+    cum = (w.min() / w).cumsum()
+    new = nodes[0] + (nodes[-1] - nodes[0]) / cum[-1] * np.concatenate(([0.0], cum))
     new[-1] = nodes[-1]
     return new
 
@@ -124,7 +127,7 @@ def equidistribute(
     for it in range(1, max_iter + 1):
         w = _interval_weights(monitor, x)
         target = _sweep(x, w)
-        update = float(np.max(np.abs(target - x)))
+        update = float(abs(target - x).max())
         if update < best[0]:
             best = (update, x)
         if update < tol:
@@ -143,7 +146,7 @@ def equidistribute(
             relax = max(0.5 * relax, DAMPING_FLOOR)
         prev_update = update
         x = x + relax * (target - x)
-        if np.any(np.diff(x) <= 0.0):
+        if (x[1:] <= x[:-1]).any():
             raise MonotonicityError(
                 f"node ordering lost after sweep {it}; monitor values may be invalid"
             )

@@ -37,7 +37,7 @@ class Grid:
         if nodes[0] != 0.0 or nodes[-1] != self.ell:
             raise ValueError("grid endpoints must be exactly 0 and ell")
         # written so that a NaN node fails the check too
-        if not np.all(np.diff(nodes) > 0.0):
+        if not (nodes[1:] > nodes[:-1]).all():
             raise ValueError("grid nodes must be strictly increasing")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -50,7 +50,7 @@ class Grid:
     @property
     def steps(self) -> np.ndarray:
         """Interval lengths h_{j+1/2} = x_{j+1} - x_j, length N."""
-        return np.diff(self.nodes)
+        return self.nodes[1:] - self.nodes[:-1]
 
     @property
     def node_steps(self) -> np.ndarray:

@@ -74,7 +74,7 @@ class DiscreteGradientMonitor(MonitorFunction):
         self.beta = float(beta)
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
-        slopes = np.abs(np.diff(values)) / np.diff(nodes)
+        slopes = abs(values[1:] - values[:-1]) / (nodes[1:] - nodes[:-1])
         self._weights = 1.0 + self.alpha * slopes**self.beta
         # interior breakpoints only: a query left of the first node or right
         # of the last one lands in the end interval
@@ -86,7 +86,7 @@ class DiscreteGradientMonitor(MonitorFunction):
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         mid = 0.5 * (nodes[:-1] + nodes[1:])
-        return self._weights[np.searchsorted(self._breaks, mid, side="right")]
+        return self._weights[self._breaks.searchsorted(mid, "right")]
 
 
 @dataclass(frozen=True)

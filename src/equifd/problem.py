@@ -46,7 +46,7 @@ class ProblemSpec:
 
 def _check_domain(spec: ProblemSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > spec.ell):
+    if not ((x >= 0.0) & (x <= spec.ell)).all():  # written so that a NaN x fails too
         raise ValueError(f"x must lie in [0, {spec.ell}]")
     return x
 

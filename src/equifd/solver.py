@@ -53,7 +53,7 @@ def assemble_dirichlet(grid: Grid, lam: float, left_value: float, right_value: f
     affine functions); the ProblemSpec-facing wrappers require lam > 0.
     """
     h = grid.steps
-    hj = grid.node_steps
+    hj = 0.5 * (h[:-1] + h[1:])
     lower = -1.0 / (hj * h[:-1])
     upper = -1.0 / (hj * h[1:])
     diag = -(lower + upper) + lam**2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equifd import AdaptiveConfig, adaptive_solve, max_error, uniform_grid
+from equifd import AdaptiveConfig, ProblemSpec, adaptive_solve, max_error, uniform_grid
 from equifd.equidist import DAMPING_FLOOR
 from equifd.io import read_csv
 
@@ -44,6 +44,19 @@ def test_nonconvergence_flagged_not_fatal(spec10):
     assert not res.converged
     assert res.outer_iterations == 3
     assert np.isfinite(res.error_norm)
+
+
+def test_large_lambda_converges_or_reports():
+    """lam=1e3, N=40, alpha=1e4, beta=1/4 limit-cycles in the solve-remesh loop
+    (error 3.4e-2 after 200 solves; the closed-form beta=1/4 grid gives 3.9e-7).
+    Whatever the loop does here, it must either converge or say that it did not."""
+    cfg = AdaptiveConfig(alpha=1e4, beta=0.25, max_outer=200)
+    res = adaptive_solve(ProblemSpec(1e3, 1.0), 40, cfg)
+    if not res.converged:
+        assert res.outer_iterations == cfg.max_outer
+    assert np.isfinite(res.error_norm)
+    assert res.error_norm == res.history[-1][1]
+    assert len(res.history) == res.outer_iterations
 
 
 def test_inner_stall_is_survivable(spec10):

@@ -127,6 +127,8 @@ def test_fourth_order_residual_domain(spec10):
         fourth_order_residual(GridMapping(spec10, 0.25), 0.0)
     with pytest.raises(ValueError):
         fourth_order_residual(GridMapping(spec10, 0.25), 1.0)
+    with pytest.raises(ValueError):
+        fourth_order_residual(GridMapping(spec10, 0.25), [0.5, np.nan])
 
 
 def test_mapping_derivatives_against_finite_differences(spec10):

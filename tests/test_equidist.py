@@ -6,16 +6,29 @@ from equifd import (
     DiscreteGradientMonitor,
     EquidistributionError,
     ExactPowerMonitor,
+    Grid,
     GridMapping,
     MonitorFunction,
+    MonotonicityError,
     analytic_mapped_grid,
     equidist_defect,
     equidistribute,
     solve_bvp,
     uniform_grid,
 )
+from equifd import equidist
 from equifd.equidist import DAMPING_FLOOR, _interval_weights, _sweep
 from conftest import random_grid
+
+
+class FixedMonitor(MonitorFunction):
+    """The given weights, whatever the nodes."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def interval_values(self, nodes):
+        return self.weights
 
 
 def test_constant_monitor_yields_uniform(spec10):
@@ -162,19 +175,13 @@ def test_cycle_at_damping_floor_stops_with_capped_result(spec10):
 
 
 def test_bad_monitor_rejected(spec10):
-    class NegativeMonitor(MonitorFunction):
-        def interval_values(self, nodes):
-            return -np.ones(len(nodes) - 1)
-
-    class NanMonitor(MonitorFunction):
-        def interval_values(self, nodes):
-            v = np.ones(len(nodes) - 1)
-            v[0] = np.nan
-            return v
-
-    for monitor in (NegativeMonitor(), NanMonitor()):
-        with pytest.raises(ValueError):
-            equidistribute(monitor, spec10, 10)
+    weights = [-np.ones(10)]
+    for index, value in ((0, np.nan), (4, np.nan), (3, 0.0), (-1, np.inf)):
+        weights.append(np.ones(10))
+        weights[-1][index] = value
+    for w in weights:
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            equidistribute(FixedMonitor(w), spec10, 10)
 
 
 def test_initial_grid_validation(spec10):
@@ -187,3 +194,83 @@ def test_initial_grid_validation(spec10):
             equidistribute(ConstantMonitor(), spec10, 10, tol=tol)
     with pytest.raises(ValueError):
         equidistribute(ConstantMonitor(), spec10, 10, max_iter=0)
+
+
+def test_weight_ratio_past_double_range_collapses_nodes(spec10):
+    """Finite positive weights 1e-300 and 1e300: w.min() / w underflows to 0,
+    nodes coincide and the first sweep ends in MonotonicityError."""
+
+    w = np.full(10, 1e300)
+    w[0] = 1e-300
+    with pytest.raises(MonotonicityError, match="after sweep 1"):
+        equidistribute(FixedMonitor(w), spec10, 10)
+
+
+# The sweep and its three checks as written before the ndarray-method forms,
+# frozen as the reference for equidist.py and Grid.
+
+
+def _reference_sweep(nodes, w):
+    cum = np.cumsum(w.min() / w)
+    new = nodes[0] + (nodes[-1] - nodes[0]) / cum[-1] * np.concatenate([[0.0], cum])
+    new[-1] = nodes[-1]
+    return new
+
+
+def _reference_bad_weights(w):
+    return not np.all(np.isfinite(w)) or np.any(w <= 0.0)
+
+
+def _reference_unordered(x):
+    return np.any(np.diff(x) <= 0.0)
+
+
+def _reference_grid_rejects(nodes, ell):
+    # the endpoint checks are unchanged; the strict-increase check is the reference
+    return nodes[0] != 0.0 or nodes[-1] != ell or not np.all(np.diff(nodes) > 0.0)
+
+
+def _raised(fn, *args):
+    """Type of the exception fn(*args) raises, None if it returns."""
+    try:
+        fn(*args)
+    except Exception as err:
+        return type(err)
+    return None
+
+
+def test_sweep_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n in (2, 20, 640, 5120):
+        w = 10.0 ** rng.uniform(-6.0, 6.0, n)
+        nodes = random_grid(rng, n, ell=2.5).nodes
+        assert np.array_equal(_sweep(nodes, w), _reference_sweep(nodes, w))
+
+
+@pytest.mark.parametrize("special", [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan])
+def test_checks_reject_exactly_as_reference(spec10, monkeypatch, special):
+    """Weight, ordering and Grid checks reject exactly when the reference does,
+    with one special value at the first, second, middle, last but one or last
+    position.  The ordering checks differ only where two neighbours are the
+    same infinity (now rejected); sweep iterates are finite, so that never arises."""
+
+    n = 8
+    x0 = uniform_grid(spec10, n).nodes
+    for pos in (0, 1, n // 2, -2, -1):
+        w = np.linspace(1.0, 2.0, n)
+        w[pos] = special
+        expected = ValueError if _reference_bad_weights(w) else None
+        assert _raised(_interval_weights, FixedMonitor(w), x0) is expected
+
+        nodes = x0.copy()
+        nodes[pos] = special
+        expected = ValueError if _reference_grid_rejects(nodes, 1.0) else None
+        assert _raised(Grid, nodes, 1.0) is expected
+
+        # one undamped sweep to a chosen target, then the ordering check
+        target = x0**2
+        target[pos] = special
+        monkeypatch.setattr(equidist, "_sweep", lambda nodes, w: target)
+        x1 = x0 + 1.0 * (target - x0)
+        expected = MonotonicityError if _reference_unordered(x1) else EquidistributionError
+        assert _raised(equidistribute, ConstantMonitor(), spec10, n, None, 1e-12, 1) is expected

@@ -100,6 +100,10 @@ def test_grid_validation():
         Grid(np.array([0.0, np.nan, 1.0]), 1.0)
     with pytest.raises(ValueError):
         Grid(np.array([0.0, 1.0, np.inf]), np.inf)
+    for bad in ([0.0, 0.5, 0.5, 1.0], [0.0, np.inf, 1.0], [0.0, -np.inf, 1.0],
+                [0.0, 0.5, np.inf, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Grid(np.array(bad), 1.0)
 
 
 def test_grid_nodes_immutable(spec10):

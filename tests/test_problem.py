@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from equifd import ProblemSpec, exact_derivative, exact_solution
+from equifd import ExactPowerMonitor, ProblemSpec, exact_derivative, exact_solution
 
 mpmath.mp.dps = 50
 
@@ -70,12 +70,14 @@ def test_epsilon_accessor(spec10):
     assert spec10.epsilon == 0.01
 
 
-@pytest.mark.parametrize("x", [-0.1, 1.1])
+@pytest.mark.parametrize("x", [-0.1, 1.1, math.nan])
 def test_domain_errors(spec10, x):
     with pytest.raises(ValueError):
         exact_solution(spec10, x)
     with pytest.raises(ValueError):
         exact_derivative(spec10, x, 1)
+    with pytest.raises(ValueError):
+        ExactPowerMonitor(spec10, 0.25).interval_values(np.array([0.0, x, 1.0]))
 
 
 @pytest.mark.parametrize("order", [0, 6, -1])
