@@ -144,7 +144,7 @@ def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
     if n_cells < 2:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
     q = np.arange(n_cells + 1) / n_cells
-    nodes = np.asarray(mapping.evaluate(q), dtype=float).copy()
+    nodes = np.asarray(mapping.evaluate(q), dtype=float)
     # roundoff (or underflow at q=0) in the log/exp composition must not
     # move the boundary nodes
     nodes[0] = 0.0

@@ -7,17 +7,25 @@ Interior rows discretize -u'' + lam^2 u = 0 as
 
 with the Dirichlet values eliminated into the right-hand side.  On a
 uniform grid this reduces to the standard three-point stencil.
+
+solve_dirichlet owns the arrays it assembles the bands into, and the
+right-hand side goes into the interior of the nodal vector it returns;
+tridiag.solve_in_place overwrites them all, leaving the solution there.
+A long solve thus holds 4.5n doubles: three bands, the nodal vector and
+the kernel's buffer of n/2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid
 from .problem import ProblemSpec, exact_solution
-from .tridiag import TridiagonalSystem, solve_tridiagonal
+from .tridiag import TridiagonalSystem, solve_in_place
+from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 
 @dataclass(frozen=True)
@@ -46,30 +54,56 @@ class DiscreteSolution:
         )
 
 
+def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
+    """Bands of the scheme, and the nodal vector holding its right-hand side.
+
+    Returns lower, diag, upper (length N-1) and u (length N+1).  lower[0]
+    and upper[-1] couple the first and last rows to the boundary nodes:
+    their terms are eliminated into the right-hand side, which fills the
+    interior of u, and u's ends hold the Dirichlet values.
+    """
+    for name, value in (("lam", lam), ("left_value", left_value), ("right_value", right_value)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    h = grid.steps
+    with np.errstate(all="ignore"):  # overflow is checked once, below
+        hj = h[:-1] + h[1:]
+        hj *= 0.5
+        lower = hj * h[:-1]
+        upper = hj * h[1:]
+        del h  # freed before u is allocated
+        np.divide(-1.0, lower, out=lower)
+        np.divide(-1.0, upper, out=upper)
+        diag = np.add(lower, upper, out=hj)
+        diag *= -1.0
+        diag += lam**2
+        left_term = lower[0] * left_value
+        right_term = upper[-1] * right_value
+    # diag is >= 0 where finite; written so that NaN fails the check too
+    if not (diag.max() < math.inf and math.isfinite(left_term) and math.isfinite(right_term)):
+        raise ValueError("grid steps too small: the scheme's coefficients overflow")
+    u = np.zeros(grid.n_cells + 1)
+    u[0] = left_value
+    u[-1] = right_value
+    u[1] -= left_term
+    u[-2] -= right_term
+    return lower, diag, upper, u
+
+
 def assemble_dirichlet(grid: Grid, lam: float, left_value: float, right_value: float) -> TridiagonalSystem:
     """Scheme for -u'' + lam^2 u = 0 with arbitrary Dirichlet data.
 
     lam = 0 is allowed here (pure second-difference operator, exact for
     affine functions); the ProblemSpec-facing wrappers require lam > 0.
     """
-    h = grid.steps
-    hj = 0.5 * (h[:-1] + h[1:])
-    lower = -1.0 / (hj * h[:-1])
-    upper = -1.0 / (hj * h[1:])
-    diag = -(lower + upper) + lam**2
-    rhs = np.zeros(grid.n_cells - 1)
-    rhs[0] -= lower[0] * left_value
-    rhs[-1] -= upper[-1] * right_value
-    return TridiagonalSystem(lower=lower[1:], diag=diag, upper=upper[:-1], rhs=rhs)
+    lower, diag, upper, u = _assemble(grid, lam, left_value, right_value)
+    return TridiagonalSystem(lower=lower[1:], diag=diag, upper=upper[:-1], rhs=u[1:-1])
 
 
 def solve_dirichlet(grid: Grid, lam: float, left_value: float, right_value: float) -> np.ndarray:
     """Nodal values (boundary rows included) for arbitrary Dirichlet data."""
-    interior = solve_tridiagonal(assemble_dirichlet(grid, lam, left_value, right_value))
-    u = np.empty(grid.n_cells + 1)
-    u[0] = left_value
-    u[-1] = right_value
-    u[1:-1] = interior
+    lower, diag, upper, u = _assemble(grid, lam, left_value, right_value)
+    solve_in_place(lower, diag, upper, u[1:-1])
     return u
 
 

@@ -1,11 +1,19 @@
 """Tridiagonal systems and two direct solvers for them.
 
-The finite-difference scheme's linear solves go through solve_tridiagonal
+The finite-difference scheme's linear solves go through solve_in_place
 (the frozen-weight grid equations have constant flux and are solved by a
 cumulative sum in equidist).  The systems produced here are diagonally
 dominant M-matrices, so elimination without pivoting is stable.
 
-solve_tridiagonal picks its kernel by the number of unknowns n:
+solve_in_place owns nothing: the caller hands it four arrays of length n,
+the lower band with its first slot unused, the diagonal, the upper band
+with its last slot unused, and the right-hand side, and it overwrites all
+four, leaving the solution in the right-hand side.  solver.solve_dirichlet
+assembles the scheme straight into such arrays, so a long solve makes no
+copy of its bands.  solve_tridiagonal(sys) copies a TridiagonalSystem's
+bands into fresh arrays of that layout and leaves the system unchanged.
+
+solve_in_place picks its kernel by the number of unknowns n:
 
 * n < CR_CUTOFF: the Thomas algorithm, looping over Python floats.  The
   arithmetic and its order are those of the loop over numpy arrays it
@@ -68,7 +76,10 @@ class TridiagonalSystem:
 
     def __post_init__(self):
         for name in ("lower", "diag", "upper", "rhs"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            band = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(band).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, band)
         n = self.diag.size
         if n < 1:
             raise ValueError("system must have at least one unknown")
@@ -100,57 +111,85 @@ class TridiagonalSystem:
 def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     """Solve the system; the input is not mutated.
 
-    Thomas below CR_CUTOFF unknowns, cyclic reduction from there on.
+    The bands are copied into the layout solve_in_place overwrites.
     """
-    if sys.n < CR_CUTOFF:
-        return _thomas(sys)
-    return _cyclic_reduction(sys)
+    bands = _copied_bands(sys)
+    solve_in_place(*bands)
+    return bands[3]
 
 
-def _thomas(sys: TridiagonalSystem) -> np.ndarray:
-    lower, diag, upper, rhs = (band.tolist() for band in (sys.lower, sys.diag, sys.upper, sys.rhs))
-    upper.append(0.0)  # the last row has no upper entry; its c is never read
+def solve_in_place(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> None:
+    """Solve the system with bands lower[1:], diag, upper[:-1]; overwrites all four.
+
+    The four arrays have length n; lower[0] and upper[-1] are not part of
+    the system and are set to 0.  On return rhs holds the solution and the
+    others hold what elimination left in them.  Thomas below CR_CUTOFF
+    unknowns, cyclic reduction from there on.
+    """
+    lower[0] = 0.0
+    upper[-1] = 0.0
+    if diag.size < CR_CUTOFF:
+        _thomas(lower, diag, upper, rhs)
+    else:
+        _reduce(lower, diag, upper, rhs)
+
+
+def _copied_bands(sys: TridiagonalSystem) -> tuple:
+    return (np.concatenate(([0.0], sys.lower)), sys.diag.copy(),
+            np.concatenate((sys.upper, [0.0])), sys.rhs.copy())
+
+
+def _cyclic_reduction(sys: TridiagonalSystem) -> np.ndarray:
+    """Cyclic reduction at any n, on copies of the bands."""
+    bands = _copied_bands(sys)
+    _reduce(*bands)
+    return bands[3]
+
+
+def _thomas(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:
+    lower, diag, upper, rhs = (band.tolist() for band in (a, b, c, x))
     piv = diag[0]
     if abs(piv) < PIVOT_FLOOR:
         raise PivotError(0, piv)
     ci = upper[0] / piv
     di = rhs[0] / piv
-    c = [ci]
-    d = [di]
+    cp = [ci]
+    dp = [di]
     for i in range(1, len(diag)):
-        li = lower[i - 1]
+        li = lower[i]
         piv = diag[i] - li * ci
         if abs(piv) < PIVOT_FLOOR:
             raise PivotError(i, piv)
-        ci = upper[i] / piv
+        ci = upper[i] / piv  # the last row's is never read
         di = (rhs[i] - li * di) / piv
-        c.append(ci)
-        d.append(di)
-    for i in range(len(d) - 2, -1, -1):
-        d[i] -= c[i] * d[i + 1]
-    return np.array(d)
+        cp.append(ci)
+        dp.append(di)
+    for i in range(len(dp) - 2, -1, -1):
+        dp[i] -= cp[i] * dp[i + 1]
+    x[:] = dp
 
 
-def _cyclic_reduction(sys: TridiagonalSystem) -> np.ndarray:
-    """Cyclic reduction with row sums, in place on copies of the bands.
+def _reduce(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:
+    """Cyclic reduction with row sums, in place, with a[0] = c[-1] = 0.
 
     Row i reads a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i], with row sum
     s[i].  At stride st the rows left are st-1, 2st-1, ... (n // st of
     them).  The first, third, ... of these are eliminated: each is divided
     by minus its pivot, which leaves -a/b, -c/b, -s/b and -d/b in its own
     slots for the back substitution, and is added into its neighbours,
-    which are the rows left at stride 2st.  Besides the four bands the
-    only storage is one buffer of n/2.  (Negated slots need no negation of
-    the kept rows' a and c, and np.negative is avoided: in numpy 2.4.6 it
+    which are the rows left at stride 2st.  The row sums take the place
+    of b once the first level's pivots are taken from it, and the right
+    side becomes the solution, so besides the four arrays the only
+    storage is one buffer of n/2.  (Negated slots need no negation of the
+    kept rows' a and c, and np.negative is avoided: in numpy 2.4.6 it
     writes wrong values into an output view with a stride of 8 elements.)
     """
-    n = sys.n
-    a = np.concatenate(([0.0], sys.lower))
-    c = np.concatenate((sys.upper, [0.0]))
-    s = a + sys.diag
-    s += c
-    x = sys.rhs.copy()
+    n = b.size
     buf = np.empty((n + 1) // 2)
+    np.multiply(b[::2], -1.0, out=buf)  # minus the first level's pivots
+    s = b
+    s += a
+    s += c
     st = 1
     while 2 * st <= n:
         e = slice(st - 1, None, 2 * st)
@@ -159,9 +198,7 @@ def _cyclic_reduction(sys: TridiagonalSystem) -> np.ndarray:
         ak, ck, sk, xk = a[k], c[k], s[k], x[k]
         nk, r = ak.size, ae.size - 1  # rows kept; of them, rows with a right neighbour
         nb = buf[: ae.size]  # minus the pivots: a - s + c, all terms <= 0 for an M-matrix
-        if st == 1:
-            np.multiply(sys.diag[e], -1.0, out=nb)
-        else:
+        if st > 1:
             np.subtract(ae, se, out=nb)
             nb += ce
         if nb.max() > -PIVOT_FLOOR:  # not all pivots positive: find any small one
@@ -198,4 +235,3 @@ def _cyclic_reduction(sys: TridiagonalSystem) -> np.ndarray:
         t = buf[: xk.size]
         np.multiply(ce[: t.size], xk, out=t)
         xe[: t.size] += t
-    return x

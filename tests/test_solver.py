@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,18 @@ from equifd import (
     Grid,
     GridMapping,
     ProblemSpec,
+    TridiagonalSystem,
     analytic_mapped_grid,
     assemble_dirichlet,
     assemble_scheme,
     max_error,
     solve_bvp,
     solve_dirichlet,
+    solve_tridiagonal,
     uniform_grid,
 )
 from equifd.io import read_csv
+from equifd.tridiag import CR_CUTOFF
 from conftest import random_grid
 
 
@@ -86,12 +91,14 @@ def test_discrete_maximum_principle(spec10):
 
 def test_affine_exactness_lam_zero():
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        g = random_grid(rng, int(rng.integers(3, 25)))
+    for i in range(11):
+        # the last grid's unknowns go to cyclic reduction
+        g = random_grid(rng, int(rng.integers(3, 25)) if i < 10 else CR_CUTOFF + 40)
         a, b = rng.uniform(-3, 3, size=2)
         u = solve_dirichlet(g, 0.0, a, b)
         interpolant = a + (b - a) * g.nodes / g.ell
-        assert np.max(np.abs(u - interpolant)) <= 1e-12
+        # rounding grows with the number of unknowns: 1e-12 up to 24 cells
+        assert np.max(np.abs(u - interpolant)) <= 1e-12 * max(1.0, g.n_cells / 24)
 
 
 def test_error_decreases_under_refinement(spec10):
@@ -117,3 +124,66 @@ def test_values_shape_validated(spec10):
     g = uniform_grid(spec10, 4)
     with pytest.raises(ValueError):
         DiscreteSolution(g, np.zeros(3), spec10)
+
+
+def reference_solve_dirichlet(grid, lam, left_value, right_value):
+    """The assembly and solve that solve_dirichlet ran before it assembled
+    into the solver's own arrays, kept unchanged as its reference."""
+    h = grid.steps
+    hj = 0.5 * (h[:-1] + h[1:])
+    lower = -1.0 / (hj * h[:-1])
+    upper = -1.0 / (hj * h[1:])
+    diag = -(lower + upper) + lam**2
+    rhs = np.zeros(grid.n_cells - 1)
+    rhs[0] -= lower[0] * left_value
+    rhs[-1] -= upper[-1] * right_value
+    sys = TridiagonalSystem(lower=lower[1:], diag=diag, upper=upper[:-1], rhs=rhs)
+    return np.concatenate(([left_value], solve_tridiagonal(sys), [right_value]))
+
+
+def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
+    """Both kernels, on either side of the cutoff and of powers of two."""
+    rng = np.random.default_rng(2048)
+    for n in (2, 3, CR_CUTOFF, CR_CUTOFF + 1, CR_CUTOFF + 2, 1024, 1025, 2048):
+        grids = [random_grid(rng, n)] + [analytic_mapped_grid(GridMapping(spec10, beta), n)
+                                         for beta in (0.25, 2.0)]
+        for g in grids:
+            for lam in (0.0, 10.0):
+                left, right = rng.uniform(-3, 3, size=2)
+                u = solve_dirichlet(g, lam, left, right)
+                assert np.array_equal(u, reference_solve_dirichlet(g, lam, left, right)), (n, lam)
+                sys = assemble_dirichlet(g, lam, left, right)
+                assert np.array_equal(solve_tridiagonal(sys), u[1:-1]), (n, lam)
+
+
+def test_dirichlet_data_must_be_finite():
+    g = uniform_grid(ProblemSpec(1.0, 1.0), 4)
+    for name, args in (("lam", (np.nan, 0.0, 1.0)), ("lam", (np.inf, 0.0, 1.0)),
+                       ("left_value", (1.0, -np.inf, 1.0)), ("right_value", (1.0, 0.0, np.nan))):
+        for call in (solve_dirichlet, assemble_dirichlet):
+            with pytest.raises(ValueError, match=name):
+                call(g, *args)
+
+
+def test_steps_too_small_for_the_coefficients(spec10):
+    """Steps of 1e-200 make 1/h^2 overflow; both kernels' paths are checked."""
+    tiny = [0.0, 1e-200, 2e-200, 3e-200, 4e-200]
+    for nodes in ([0.0, 1e-200, 2e-200, 0.5, 1.0], tiny + list(np.linspace(0.0, 1.0, 1001)[1:])):
+        g = Grid(nodes, 1.0)
+        for call in (lambda: solve_bvp(g, spec10), lambda: assemble_scheme(g, spec10)):
+            with pytest.raises(ValueError, match="too small"):
+                call()
+
+
+def test_long_solve_working_set(spec10):
+    """A long solve holds three bands, the nodal vector and the reduction's
+    buffer of n/2, 4.5n doubles; a copy of the bands would pass 6n."""
+    n = 8192
+    grid = uniform_grid(spec10, n)
+    tracemalloc.start()
+    try:
+        solve_bvp(grid, spec10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n

@@ -57,6 +57,57 @@ def reference_thomas(sys):
     return x
 
 
+def reference_cyclic_reduction(sys):
+    """Cyclic reduction as it ran on copies of a system's bands, with the
+    row sums in an array of their own, kept unchanged as the reference for
+    the in-place kernel."""
+    n = sys.n
+    a = np.concatenate(([0.0], sys.lower))
+    c = np.concatenate((sys.upper, [0.0]))
+    s = a + sys.diag
+    s += c
+    x = sys.rhs.copy()
+    buf = np.empty((n + 1) // 2)
+    st = 1
+    while 2 * st <= n:
+        e = slice(st - 1, None, 2 * st)
+        k = slice(2 * st - 1, None, 2 * st)
+        ae, ce, se, xe = a[e], c[e], s[e], x[e]
+        ak, ck, sk, xk = a[k], c[k], s[k], x[k]
+        nk, r = ak.size, ae.size - 1
+        nb = buf[: ae.size]
+        if st == 1:
+            np.multiply(sys.diag[e], -1.0, out=nb)
+        else:
+            np.subtract(ae, se, out=nb)
+            nb += ce
+        for band in (ae, ce, se, xe):
+            band /= nb
+        t = buf[:nk]
+        for kept, elim in ((sk, se), (xk, xe)):
+            np.multiply(ak, elim[:nk], out=t)
+            kept += t
+            np.multiply(ck[:r], elim[1:], out=t[:r])
+            kept[:r] += t[:r]
+        ak *= ae[:nk]
+        ck[:r] *= ce[1:]
+        st *= 2
+    i = st - 1
+    x[i] /= s[i]
+    while st > 1:
+        st //= 2
+        e = slice(st - 1, None, 2 * st)
+        ae, ce, xe, xk = a[e], c[e], x[e], x[2 * st - 1 :: 2 * st]
+        t = buf[: xe.size - 1]
+        np.multiply(ae[1:], xk[: t.size], out=t)
+        np.subtract(t, xe[1:], out=xe[1:])
+        xe[0] = -xe[0]
+        t = buf[: xk.size]
+        np.multiply(ce[: t.size], xk, out=t)
+        xe[: t.size] += t
+    return x
+
+
 def test_identity_system():
     sys = TridiagonalSystem(lower=[0, 0], diag=[1, 1, 1], upper=[0, 0], rhs=[3, 5, 7])
     assert np.array_equal(solve_tridiagonal(sys), [3.0, 5.0, 7.0])
@@ -138,6 +189,13 @@ def test_band_length_validation():
         TridiagonalSystem(lower=[1.0, 2.0], diag=[1.0, 1.0], upper=[1.0], rhs=[1.0, 1.0])
     with pytest.raises(ValueError):
         TridiagonalSystem(lower=[], diag=[], upper=[], rhs=[])
+    bands = dict(lower=[1.0], diag=[1.0, 1.0], upper=[1.0], rhs=[1.0, 1.0])
+    for name in bands:
+        for bad in (np.nan, np.inf, -np.inf):
+            values = list(bands[name])
+            values[-1] = bad
+            with pytest.raises(ValueError, match=name):
+                TridiagonalSystem(**{**bands, name: values})
 
 
 def test_short_systems_match_reference_bit_for_bit():
@@ -146,6 +204,20 @@ def test_short_systems_match_reference_bit_for_bit():
     for n in range(1, CR_CUTOFF):
         sys = random_dominant_system(rng, n)
         assert np.array_equal(solve_tridiagonal(sys), reference_thomas(sys)), n
+
+
+def test_long_systems_match_reference_bit_for_bit():
+    """From the cutoff on, the in-place reduction does the arithmetic of the
+    copying one in the same order: equal results."""
+    rng = np.random.default_rng(98)
+    spec = ProblemSpec(lam=10.0, ell=1.0)
+    systems = [random_dominant_system(rng, n) for n in CR_SIZES + (1, 2, 3)]
+    systems.append(assemble_scheme(uniform_grid(spec, 4096), spec))
+    for sys in systems:
+        expected = reference_cyclic_reduction(sys)
+        assert np.array_equal(_cyclic_reduction(sys), expected), sys.n
+        if sys.n >= CR_CUTOFF:
+            assert np.array_equal(solve_tridiagonal(sys), expected), sys.n
 
 
 def test_cyclic_reduction_matches_dense_oracle():
