@@ -27,7 +27,7 @@ from .analysis import max_error
 from .equidist import DAMPING_FLOOR, EquidistributionError, equidistribute
 from .grid import Grid, uniform_grid
 from .monitor import DiscreteGradientMonitor
-from .problem import ProblemSpec
+from .problem import ProblemSpec, require
 from .solver import DiscreteSolution, solve_bvp
 
 
@@ -47,14 +47,12 @@ class AdaptiveConfig:
     inner_max_iter: int = 10000
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not 0.0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        for name, value in (("eps", self.eps), ("inner_tol", self.inner_tol)):
-            if not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.max_outer < 1 or self.inner_max_iter < 1:
-            raise ValueError("max_outer and inner_max_iter must be >= 1")
+        require("alpha", self.alpha, 0.0)
+        require("beta", self.beta, 0.0)
+        require("eps", self.eps, 0.0, strict=True)
+        require("inner_tol", self.inner_tol, 0.0, strict=True)
+        require("max_outer", self.max_outer, 1)
+        require("inner_max_iter", self.inner_max_iter, 1)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, GridMapping
-from .problem import ProblemSpec, exact_derivative, exact_solution
+from .problem import ProblemSpec, exact_derivative, exact_solution, require
 from .solver import DiscreteSolution, scheme_residual
 
 
@@ -29,8 +29,8 @@ def max_error(solution: DiscreteSolution) -> float:
 
 def convergence_order(error_coarse: float, error_fine: float) -> float:
     """log2 of the error ratio under mesh doubling."""
-    if error_coarse <= 0.0 or error_fine <= 0.0:
-        raise ValueError("errors must be positive to estimate an order")
+    require("error_coarse", error_coarse, 0.0, strict=True)
+    require("error_fine", error_fine, 0.0, strict=True)
     return float(np.log2(error_coarse / error_fine))
 
 

@@ -14,7 +14,6 @@ The default output directory honors EQUIFD_OUTDIR.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .experiments import (
     solve_single,
 )
 from .io import default_output_dir
-from .problem import ProblemSpec
+from .problem import ProblemSpec, require
 
 
 class ConfigError(ValueError):
@@ -58,38 +57,30 @@ def _load_config(path: str) -> list[str]:
     return tokens
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
-    def parse(text: str) -> int:
+def _number(kind, name: str, low, strict: bool = False):
+    """argparse type: an int or float (kind) that require accepts as the
+    library parameter name, so a flag and its parameter share one rule."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        try:
+            return require(name, value, low, strict)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
     return parse
 
 
-_n_cells = _int_at_least(2)
-_count = _int_at_least(1)
-
-
-def _float_where(ok, requirement: str):
-    """argparse type: a float for which ok(value) holds."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
-        return value
-    return parse
-
-
-_tolerance = _float_where(lambda v: 0.0 < v < math.inf, "finite and > 0")
-_exponent = _float_where(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_n_cells = _number(int, "n_cells", 2)
+_max_iter = _number(int, "max_iter", 1)
+_max_outer = _number(int, "max_outer", 1)
+_tol = _number(float, "tol", 0.0, strict=True)
+_eps = _number(float, "eps", 0.0, strict=True)
+_alpha = _number(float, "alpha", 0.0)
+_beta = _number(float, "beta", 0.0)
 
 
 def _ladder(text: str) -> list[int]:
@@ -119,29 +110,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_n_cells, default=20, help="number of grid intervals")
     p.add_argument("--grid", choices=["uniform", "analytic", "equidistributed", "adaptive"],
                    default="uniform")
-    p.add_argument("--beta", type=_exponent, default=0.0, help="monitor exponent")
-    p.add_argument("--alpha", type=_exponent, default=0.0, help="adaptive monitor weight")
-    p.add_argument("--tol", type=_tolerance, default=1e-12, help="equidistribution tolerance")
-    p.add_argument("--max-iter", type=_count, default=10000, help="equidistribution sweep cap")
-    p.add_argument("--eps", type=_tolerance, default=1e-10, help="adaptive stopping tolerance")
-    p.add_argument("--max-outer", type=_count, default=1000, help="adaptive iteration cap")
+    p.add_argument("--beta", type=_beta, default=0.0, help="monitor exponent")
+    p.add_argument("--alpha", type=_alpha, default=0.0, help="adaptive monitor weight")
+    p.add_argument("--tol", type=_tol, default=1e-12, help="equidistribution tolerance")
+    p.add_argument("--max-iter", type=_max_iter, default=10000, help="equidistribution sweep cap")
+    p.add_argument("--eps", type=_eps, default=1e-10, help="adaptive stopping tolerance")
+    p.add_argument("--max-outer", type=_max_outer, default=1000, help="adaptive iteration cap")
 
     p = sub.add_parser("convergence", help="refinement ladder for one grid family")
     _add_common(p)
     p.add_argument("--grid", choices=["uniform", "analytic"], default="uniform")
-    p.add_argument("--beta", type=_exponent, default=0.0)
+    p.add_argument("--beta", type=_beta, default=0.0)
     p.add_argument("--n-ladder", type=_ladder, default=",".join(str(n) for n in LADDER),
                    help="comma-separated doubling N values")
 
     p = sub.add_parser("adapt", help="adaptive solve with optional iteration trace")
     _add_common(p)
     p.add_argument("--n", type=_n_cells, default=20)
-    p.add_argument("--alpha", type=_exponent, required=True)
-    p.add_argument("--beta", type=_exponent, required=True)
-    p.add_argument("--eps", type=_tolerance, default=1e-10)
-    p.add_argument("--max-outer", type=_count, default=1000)
-    p.add_argument("--tol", type=_tolerance, default=1e-12)
-    p.add_argument("--max-iter", type=_count, default=10000)
+    p.add_argument("--alpha", type=_alpha, required=True)
+    p.add_argument("--beta", type=_beta, required=True)
+    p.add_argument("--eps", type=_eps, default=1e-10)
+    p.add_argument("--max-outer", type=_max_outer, default=1000)
+    p.add_argument("--tol", type=_tol, default=1e-12)
+    p.add_argument("--max-iter", type=_max_iter, default=10000)
     p.add_argument("--trace", default=None, help="per-iteration trace CSV path")
 
     p = sub.add_parser("table1", help="convergence orders of the analytic grid families")
@@ -150,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="adaptive-monitor (alpha, beta) sweep at N=20")
     _add_common(p)
     p.add_argument("--n", type=_n_cells, default=20)
-    p.add_argument("--eps", type=_tolerance, default=1e-10)
-    p.add_argument("--max-outer", type=_count, default=5000)
+    p.add_argument("--eps", type=_eps, default=1e-10)
+    p.add_argument("--max-outer", type=_max_outer, default=5000)
 
     p = sub.add_parser("error-profile", help="pointwise error of the four grid families")
     _add_common(p)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .grid import Grid, uniform_grid
 from .monitor import MonitorFunction
-from .problem import ProblemSpec
+from .problem import ProblemSpec, require
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 DAMPING_FLOOR = 0.25
@@ -110,10 +110,8 @@ def equidistribute(
     (the exception carries the best iterate either way), and
     MonotonicityError if an iterate loses node ordering.
     """
-    if not 0.0 < tol < np.inf:  # NaN never stops the sweeps, inf stops them at once
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    require("tol", tol, 0.0, strict=True)  # NaN never stops the sweeps, inf stops them at once
+    require("max_iter", max_iter, 1)
     if initial is None:
         initial = uniform_grid(spec, n_cells)
     if initial.n_cells != n_cells or initial.ell != spec.ell:

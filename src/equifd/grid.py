@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec
+from .problem import ProblemSpec, require
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ class GridMapping:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.beta < np.inf:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        require("beta", self.beta, 0.0)
 
     def _decay(self) -> float:
         """e^{-beta*lam*ell}; warns if it underflows to zero."""
@@ -133,16 +132,14 @@ class GridMapping:
 
 def uniform_grid(spec: ProblemSpec, n_cells: int) -> Grid:
     """Equally spaced grid x_j = j*ell/N."""
-    if n_cells < 2:
-        raise ValueError(f"n_cells must be >= 2, got {n_cells}")
+    require("n_cells", n_cells, 2)
     q = np.arange(n_cells + 1) / n_cells
     return Grid(q * spec.ell, spec.ell)
 
 
 def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
     """Grid x_j = x(j/N) from the closed-form mapping, endpoints pinned."""
-    if n_cells < 2:
-        raise ValueError(f"n_cells must be >= 2, got {n_cells}")
+    require("n_cells", n_cells, 2)
     q = np.arange(n_cells + 1) / n_cells
     nodes = np.asarray(mapping.evaluate(q), dtype=float)
     # roundoff (or underflow at q=0) in the log/exp composition must not

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec, exact_derivative
+from .problem import ProblemSpec, exact_derivative, require
 
 
 class MonitorFunction:
@@ -34,8 +34,7 @@ class ConstantMonitor(MonitorFunction):
     value: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.value < np.inf:
-            raise ValueError(f"monitor value must be finite and > 0, got {self.value}")
+        require("monitor value", self.value, 0.0, strict=True)
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         return np.full(len(nodes) - 1, self.value)
@@ -49,8 +48,7 @@ class ExactPowerMonitor(MonitorFunction):
     beta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.beta < np.inf:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        require("beta", self.beta, 0.0)
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         mid = 0.5 * (nodes[:-1] + nodes[1:])
@@ -67,11 +65,8 @@ class DiscreteGradientMonitor(MonitorFunction):
     """
 
     def __init__(self, alpha: float, beta: float, nodes, values):
-        for name, value in (("alpha", alpha), ("beta", beta)):
-            if not 0.0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        self.alpha = float(require("alpha", alpha, 0.0))
+        self.beta = float(require("beta", beta, 0.0))
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         slopes = abs(values[1:] - values[:-1]) / (nodes[1:] - nodes[:-1])
@@ -97,8 +92,7 @@ class ScaledMonitor(MonitorFunction):
     factor: float
 
     def __post_init__(self):
-        if not 0.0 < self.factor < np.inf:
-            raise ValueError(f"scale factor must be finite and > 0, got {self.factor}")
+        require("scale factor", self.factor, 0.0, strict=True)
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         return self.factor * self.inner.interval_values(nodes)

@@ -5,6 +5,11 @@ The problem is the reaction-diffusion equation -u'' + lam^2 u = 0 on
 solution u(x) = exp(lam*(x - ell)) develops a boundary layer of width
 ~1/lam at the right endpoint for large lam, which is what makes the
 node distribution matter.
+
+Every scalar parameter of the package (lam and ell here, N, the monitor
+constants alpha and beta, tolerances, iteration caps, and the command
+line's flags for them) is checked by the one rule in require: finite
+and above a lower bound, with NaN failing the comparison.
 """
 
 from __future__ import annotations
@@ -15,11 +20,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_DERIVATIVE_ORDER = 5
+# the least lam whose square lam**2 overflows to inf
+LAM_MAX = 2.0**512
+
+
+def require(name: str, value, low: float, strict: bool = False, high: float = math.inf):
+    """Return value if low < value < high (strict) or low <= value < high.
+
+    high defaults to inf, so the value must be finite; NaN fails either
+    comparison.  Otherwise raises ValueError naming the parameter.
+    """
+    if not (low < value < high if strict else low <= value < high):
+        rule = f"{'>' if strict else '>='} {low:g}"
+        rule = f"finite and {rule}" if high == math.inf else f"{rule} and < {high:g}"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Parameters of the layer problem: finite lam > 0 and domain length ell > 0.
+    """Parameters of the layer problem: 0 < lam < LAM_MAX and finite ell > 0.
 
     Boundary values are not free: they are pinned to the exact solution,
     left_bc = exp(-lam*ell) and right_bc = 1.
@@ -31,10 +51,8 @@ class ProblemSpec:
     right_bc: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if not (self.ell > 0.0 and math.isfinite(self.ell)):
-            raise ValueError(f"ell must be finite and > 0, got {self.ell}")
+        require("lam", self.lam, 0.0, strict=True, high=LAM_MAX)
+        require("ell", self.ell, 0.0, strict=True)
         object.__setattr__(self, "left_bc", math.exp(-self.lam * self.ell))
         object.__setattr__(self, "right_bc", 1.0)
 
@@ -60,8 +78,11 @@ def exact_solution(spec: ProblemSpec, x):
 
 def exact_derivative(spec: ProblemSpec, x, order: int = 1):
     """Derivative d^k u / dx^k = lam^k * exp(lam*(x - ell)), 1 <= k <= 5."""
-    if not 1 <= order <= MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_DERIVATIVE_ORDER}], got {order}")
+    require("order", order, 1, high=MAX_DERIVATIVE_ORDER + 1)
     xv = _check_domain(spec, x)
-    out = spec.lam**order * np.exp(spec.lam * (xv - spec.ell))
+    try:
+        scale = float(spec.lam) ** order  # a Python float raises here, numpy would warn
+    except OverflowError:
+        raise ValueError(f"lam**order overflows: lam={spec.lam}, order={order}") from None
+    out = scale * np.exp(spec.lam * (xv - spec.ell))
     return float(out) if np.ndim(x) == 0 else out

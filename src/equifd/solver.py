@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .problem import ProblemSpec, exact_solution
+from .problem import LAM_MAX, ProblemSpec, exact_solution, require
 from .tridiag import TridiagonalSystem, solve_in_place
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
@@ -62,7 +62,8 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
     their terms are eliminated into the right-hand side, which fills the
     interior of u, and u's ends hold the Dirichlet values.
     """
-    for name, value in (("lam", lam), ("left_value", left_value), ("right_value", right_value)):
+    require("|lam|", abs(lam), 0.0, high=LAM_MAX)  # so that lam**2 is finite
+    for name, value in (("left_value", left_value), ("right_value", right_value)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     h = grid.steps

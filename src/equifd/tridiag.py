@@ -113,9 +113,10 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
 
     The bands are copied into the layout solve_in_place overwrites.
     """
-    bands = _copied_bands(sys)
-    solve_in_place(*bands)
-    return bands[3]
+    rhs = sys.rhs.copy()
+    solve_in_place(np.concatenate(([0.0], sys.lower)), sys.diag.copy(),
+                   np.concatenate((sys.upper, [0.0])), rhs)
+    return rhs
 
 
 def solve_in_place(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> None:
@@ -132,18 +133,6 @@ def solve_in_place(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: 
         _thomas(lower, diag, upper, rhs)
     else:
         _reduce(lower, diag, upper, rhs)
-
-
-def _copied_bands(sys: TridiagonalSystem) -> tuple:
-    return (np.concatenate(([0.0], sys.lower)), sys.diag.copy(),
-            np.concatenate((sys.upper, [0.0])), sys.rhs.copy())
-
-
-def _cyclic_reduction(sys: TridiagonalSystem) -> np.ndarray:
-    """Cyclic reduction at any n, on copies of the bands."""
-    bands = _copied_bands(sys)
-    _reduce(*bands)
-    return bands[3]
 
 
 def _thomas(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:

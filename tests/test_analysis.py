@@ -5,6 +5,7 @@ from equifd import (
     ConvergenceReport,
     DiscreteSolution,
     GridMapping,
+    ProblemSpec,
     analytic_mapped_grid,
     consistency_error,
     convergence_order,
@@ -47,6 +48,8 @@ def test_convergence_order_rejects_nonpositive():
         convergence_order(0.0, 1e-3)
     with pytest.raises(ValueError):
         convergence_order(1e-3, -1e-4)
+    with pytest.raises(ValueError, match="error_coarse"):
+        convergence_order(np.nan, 1e-3)
 
 
 def test_consistency_leading_term_uniform(spec10):
@@ -129,6 +132,9 @@ def test_fourth_order_residual_domain(spec10):
         fourth_order_residual(GridMapping(spec10, 0.25), 1.0)
     with pytest.raises(ValueError):
         fourth_order_residual(GridMapping(spec10, 0.25), [0.5, np.nan])
+    # lam**4 is past the double range for lam = 1e100
+    with pytest.raises(ValueError, match="lam.*order"):
+        fourth_order_residual(GridMapping(ProblemSpec(1e100, 1.0), 0.0), 0.5)
 
 
 def test_mapping_derivatives_against_finite_differences(spec10):

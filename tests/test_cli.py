@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from equifd import AdaptiveConfig, ConstantMonitor, ProblemSpec, equidistribute, uniform_grid
 from equifd.cli import main
 from equifd.io import format_value, read_csv, write_csv
 
@@ -57,6 +60,10 @@ def test_solve_rejects_lambda_zero(tmp_path, capsys):
     assert rc == 2
     assert "lam" in capsys.readouterr().err
     rc = main(["solve", "--lambda", "inf", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "lam" in capsys.readouterr().err
+    # lam**2 is past the double range
+    rc = main(["solve", "--lambda", "1e200", "--n", "10", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "lam" in capsys.readouterr().err
 
@@ -267,3 +274,40 @@ def test_config_file_unknown_key(tmp_path, capsys):
         err = capsys.readouterr().err
         assert flag in err
         assert "Traceback" not in err
+
+
+def _tiny_equidistribution(**kw):
+    equidistribute(ConstantMonitor(), ProblemSpec(10.0, 1.0), 4, **kw)
+
+
+# flag, its library parameter, a call that passes the value to that
+# parameter, the bound, and the first invalid value next to the bound
+# (None where the bound itself is invalid)
+FLAG_PARAMETERS = [
+    ("--n", "n_cells", lambda v: uniform_grid(ProblemSpec(10.0, 1.0), v), 2, 1),
+    ("--max-iter", "max_iter", lambda v: _tiny_equidistribution(max_iter=v), 1, 0),
+    ("--max-outer", "max_outer", lambda v: AdaptiveConfig(1.0, 0.5, max_outer=v), 1, 0),
+    ("--tol", "tol", lambda v: _tiny_equidistribution(tol=v), None, 0.0),
+    ("--eps", "eps", lambda v: AdaptiveConfig(1.0, 0.5, eps=v), None, 0.0),
+    ("--alpha", "alpha", lambda v: AdaptiveConfig(v, 0.5), 0.0, -5e-324),
+    ("--beta", "beta", lambda v: AdaptiveConfig(1.0, v), 0.0, -5e-324),
+]
+
+
+@pytest.mark.parametrize("flag,name,call,bound,invalid", FLAG_PARAMETERS,
+                         ids=[row[0] for row in FLAG_PARAMETERS])
+def test_flags_and_library_share_one_rule(tmp_path, capsys, flag, name, call, bound, invalid):
+    """`adapt` takes every flag; --flag=value keeps argparse from reading -inf as an option."""
+    argv = ["adapt", "--alpha", "0", "--beta", "0", "--n", "2", "--max-outer", "1",
+            "--out", str(tmp_path / "s.csv")]
+    for value in (math.nan, math.inf, -math.inf, invalid):
+        text = repr(value)
+        assert main([*argv, f"{flag}={text}"]) == 2, text
+        err = capsys.readouterr().err
+        assert flag in err and text in err and "Traceback" not in err
+        with pytest.raises(ValueError, match=name):
+            call(value)
+    if bound is not None:
+        assert main([*argv, f"{flag}={bound}"]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        call(bound)

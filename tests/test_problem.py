@@ -87,7 +87,8 @@ def test_derivative_order_bounds(spec10, order):
 
 
 @pytest.mark.parametrize("lam,ell", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
-                                     (math.inf, 1.0), (1.0, math.inf)])
+                                     (math.inf, 1.0), (1.0, math.inf),
+                                     (1e200, 1.0), (2.0**512, 1.0)])
 def test_invalid_spec(lam, ell):
     with pytest.raises(ValueError):
         ProblemSpec(lam=lam, ell=ell)

@@ -159,6 +159,7 @@ def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
 def test_dirichlet_data_must_be_finite():
     g = uniform_grid(ProblemSpec(1.0, 1.0), 4)
     for name, args in (("lam", (np.nan, 0.0, 1.0)), ("lam", (np.inf, 0.0, 1.0)),
+                       ("lam", (1e200, 0.0, 1.0)), ("lam", (-2.0**512, 0.0, 1.0)),
                        ("left_value", (1.0, -np.inf, 1.0)), ("right_value", (1.0, 0.0, np.nan))):
         for call in (solve_dirichlet, assemble_dirichlet):
             with pytest.raises(ValueError, match=name):

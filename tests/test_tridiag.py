@@ -12,7 +12,8 @@ from equifd import (
     solve_tridiagonal,
     uniform_grid,
 )
-from equifd.tridiag import CR_CUTOFF, PIVOT_FLOOR, _cyclic_reduction
+from equifd import tridiag
+from equifd.tridiag import CR_CUTOFF, PIVOT_FLOOR
 
 # sizes around the kernel cutoff and around powers of two (the reduction's
 # levels change shape there)
@@ -108,6 +109,14 @@ def reference_cyclic_reduction(sys):
     return x
 
 
+def cyclic_reduction(monkeypatch, sys):
+    """solve_tridiagonal with the reduction at any n: solve_in_place reads
+    the cutoff when it is called."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tridiag, "CR_CUTOFF", 1)
+        return solve_tridiagonal(sys)
+
+
 def test_identity_system():
     sys = TridiagonalSystem(lower=[0, 0], diag=[1, 1, 1], upper=[0, 0], rhs=[3, 5, 7])
     assert np.array_equal(solve_tridiagonal(sys), [3.0, 5.0, 7.0])
@@ -145,16 +154,16 @@ def test_dense_oracle_sweep():
     assert count >= 100
 
 
-def test_residual_bound():
+def test_residual_bound(monkeypatch):
     rng = np.random.default_rng(11)
     for n in [1, 2, 5, 17, 32, *CR_SIZES]:
         sys = random_dominant_system(rng, n)
         norm_a = np.max(np.abs(sys.dense()).sum(axis=1))
-        for solve in (solve_tridiagonal, _cyclic_reduction):
-            x = solve(sys)
+        for kernel, x in (("default", solve_tridiagonal(sys)),
+                          ("reduction", cyclic_reduction(monkeypatch, sys))):
             resid = np.max(np.abs(sys.matvec(x) - sys.rhs))
             bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(sys.rhs)))
-            assert resid <= bound, (solve.__name__, n)
+            assert resid <= bound, (kernel, n)
 
 
 def test_solve_does_not_mutate_input():
@@ -206,7 +215,7 @@ def test_short_systems_match_reference_bit_for_bit():
         assert np.array_equal(solve_tridiagonal(sys), reference_thomas(sys)), n
 
 
-def test_long_systems_match_reference_bit_for_bit():
+def test_long_systems_match_reference_bit_for_bit(monkeypatch):
     """From the cutoff on, the in-place reduction does the arithmetic of the
     copying one in the same order: equal results."""
     rng = np.random.default_rng(98)
@@ -215,17 +224,17 @@ def test_long_systems_match_reference_bit_for_bit():
     systems.append(assemble_scheme(uniform_grid(spec, 4096), spec))
     for sys in systems:
         expected = reference_cyclic_reduction(sys)
-        assert np.array_equal(_cyclic_reduction(sys), expected), sys.n
+        assert np.array_equal(cyclic_reduction(monkeypatch, sys), expected), sys.n
         if sys.n >= CR_CUTOFF:
             assert np.array_equal(solve_tridiagonal(sys), expected), sys.n
 
 
-def test_cyclic_reduction_matches_dense_oracle():
+def test_cyclic_reduction_matches_dense_oracle(monkeypatch):
     rng = np.random.default_rng(4096)
     for n in CR_SIZES:
         sys = random_dominant_system(rng, n)
         x_dense = np.linalg.solve(sys.dense(), sys.rhs)
-        for x in (solve_tridiagonal(sys), _cyclic_reduction(sys)):
+        for x in (solve_tridiagonal(sys), cyclic_reduction(monkeypatch, sys)):
             assert np.max(np.abs(x - x_dense)) <= 1e-12, n
 
 
