@@ -27,7 +27,7 @@ from .analysis import max_error
 from .equidist import DAMPING_FLOOR, EquidistributionError, equidistribute
 from .grid import Grid, uniform_grid
 from .monitor import DiscreteGradientMonitor
-from .problem import ProblemSpec, require
+from .problem import ProblemSpec, largest, require
 from .solver import DiscreteSolution, solve_bvp
 
 
@@ -98,7 +98,7 @@ def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> A
         error = max_error(solution)
         change = np.nan
         if prev_values is not None:
-            change = float(abs(solution.values - prev_values).max())
+            change = largest(abs(solution.values - prev_values))
             if change < config.eps:
                 history.append((n, error, change, 0.0, 0, 0, relax))
                 converged = True
@@ -123,7 +123,7 @@ def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> A
         stalls += stalled
         # exact at the ends: 0 + r*(0 - 0) == 0 and ell + r*(ell - ell) == ell
         new_nodes = grid.nodes + relax * (target.nodes - grid.nodes)
-        grid_change = float(abs(new_nodes - grid.nodes).max())
+        grid_change = largest(abs(new_nodes - grid.nodes))
         history.append((n, error, change, grid_change, sweeps, stalled, relax))
         if grid_change < config.inner_tol:
             # stationary grid: the next solve would reproduce this solution

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, GridMapping
-from .problem import ProblemSpec, exact_derivative, exact_solution, require
+from .problem import ProblemSpec, exact_derivative, exact_solution, largest, require
 from .solver import DiscreteSolution, scheme_residual
 
 
 def max_error(solution: DiscreteSolution) -> float:
     """Max-norm distance to the exact solution at the nodes."""
     exact = exact_solution(solution.spec, solution.grid.nodes)
-    return float(abs(solution.values - exact).max())
+    return largest(abs(solution.values - exact))
 
 
 def convergence_order(error_coarse: float, error_fine: float) -> float:

@@ -14,6 +14,7 @@ The default output directory honors EQUIFD_OUTDIR.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .experiments import (
     solve_single,
 )
 from .io import default_output_dir
-from .problem import ProblemSpec, require
+from .problem import LAM_MAX, ProblemSpec, require
 
 
 class ConfigError(ValueError):
@@ -57,7 +58,7 @@ def _load_config(path: str) -> list[str]:
     return tokens
 
 
-def _number(kind, name: str, low, strict: bool = False):
+def _number(kind, name: str, low, strict: bool = False, high: float = math.inf):
     """argparse type: an int or float (kind) that require accepts as the
     library parameter name, so a flag and its parameter share one rule."""
     noun = "an integer" if kind is int else "a number"
@@ -68,12 +69,14 @@ def _number(kind, name: str, low, strict: bool = False):
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
         try:
-            return require(name, value, low, strict)
+            return require(name, value, low, strict, high)
         except ValueError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
     return parse
 
 
+_lam = _number(float, "lam", 0.0, strict=True, high=LAM_MAX)
+_ell = _number(float, "ell", 0.0, strict=True)
 _n_cells = _number(int, "n_cells", 2)
 _max_iter = _number(int, "max_iter", 1)
 _max_outer = _number(int, "max_outer", 1)
@@ -93,9 +96,9 @@ def _ladder(text: str) -> list[int]:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=10.0,
+    p.add_argument("--lambda", dest="lam", type=_lam, default=10.0,
                    help="model parameter lambda (> 0)")
-    p.add_argument("--ell", type=float, default=1.0, help="domain length (> 0)")
+    p.add_argument("--ell", type=_ell, default=1.0, help="domain length (> 0)")
     p.add_argument("--config", default=None, help="key=value file pre-populating flags")
     p.add_argument("--out", default=None, help="output CSV path")
 
@@ -180,12 +183,7 @@ def main(argv=None) -> int:
     except SystemExit as exit_:  # argparse usage error (2) or --help (0)
         return exit_.code
 
-    try:
-        spec = ProblemSpec(lam=args.lam, ell=args.ell)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
+    spec = ProblemSpec(lam=args.lam, ell=args.ell)  # the flags were checked by its rule
     try:
         if args.command == "solve":
             sol, converged = solve_single(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .grid import Grid, uniform_grid
 from .monitor import MonitorFunction
-from .problem import ProblemSpec, require
+from .problem import ProblemSpec, largest, require, smallest
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 DAMPING_FLOOR = 0.25
@@ -66,8 +66,8 @@ def _interval_weights(monitor: MonitorFunction, nodes: np.ndarray) -> np.ndarray
     w = np.asarray(monitor.interval_values(nodes), dtype=float)
     if w.shape != (len(nodes) - 1,):
         raise ValueError(f"monitor returned {w.shape}, expected ({len(nodes) - 1},)")
-    # NaN fails both comparisons (np.min and np.max propagate it), so it is rejected too
-    if not (w.min() > 0.0 and w.max() < np.inf):
+    # NaN fails both comparisons (smallest and largest propagate it), so it is rejected too
+    if not (smallest(w) > 0.0 and largest(w) < np.inf):
         raise ValueError("monitor values must be finite and strictly positive")
     return w
 
@@ -75,13 +75,16 @@ def _interval_weights(monitor: MonitorFunction, nodes: np.ndarray) -> np.ndarray
 def _sweep(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exact solve of the frozen-weight system: constant flux w * dx, ends pinned.
 
-    Dividing by w.min() keeps every term of the sum in [0, 1], so no weight
-    ratio can overflow it.  A ratio beyond the double range underflows to 0
-    instead: neighbouring nodes collapse and the sweep loop ends in
+    Dividing by the least weight keeps every term of the sum in [0, 1], so no
+    weight ratio can overflow it.  A ratio beyond the double range underflows
+    to 0 instead: neighbouring nodes collapse and the sweep loop ends in
     MonotonicityError.
     """
-    cum = (w.min() / w).cumsum()
-    new = nodes[0] + (nodes[-1] - nodes[0]) / cum[-1] * np.concatenate(([0.0], cum))
+    new = np.empty(len(nodes))
+    new[0] = 0.0
+    (smallest(w) / w).cumsum(out=new[1:])
+    new *= (nodes[-1] - nodes[0]) / new[-1]
+    new += nodes[0]
     new[-1] = nodes[-1]
     return new
 
@@ -124,8 +127,8 @@ def equidistribute(
     saved = None  # Brent cycle finding: (sweep, update, iterate) at powers of two
     for it in range(1, max_iter + 1):
         w = _interval_weights(monitor, x)
-        target = _sweep(x, w)
-        update = float(abs(target - x).max())
+        step = _sweep(x, w) - x
+        update = largest(abs(step))
         if update < best[0]:
             best = (update, x)
         if update < tol:
@@ -143,8 +146,8 @@ def equidistribute(
         if prev_update is not None and update > prev_update:
             relax = max(0.5 * relax, DAMPING_FLOOR)
         prev_update = update
-        x = x + relax * (target - x)
-        if (x[1:] <= x[:-1]).any():
+        x = x + (step if relax == 1.0 else relax * step)  # 1.0 * step is step, exactly
+        if largest(x[1:] <= x[:-1]):
             raise MonotonicityError(
                 f"node ordering lost after sweep {it}; monitor values may be invalid"
             )

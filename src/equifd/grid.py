@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec, require
+from .problem import ProblemSpec, require, smallest
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class Grid:
         if nodes[0] != 0.0 or nodes[-1] != self.ell:
             raise ValueError("grid endpoints must be exactly 0 and ell")
         # written so that a NaN node fails the check too
-        if not (nodes[1:] > nodes[:-1]).all():
+        if not smallest(nodes[1:] > nodes[:-1]):
             raise ValueError("grid nodes must be strictly increasing")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)

@@ -37,6 +37,24 @@ def require(name: str, value, low: float, strict: bool = False, high: float = ma
     return value
 
 
+# a.max() and its kin run numpy's Python-level _methods wrappers and set up a
+# ufunc.reduce, 1.3-2.1 us each on 20 elements; argmax plus item is 0.5 us
+def largest(a: np.ndarray):
+    """a.max() as a Python scalar, or a.any() on a bool array.
+
+    The first NaN is returned, so NaN propagates as in a.max().  Of equal
+    values the first is returned, so only a zero result's sign can differ:
+    [-0.0, 0.0] gives -0.0 where a.max() gives 0.0.  No caller can see it,
+    since each compares or reduces abs values.  Empty a raises ValueError.
+    """
+    return a.item(a.argmax())
+
+
+def smallest(a: np.ndarray):
+    """a.min() as a Python scalar, or a.all() on a bool array; see largest."""
+    return a.item(a.argmin())
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Parameters of the layer problem: 0 < lam < LAM_MAX and finite ell > 0.
@@ -58,13 +76,15 @@ class ProblemSpec:
 
     @property
     def epsilon(self) -> float:
-        """Singular-perturbation parameter 1/lam^2."""
-        return 1.0 / self.lam**2
+        """Singular-perturbation parameter 1/lam^2; inf where lam**2
+        underflows to 0 (lam below about 1.5e-162)."""
+        lam2 = self.lam**2
+        return 1.0 / lam2 if lam2 else math.inf
 
 
 def _check_domain(spec: ProblemSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not ((x >= 0.0) & (x <= spec.ell)).all():  # written so that a NaN x fails too
+    if x.size and not smallest((x >= 0.0) & (x <= spec.ell)):  # a NaN x fails too
         raise ValueError(f"x must lie in [0, {spec.ell}]")
     return x
 

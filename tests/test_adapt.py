@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,23 @@ def test_config_validation():
                 {"eps": np.inf}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             AdaptiveConfig(alpha=1.0, beta=0.5, **bad)
+
+
+def test_adaptive_loop_makes_no_ndarray_reductions():
+    """The N=20 path reduces through problem.largest/smallest: a.max(),
+    a.min(), a.any() and a.all() go through numpy's Python-level wrappers
+    and cost several times as much on short arrays.  The count is exact."""
+    names = {"max", "min", "any", "all"}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) in names \
+                and isinstance(getattr(arg, "__self__", None), np.ndarray):
+            calls.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        adaptive_solve(ProblemSpec(10, 1), 20, AdaptiveConfig(2.0, 0.25))
+    finally:
+        sys.setprofile(None)
+    assert calls == []

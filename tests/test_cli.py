@@ -291,6 +291,8 @@ FLAG_PARAMETERS = [
     ("--eps", "eps", lambda v: AdaptiveConfig(1.0, 0.5, eps=v), None, 0.0),
     ("--alpha", "alpha", lambda v: AdaptiveConfig(v, 0.5), 0.0, -5e-324),
     ("--beta", "beta", lambda v: AdaptiveConfig(1.0, v), 0.0, -5e-324),
+    ("--lambda", "lam", lambda v: ProblemSpec(v, 1.0), None, 1e200),
+    ("--ell", "ell", lambda v: ProblemSpec(10.0, v), None, 0.0),
 ]
 
 

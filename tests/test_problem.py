@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from equifd import ExactPowerMonitor, ProblemSpec, exact_derivative, exact_solution
+from equifd.problem import largest, smallest
 
 mpmath.mp.dps = 50
 
@@ -68,6 +69,60 @@ def test_solution_monotone_and_bounded(spec10):
 
 def test_epsilon_accessor(spec10):
     assert spec10.epsilon == 0.01
+    assert ProblemSpec(1e-200, 1.0).epsilon == math.inf  # lam**2 underflows to 0
+
+
+SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]
+
+
+def _agrees(got, want, zero_sign: bool):
+    """Same value, NaN for NaN; the sign of a zero must match if zero_sign."""
+    if math.isnan(want):
+        return math.isnan(got)
+    if got != want:
+        return False
+    return not zero_sign or math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("size", [1, 2, 20, 5120])
+def test_largest_smallest_match_ndarray_methods(size):
+    """NaN propagates and only a zero's sign may differ, and only for
+    arrays that hold both zeros, which abs() never gives."""
+    base = np.random.default_rng(size).standard_normal(size)
+    arrays = [base, np.zeros(size), -np.zeros(size), np.where(np.arange(size) % 2, 0.0, -0.0)]
+    for special in SPECIALS:
+        for pos in {0, size // 2, size - 1}:
+            a = base.copy()
+            a[pos] = special
+            arrays.append(a)
+    for a in arrays:
+        mixed_zeros = bool(np.signbit(a[a == 0.0]).any() and not np.signbit(a[a == 0.0]).all())
+        for helper, method in ((largest, "max"), (smallest, "min")):
+            assert type(helper(a)) is float
+            assert _agrees(helper(a), getattr(a, method)(), zero_sign=not mixed_zeros)
+            assert _agrees(helper(abs(a)), getattr(abs(a), method)(), zero_sign=True)
+        for mask in (a > 0.0, a >= 0.0, a == a, a != a):
+            assert largest(mask) is bool(mask.any())
+            assert smallest(mask) is bool(mask.all())
+
+
+def test_largest_smallest_zero_d_and_mixed_zeros():
+    for value in (*SPECIALS, 2.5):
+        a = np.array(value)
+        assert _agrees(largest(a), a.max(), zero_sign=True)
+        assert _agrees(smallest(a), a.min(), zero_sign=True)
+    for mask in (np.array(True), np.array(False), np.bool_(True), np.bool_(False)):
+        assert largest(mask) is bool(mask.any())
+        assert smallest(mask) is bool(mask.all())
+    a = np.array([-0.0, 0.0])
+    assert math.copysign(1.0, a.max()) == 1.0 and math.copysign(1.0, largest(a)) == -1.0
+
+
+def test_empty_input_keeps_its_behaviour(spec10):
+    out = exact_solution(spec10, np.array([]))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+    with pytest.raises(ValueError):
+        largest(np.array([]))
 
 
 @pytest.mark.parametrize("x", [-0.1, 1.1, math.nan])
