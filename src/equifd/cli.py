@@ -183,7 +183,11 @@ def main(argv=None) -> int:
     except SystemExit as exit_:  # argparse usage error (2) or --help (0)
         return exit_.code
 
-    spec = ProblemSpec(lam=args.lam, ell=args.ell)  # the flags were checked by its rule
+    try:  # each flag was checked by its rule, but not their product
+        spec = ProblemSpec(lam=args.lam, ell=args.ell)
+    except ValueError as err:
+        print(f"error: --lambda {args.lam:g} and --ell {args.ell:g}: {err}", file=sys.stderr)
+        return 2
     try:
         if args.command == "solve":
             sol, converged = solve_single(

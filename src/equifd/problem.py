@@ -57,7 +57,8 @@ def smallest(a: np.ndarray):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Parameters of the layer problem: 0 < lam < LAM_MAX and finite ell > 0.
+    """Parameters of the layer problem: 0 < lam < LAM_MAX, finite ell > 0
+    and finite lam*ell.
 
     Boundary values are not free: they are pinned to the exact solution,
     left_bc = exp(-lam*ell) and right_bc = 1.
@@ -71,7 +72,10 @@ class ProblemSpec:
     def __post_init__(self):
         require("lam", self.lam, 0.0, strict=True, high=LAM_MAX)
         require("ell", self.ell, 0.0, strict=True)
-        object.__setattr__(self, "left_bc", math.exp(-self.lam * self.ell))
+        # a product that overflows would make left_bc = exp(-inf) = 0 silently;
+        # as Python floats it overflows to inf without a numpy warning
+        lam_ell = require("lam*ell", float(self.lam) * float(self.ell), 0.0)
+        object.__setattr__(self, "left_bc", math.exp(-lam_ell))
         object.__setattr__(self, "right_bc", 1.0)
 
     @property

@@ -8,11 +8,32 @@ Interior rows discretize -u'' + lam^2 u = 0 as
 with the Dirichlet values eliminated into the right-hand side.  On a
 uniform grid this reduces to the standard three-point stencil.
 
-solve_dirichlet owns the arrays it assembles the bands into, and the
-right-hand side goes into the interior of the nodal vector it returns;
-tridiag.solve_in_place overwrites them all, leaving the solution there.
-A long solve thus holds 4.5n doubles: three bands, the nodal vector and
-the kernel's buffer of n/2.
+solve_dirichlet takes one of three paths by the number of unknowns
+n = N - 1:
+
+* n < FUSED_CUTOFF: _solve_short makes one pass over the nodes as Python
+  floats.  Each step of the loop forms one row's coefficients and takes
+  the Thomas forward step on it; a back-substitution loop follows.  At
+  table2's N = 20 this takes 6.2 us against 12.5 us for the numpy path,
+  of which ~9 us are the ~20 numpy calls and scalar writes of _assemble.
+  The cost of the loop grows by ~0.3 us a row, faster than that of the
+  whole-array numpy operations, so it stops at the measured crossover
+  (fused/numpy: 23/25 us at n = 80, 45/43 us at n = 160).
+* FUSED_CUTOFF <= n < tridiag.CR_CUTOFF: _assemble, then the Thomas loop
+  of tridiag.solve_in_place.
+* n >= tridiag.CR_CUTOFF: _assemble, then cyclic reduction.
+
+The fused loop does the IEEE operations of the other two paths in the
+same order, so all three agree bit for bit at any n.  Where one of the
+numpy path's checks could fail, it returns None and solve_dirichlet
+takes the numpy path, which raises the error; every path thus raises the
+same errors.
+
+On the numpy path solve_dirichlet owns the arrays it assembles the bands
+into, and the right-hand side goes into the interior of the nodal vector
+it returns; tridiag.solve_in_place overwrites them all, leaving the
+solution there.  A long solve thus holds 4.5n doubles: three bands, the
+nodal vector and the kernel's buffer of n/2.
 """
 
 from __future__ import annotations
@@ -23,9 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .problem import LAM_MAX, ProblemSpec, exact_solution, largest, require
-from .tridiag import TridiagonalSystem, solve_in_place
+from .problem import LAM_MAX, ProblemSpec, exact_solution, largest, require, smallest
+from .tridiag import PIVOT_FLOOR, TridiagonalSystem, solve_in_place
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
+
+# unknowns below which solve_dirichlet runs _solve_short: the crossover
+# with _assemble plus Thomas, measured between 110 and 120 (2.1 GHz Xeon
+# vCPU, Python 3.11, numpy 2.4)
+FUSED_CUTOFF = 112
 
 
 @dataclass(frozen=True)
@@ -54,6 +80,15 @@ class DiscreteSolution:
         )
 
 
+def _checked_lam2(lam: float, left_value: float, right_value: float):
+    """lam**2, once lam and the Dirichlet values are checked."""
+    require("|lam|", abs(lam), 0.0, high=LAM_MAX)  # so that lam**2 is finite
+    for name, value in (("left_value", left_value), ("right_value", right_value)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    return lam**2
+
+
 def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
     """Bands of the scheme, and the nodal vector holding its right-hand side.
 
@@ -62,10 +97,7 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
     their terms are eliminated into the right-hand side, which fills the
     interior of u, and u's ends hold the Dirichlet values.
     """
-    require("|lam|", abs(lam), 0.0, high=LAM_MAX)  # so that lam**2 is finite
-    for name, value in (("left_value", left_value), ("right_value", right_value)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    lam2 = _checked_lam2(lam, left_value, right_value)
     h = grid.steps
     with np.errstate(all="ignore"):  # overflow is checked once, below
         hj = h[:-1] + h[1:]
@@ -77,12 +109,17 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
         np.divide(-1.0, upper, out=upper)
         diag = np.add(lower, upper, out=hj)
         diag *= -1.0
-        diag += lam**2
+        diag += lam2
         left_term = lower[0] * left_value
         right_term = upper[-1] * right_value
     # diag is >= 0 where finite; written so that NaN fails the check too
     if not (largest(diag) < math.inf and math.isfinite(left_term) and math.isfinite(right_term)):
         raise ValueError("grid steps too small: the scheme's coefficients overflow")
+    d = smallest(diag)
+    if d < PIVOT_FLOOR:
+        raise ValueError(
+            f"scheme row underflows: diagonal {d!r} below {PIVOT_FLOOR} where lam**2 and "
+            f"1/h**2 underflow (lam={lam}, ell={grid.ell}, n_cells={grid.n_cells})")
     u = np.zeros(grid.n_cells + 1)
     u[0] = left_value
     u[-1] = right_value
@@ -103,8 +140,68 @@ def assemble_dirichlet(grid: Grid, lam: float, left_value: float, right_value: f
 
 def solve_dirichlet(grid: Grid, lam: float, left_value: float, right_value: float) -> np.ndarray:
     """Nodal values (boundary rows included) for arbitrary Dirichlet data."""
+    if grid.n_cells - 1 < FUSED_CUTOFF:
+        lam2 = _checked_lam2(lam, left_value, right_value)
+        # as Python floats: numpy scalars would be slower and warn on overflow
+        u = _solve_short(grid.nodes.tolist(), float(lam2), float(left_value), float(right_value))
+        if u is not None:
+            return np.array(u)
     lower, diag, upper, u = _assemble(grid, lam, left_value, right_value)
     solve_in_place(lower, diag, upper, u[1:-1])
+    return u
+
+
+def _solve_short(x: list, lam2: float, left_value: float, right_value: float):
+    """solve_dirichlet's nodal values as a list, by one loop over the nodes x.
+
+    Each pass forms one row's coefficients as _assemble does and takes
+    the Thomas forward step on it as tridiag._thomas does, with the same
+    IEEE operations in the same order, so the result is the same bit for
+    bit.  The first row's lower coefficient multiplies left_value into its
+    right side, which is the forward step from a row before it with
+    c = 0 and d = left_value; only the last row, at x[-1] = ell, has the
+    right boundary term.  (With a single row the two terms are subtracted
+    from 0 in the other order: (0 - a) - b and (0 - b) - a round alike,
+    signed zeros included.)
+
+    Returns None where a check of the numpy path could fail: a pivot not
+    in [PIVOT_FLOOR, inf), which covers a diagonal that overflows or
+    underflows, since lo * c >= 0 keeps each pivot at most its diagonal;
+    a step product that underflows to 0; or a boundary term that
+    overflows, which leaves the last d not finite.  solve_dirichlet then
+    takes the numpy path, which raises its error or returns its own
+    (equal) result.
+    """
+    ell = x[-1]
+    cp = []
+    dp = []
+    c, d = 0.0, left_value
+    xm = x[1]
+    hl = xm - x[0]
+    try:
+        for xr in x[2:]:
+            hr = xr - xm
+            hj = (hl + hr) * 0.5
+            lo = -1.0 / (hj * hl)
+            up = -1.0 / (hj * hr)
+            piv = -(lo + up) + lam2 - lo * c
+            if not PIVOT_FLOOR <= piv < math.inf:
+                return None
+            c = up / piv
+            d = ((0.0 if xr < ell else 0.0 - up * right_value) - lo * d) / piv
+            cp.append(c)
+            dp.append(d)
+            xm, hl = xr, hr
+    except ZeroDivisionError:  # a step product underflowed to 0
+        return None
+    if not abs(d) < math.inf:
+        return None
+    u = [d]
+    for c, d in zip(cp[-2::-1], dp[-2::-1]):
+        u.append(d - c * u[-1])
+    u.append(left_value)
+    u.reverse()
+    u.append(right_value)
     return u
 
 

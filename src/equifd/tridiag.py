@@ -1,8 +1,11 @@
 """Tridiagonal systems and two direct solvers for them.
 
-The finite-difference scheme's linear solves go through solve_in_place
-(the frozen-weight grid equations have constant flux and are solved by a
-cumulative sum in equidist).  The systems produced here are diagonally
+The finite-difference scheme's linear solves of solver.FUSED_CUTOFF or
+more unknowns go through solve_in_place.  Shorter ones never reach it:
+solver.solve_dirichlet eliminates them in the loop that assembles them,
+with the arithmetic of the Thomas kernel below.  (The frozen-weight grid
+equations have constant flux and are solved by a cumulative sum in
+equidist.)  The systems produced here are diagonally
 dominant M-matrices, so elimination without pivoting is stable.
 
 solve_in_place owns nothing: the caller hands it four arrays of length n,

@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from equifd import AdaptiveConfig, ProblemSpec, adaptive_solve, max_error, uniform_grid
+from equifd import (AdaptiveConfig, ProblemSpec, adaptive_solve, max_error, solver, tridiag,
+                    uniform_grid)
 from equifd.equidist import DAMPING_FLOOR
 from equifd.io import read_csv
 
@@ -182,3 +183,23 @@ def test_adaptive_loop_makes_no_ndarray_reductions():
     finally:
         sys.setprofile(None)
     assert calls == []
+
+
+def test_adaptive_loop_solves_on_the_fused_path(monkeypatch):
+    """At N=20 every solve is solver._solve_short's one loop: none goes
+    through the numpy assembly or the tridiagonal kernels' entry."""
+    counts = {"_solve_short": 0, "_assemble": 0, "solve_in_place": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((solver, "_solve_short"), (solver, "_assemble"),
+                         (solver, "solve_in_place"), (tridiag, "solve_in_place")):
+        counted(module, name)
+    res = adaptive_solve(ProblemSpec(10, 1), 20, AdaptiveConfig(2.0, 0.25))
+    assert counts == {"_solve_short": res.outer_iterations, "_assemble": 0, "solve_in_place": 0}

@@ -68,6 +68,24 @@ def test_solve_rejects_lambda_zero(tmp_path, capsys):
     assert "lam" in capsys.readouterr().err
 
 
+def test_solve_rejects_lambda_ell_overflow(tmp_path, capsys):
+    """Both flags are in range, their product is not: a usage error."""
+    rc = main(["solve", "--lambda", "1e15", "--ell", "1e300", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lambda 1e+15 and --ell 1e+300:") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_solve_rejects_underflowing_scheme(tmp_path, capsys):
+    """lam**2 and 1/h**2 both underflow, so the scheme's rows are zero."""
+    rc = main(["solve", "--lambda", "1e-310", "--ell", "1e300", "--n", "20",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "lam=1e-310, ell=1e+300, n_cells=20" in err and "pivot" not in err
+
+
 def test_solve_equidistributed_mode(tmp_path):
     out = tmp_path / "sol.csv"
     rc = main(["solve", "--grid", "equidistributed", "--beta", "0.25",

@@ -149,6 +149,16 @@ def test_invalid_spec(lam, ell):
         ProblemSpec(lam=lam, ell=ell)
 
 
+def test_lam_times_ell_must_be_finite():
+    """Each factor is in range, but the product overflows; left_bc would
+    have become exp(-inf) = 0 without a word."""
+    for lam, ell in ((1e15, 1e300), (2.0**511, 1e200), (np.float64(1e15), np.float64(1e300))):
+        with pytest.raises(ValueError, match=r"lam\*ell must be finite"):
+            ProblemSpec(lam=lam, ell=ell)
+    # a product that underflows is fine: exp(-0) = 1
+    assert ProblemSpec(lam=1e-310, ell=1e-300).left_bc == 1.0
+
+
 def test_stored_bcs_match_formulas():
     spec = ProblemSpec(lam=3.0, ell=2.0)
     assert spec.left_bc == math.exp(-6.0)

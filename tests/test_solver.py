@@ -18,6 +18,7 @@ from equifd import (
     uniform_grid,
 )
 from equifd.io import read_csv
+from equifd.solver import FUSED_CUTOFF
 from equifd.tridiag import CR_CUTOFF
 from conftest import random_grid
 
@@ -142,9 +143,13 @@ def reference_solve_dirichlet(grid, lam, left_value, right_value):
 
 
 def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
-    """Both kernels, on either side of the cutoff and of powers of two."""
+    """All three paths, on either side of both cutoffs and of powers of two.
+
+    n cells make n - 1 unknowns: table2's N = 20 and the fused loop's cut
+    with its neighbours are among them."""
     rng = np.random.default_rng(2048)
-    for n in (2, 3, CR_CUTOFF, CR_CUTOFF + 1, CR_CUTOFF + 2, 1024, 1025, 2048):
+    for n in (2, 3, 19, 20, FUSED_CUTOFF, FUSED_CUTOFF + 1, FUSED_CUTOFF + 2,
+              CR_CUTOFF, CR_CUTOFF + 1, CR_CUTOFF + 2, 1024, 1025, 2048):
         grids = [random_grid(rng, n)] + [analytic_mapped_grid(GridMapping(spec10, beta), n)
                                          for beta in (0.25, 2.0)]
         for g in grids:
@@ -156,24 +161,54 @@ def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
                 assert np.array_equal(solve_tridiagonal(sys), u[1:-1]), (n, lam)
 
 
+# cell counts whose unknowns fall below FUSED_CUTOFF, between the cutoffs,
+# and from CR_CUTOFF on
+REGIMES = (4, FUSED_CUTOFF + 10, CR_CUTOFF + 10)
+
+
 def test_dirichlet_data_must_be_finite():
-    g = uniform_grid(ProblemSpec(1.0, 1.0), 4)
-    for name, args in (("lam", (np.nan, 0.0, 1.0)), ("lam", (np.inf, 0.0, 1.0)),
-                       ("lam", (1e200, 0.0, 1.0)), ("lam", (-2.0**512, 0.0, 1.0)),
-                       ("left_value", (1.0, -np.inf, 1.0)), ("right_value", (1.0, 0.0, np.nan))):
-        for call in (solve_dirichlet, assemble_dirichlet):
-            with pytest.raises(ValueError, match=name):
-                call(g, *args)
+    for n in REGIMES:
+        g = uniform_grid(ProblemSpec(1.0, 1.0), n)
+        for name, args in (("lam", (np.nan, 0.0, 1.0)), ("lam", (np.inf, 0.0, 1.0)),
+                           ("lam", (1e200, 0.0, 1.0)), ("lam", (-2.0**512, 0.0, 1.0)),
+                           ("left_value", (1.0, -np.inf, 1.0)),
+                           ("right_value", (1.0, 0.0, np.nan))):
+            for call in (solve_dirichlet, assemble_dirichlet):
+                with pytest.raises(ValueError, match=name):
+                    call(g, *args)
+        # finite data whose eliminated boundary term overflows
+        for args in ((1.0, 1e308, 1.0), (1.0, 0.0, -1e308)):
+            for call in (solve_dirichlet, assemble_dirichlet):
+                with pytest.raises(ValueError, match="overflow"):
+                    call(g, *args)
 
 
 def test_steps_too_small_for_the_coefficients(spec10):
-    """Steps of 1e-200 make 1/h^2 overflow; both kernels' paths are checked."""
+    """Steps of 1e-200 make 1/h^2 overflow, on all three paths.  Their
+    product underflows to 0, which in Python floats is a division by zero;
+    steps of 1e-160 leave a subnormal product whose reciprocal overflows."""
+    assert 1e-200 * 1e-200 == 0.0 and 1e-160 * 1e-160 > 0.0
     tiny = [0.0, 1e-200, 2e-200, 3e-200, 4e-200]
-    for nodes in ([0.0, 1e-200, 2e-200, 0.5, 1.0], tiny + list(np.linspace(0.0, 1.0, 1001)[1:])):
+    for nodes in ([0.0, 1e-200, 2e-200, 0.5, 1.0], [0.0, 1e-160, 2e-160, 0.5, 1.0],
+                  *(tiny + list(np.linspace(0.0, 1.0, n)[1:]) for n in (FUSED_CUTOFF + 10, 1001))):
         g = Grid(nodes, 1.0)
         for call in (lambda: solve_bvp(g, spec10), lambda: assemble_scheme(g, spec10)):
             with pytest.raises(ValueError, match="too small"):
                 call()
+
+
+def test_scheme_row_underflow_is_rejected():
+    """Steps of 1e300/N make 1/h^2 underflow and lam = 1e-310 makes lam**2
+    underflow: the diagonal is 0.  Each path names the parameters instead
+    of meeting a zero pivot in elimination.  With lam = 1e-152 the diagonal
+    is lam**2 = 1e-304, not 0 but below tridiag.PIVOT_FLOOR."""
+    for spec in (ProblemSpec(lam=1e-310, ell=1e300), ProblemSpec(lam=1e-152, ell=1e300)):
+        for n in (20, *REGIMES):
+            g = uniform_grid(spec, n)
+            for call in (lambda: solve_bvp(g, spec), lambda: assemble_scheme(g, spec),
+                         lambda: solve_dirichlet(g, 0.0, 1.0, 2.0)):
+                with pytest.raises(ValueError, match=rf"ell=1e\+300, n_cells={n}\)"):
+                    call()
 
 
 def test_long_solve_working_set(spec10):
