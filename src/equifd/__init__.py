@@ -7,7 +7,7 @@ distribution controls the scheme's convergence order (second order in
 general, fourth order for the (u_x)^{1/4} monitor).
 """
 
-from .adapt import AdaptiveConfig, AdaptiveResult, adaptive_solve
+from .adapt import AdaptiveConfig, AdaptiveResult, adaptive_solve, adaptive_solve_many
 from .analysis import (
     ConvergenceReport,
     consistency_error,
@@ -63,6 +63,7 @@ __all__ = [
     "ScaledMonitor",
     "TridiagonalSystem",
     "adaptive_solve",
+    "adaptive_solve_many",
     "analytic_mapped_grid",
     "assemble_dirichlet",
     "assemble_scheme",

@@ -15,6 +15,18 @@ which need not admit an exact discrete fixed point) is not fatal: the
 inner solver stops at the first exact cycle at its damping floor, its
 best iterate is taken, the stall is counted in the result, and the outer
 iteration proceeds.
+
+adaptive_solve_many runs the loops of many configs in lockstep, one row
+of a stack of grids per config, so that each numpy call of an outer step
+serves every row: the rows' solution errors come from one np.exp, the
+monitors of all rows with one beta from one power, and one stacked sweep
+loop (equidist.sweep_rows) equidistributes them all.  Each row keeps its
+own damping, best iterate, cycle check, sweep count and tolerances, and
+leaves the stack when it stops, so the others go on as if alone; each
+row's solve is solver._solve_short on the row as a list.  Every result
+is bit for bit that of running its config on its own: the arithmetic of
+every row is the one-config loop's, in the same order.  adaptive_solve
+is the one-config case.
 """
 
 from __future__ import annotations
@@ -23,12 +35,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import max_error
-from .equidist import DAMPING_FLOOR, EquidistributionError, equidistribute
+from .equidist import DAMPING_FLOOR, _checked, sweep_rows
 from .grid import Grid, uniform_grid
-from .monitor import DiscreteGradientMonitor
-from .problem import ProblemSpec, largest, require
-from .solver import DiscreteSolution, solve_bvp
+from .monitor import gradient_weights
+from .problem import ProblemSpec, per_row, require, row_largest, smallest
+from .solver import DiscreteSolution, solve_stack
+
+# not called here; kept because perfbench/tracer.py wraps these names in this module
+from .analysis import max_error  # noqa: F401
+from .equidist import equidistribute  # noqa: F401
+from .solver import solve_bvp  # noqa: F401
 
 
 TRACE_COLUMNS = ["n", "error_norm", "solution_change", "grid_change",
@@ -84,51 +100,124 @@ class AdaptiveResult:
         write_csv(path, TRACE_COLUMNS, cols)
 
 
+class _Run:
+    """One config's place in the lockstep loop and what it has done so far."""
+
+    __slots__ = ("index", "config", "alpha", "beta", "relax", "error", "change", "prev_change",
+                 "history", "stalls")
+
+    def __init__(self, index: int, config: AdaptiveConfig):
+        self.index = index  # the config's place in the caller's list
+        self.config = config
+        self.alpha = float(config.alpha)
+        self.beta = float(config.beta)
+        self.relax = 1.0
+        self.error = self.change = None  # of the current outer step
+        self.prev_change = None
+        self.history = []
+        self.stalls = 0
+
+    def result(self, spec, nodes, values, converged) -> AdaptiveResult:
+        solution = DiscreteSolution(Grid(nodes, spec.ell), values, spec)
+        return AdaptiveResult(solution, len(self.history), self.error, converged, self.history,
+                              self.stalls)
+
+
+def _lookup(x: np.ndarray, breaks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The gradient monitors' weights at the midpoints of the stacked
+    iterates x: each row looks its midpoints up in its own breakpoints.
+
+    As in DiscreteGradientMonitor.interval_values, a row's monitor is
+    piecewise constant over the grid it was built on.  One searchsorted a
+    row keeps each lookup exact; adding row offsets to the floats to
+    search them all at once would round them and move lookups.
+    """
+    mid = 0.5 * (x[:, :-1] + x[:, 1:])
+    if len(x) == 1:  # the same lookup, without stacking a list of rows
+        return _checked(table.take(breaks[0].searchsorted(mid[0], "right")[None]))
+    return _checked(np.array([w[b.searchsorted(m, "right")]
+                              for w, b, m in zip(table, breaks, mid)]))
+
+
+def _monitor_table(runs: list, x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each row's interval weights, with one gradient_weights call per run
+    of rows that share beta (the rows are sorted by beta)."""
+    starts = [0] + [i for i in range(1, len(runs)) if runs[i].beta != runs[i - 1].beta]
+    tables = []
+    for start, stop in zip(starts, starts[1:] + [len(runs)]):
+        alpha = per_row([run.alpha for run in runs[start:stop]])
+        tables.append(gradient_weights(alpha, runs[start].beta, x[start:stop],
+                                       values[start:stop]))
+    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+
+
+def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[AdaptiveResult]:
+    """Run the solve-remesh loop of each config from the uniform grid, all
+    in lockstep; returns one result per config, in their order."""
+    runs = sorted((_Run(i, cfg) for i, cfg in enumerate(configs)), key=lambda run: run.beta)
+    results = [None] * len(runs)
+    x = np.repeat(uniform_grid(spec, n_cells).nodes[None], len(runs), axis=0)
+    prev_values = None
+    n = 0
+    while runs:
+        n += 1
+        values = solve_stack(x, spec.ell, spec.lam, spec.left_bc, spec.right_bc)
+        errors = row_largest(abs(values - np.exp(spec.lam * (x - spec.ell))))
+        if prev_values is None:
+            changes = [np.nan] * len(runs)
+        else:
+            changes = row_largest(abs(values - prev_values))
+        keep = []
+        for i, (run, error, change) in enumerate(zip(runs, errors, changes)):
+            run.error, run.change = error, change
+            if prev_values is not None:
+                if change < run.config.eps:
+                    run.history.append((n, error, change, 0.0, 0, 0, run.relax))
+                    results[run.index] = run.result(spec, x[i], values[i], True)
+                    continue
+                if run.prev_change is not None and change > run.prev_change:
+                    run.relax = max(0.5 * run.relax, DAMPING_FLOOR)
+                run.prev_change = change
+            keep.append(i)
+        if len(keep) < len(runs):
+            if not keep:
+                break
+            runs = [runs[i] for i in keep]
+            x, values = x[keep], values[keep]
+
+        inner = sweep_rows(_lookup, x, (x[:, 1:-1], _monitor_table(runs, x, values)),
+                           [run.config.inner_tol for run in runs],
+                           [run.config.inner_max_iter for run in runs])
+        target = np.array([nodes for nodes, _, _, _ in inner])
+        # exact at the ends: 0 + r*(0 - 0) == 0 and ell + r*(ell - ell) == ell
+        new = x + per_row([run.relax for run in runs]) * (target - x)
+        grid_changes = row_largest(abs(new - x))
+        keep, moved = [], []
+        for i, (run, grid_change, (_, sweeps, _, message)) in enumerate(
+                zip(runs, grid_changes, inner)):
+            stalled = 0 if message is None else 1
+            run.stalls += stalled
+            run.history.append((n, run.error, run.change, grid_change, sweeps, stalled, run.relax))
+            if grid_change < run.config.inner_tol:
+                # stationary grid: the next solve would reproduce this solution
+                results[run.index] = run.result(spec, x[i], values[i], True)
+                continue
+            moved.append(i)
+            if n == run.config.max_outer:
+                results[run.index] = run.result(spec, x[i], values[i], False)
+            else:
+                keep.append(i)
+        # the check of Grid(new[i]): the ends are exact, so this is the strict increase
+        checked = new if len(moved) == len(new) else new[moved]
+        if len(checked) and not smallest(checked[:, 1:] > checked[:, :-1]):
+            raise ValueError("grid nodes must be strictly increasing")
+        x, prev_values = new, values
+        if len(keep) < len(runs):
+            runs = [runs[i] for i in keep]
+            x, prev_values = new[keep], values[keep]
+    return results
+
+
 def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> AdaptiveResult:
     """Run the solve-remesh loop from the uniform grid."""
-    grid = uniform_grid(spec, n_cells)
-    prev_values = None
-    prev_change = None
-    relax = 1.0
-    history = []
-    stalls = 0
-    converged = False
-    for n in range(1, config.max_outer + 1):
-        solution = solve_bvp(grid, spec)
-        error = max_error(solution)
-        change = np.nan
-        if prev_values is not None:
-            change = largest(abs(solution.values - prev_values))
-            if change < config.eps:
-                history.append((n, error, change, 0.0, 0, 0, relax))
-                converged = True
-                break
-            if prev_change is not None and change > prev_change:
-                relax = max(0.5 * relax, DAMPING_FLOOR)
-            prev_change = change
-
-        monitor = DiscreteGradientMonitor.from_solution(config.alpha, config.beta, solution)
-        try:
-            inner = equidistribute(
-                monitor,
-                spec,
-                n_cells,
-                initial=grid,
-                tol=config.inner_tol,
-                max_iter=config.inner_max_iter,
-            )
-            target, sweeps, stalled = inner.grid, inner.iterations, 0
-        except EquidistributionError as err:
-            target, sweeps, stalled = err.grid, err.iterations, 1
-        stalls += stalled
-        # exact at the ends: 0 + r*(0 - 0) == 0 and ell + r*(ell - ell) == ell
-        new_nodes = grid.nodes + relax * (target.nodes - grid.nodes)
-        grid_change = largest(abs(new_nodes - grid.nodes))
-        history.append((n, error, change, grid_change, sweeps, stalled, relax))
-        if grid_change < config.inner_tol:
-            # stationary grid: the next solve would reproduce this solution
-            converged = True
-            break
-        prev_values = solution.values
-        grid = Grid(new_nodes, spec.ell)
-    return AdaptiveResult(solution, n, error, converged, history, stalls)
+    return adaptive_solve_many(spec, n_cells, [config])[0]

@@ -29,6 +29,7 @@ from .experiments import (
     run_table2,
     solve_single,
 )
+from .grid import GridMapping
 from .io import default_output_dir
 from .problem import LAM_MAX, ProblemSpec, require
 
@@ -188,6 +189,13 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: --lambda {args.lam:g} and --ell {args.ell:g}: {err}", file=sys.stderr)
         return 2
+    if getattr(args, "grid", None) == "analytic":
+        try:  # nor the layer width 1/(beta*lam) against ell
+            GridMapping(spec, args.beta).check_layer_width()
+        except ValueError as err:
+            print(f"error: --lambda {args.lam:g}, --ell {args.ell:g} and --beta {args.beta:g}: "
+                  f"{err}", file=sys.stderr)
+            return 2
     try:
         if args.command == "solve":
             sol, converged = solve_single(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapt import AdaptiveConfig, adaptive_solve
+from .adapt import AdaptiveConfig, adaptive_solve, adaptive_solve_many
 from .analysis import ConvergenceReport, refinement_ladder
 from .grid import GridMapping, analytic_mapped_grid
 from .io import write_csv
@@ -87,14 +87,15 @@ def run_table2(
     max_outer: int = 5000,
     csv_path=None,
 ) -> list[SweepCell]:
-    """Adaptive-monitor parameter sweep; non-converged cells are flagged."""
+    """Adaptive-monitor parameter sweep; non-converged cells are flagged.
+
+    All cells run at once, in lockstep (adapt.adaptive_solve_many).
+    """
     spec = spec or ProblemSpec(lam=10.0, ell=1.0)
-    cells = []
-    for alpha in alphas:
-        for beta in betas:
-            cfg = AdaptiveConfig(alpha=alpha, beta=beta, eps=eps, max_outer=max_outer)
-            res = adaptive_solve(spec, n_cells, cfg)
-            cells.append(SweepCell(alpha, beta, res.error_norm, res.outer_iterations, res.converged))
+    configs = [AdaptiveConfig(alpha=alpha, beta=beta, eps=eps, max_outer=max_outer)
+               for alpha in alphas for beta in betas]
+    cells = [SweepCell(cfg.alpha, cfg.beta, res.error_norm, res.outer_iterations, res.converged)
+             for cfg, res in zip(configs, adaptive_solve_many(spec, n_cells, configs))]
     if csv_path is not None:
         write_csv(
             csv_path,

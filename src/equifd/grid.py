@@ -89,6 +89,17 @@ class GridMapping:
     def __post_init__(self):
         require("beta", self.beta, 0.0)
 
+    def check_layer_width(self) -> None:
+        """Raise ValueError if the layer width 1/(beta*lam) is below one ulp
+        of ell: the mapping then rounds every node but x(0) to ell, so no
+        grid it generates has distinct nodes."""
+        spec = self.spec
+        # width < ulp(ell), written without the division, which can overflow
+        if self.beta * spec.lam * math.ulp(spec.ell) > 1.0:
+            raise ValueError(
+                f"the layer width 1/(beta*lam) is below one ulp of ell, so the mapped nodes "
+                f"collapse onto ell (lam={spec.lam}, ell={spec.ell}, beta={self.beta})")
+
     def _decay(self) -> float:
         """e^{-beta*lam*ell}; warns if it underflows to zero."""
         arg = self.beta * self.spec.lam * self.spec.ell
@@ -140,6 +151,7 @@ def uniform_grid(spec: ProblemSpec, n_cells: int) -> Grid:
 def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
     """Grid x_j = x(j/N) from the closed-form mapping, endpoints pinned."""
     require("n_cells", n_cells, 2)
+    mapping.check_layer_width()
     q = np.arange(n_cells + 1) / n_cells
     nodes = np.asarray(mapping.evaluate(q), dtype=float)
     # roundoff (or underflow at q=0) in the log/exp composition must not

@@ -55,6 +55,19 @@ class ExactPowerMonitor(MonitorFunction):
         return exact_derivative(self.spec, mid, 1) ** self.beta
 
 
+def gradient_weights(alpha, beta: float, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Interval weights 1 + alpha*|u_x|^beta of nodal values on their grid.
+
+    The slope of each interval is the difference quotient
+    |u_{k+1} - u_k| / h_{k+1/2}.  nodes and values may be stacks with one
+    grid per row; alpha is then a number or a column of one per row.
+    beta stays one Python float: numpy takes its sqrt and square paths
+    for a scalar 0.5 and 2, whose results differ from those of pow.
+    """
+    slopes = abs(values[..., 1:] - values[..., :-1]) / (nodes[..., 1:] - nodes[..., :-1])
+    return 1.0 + alpha * slopes**beta
+
+
 class DiscreteGradientMonitor(MonitorFunction):
     """1 + alpha*|u_x|^beta with |u_x| taken from a discrete solution.
 
@@ -68,9 +81,8 @@ class DiscreteGradientMonitor(MonitorFunction):
         self.alpha = float(require("alpha", alpha, 0.0))
         self.beta = float(require("beta", beta, 0.0))
         nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        slopes = abs(values[1:] - values[:-1]) / (nodes[1:] - nodes[:-1])
-        self._weights = 1.0 + self.alpha * slopes**self.beta
+        self._weights = gradient_weights(self.alpha, self.beta, nodes,
+                                         np.asarray(values, dtype=float))
         # interior breakpoints only: a query left of the first node or right
         # of the last one lands in the end interval
         self._breaks = nodes[1:-1]

@@ -55,6 +55,25 @@ def smallest(a: np.ndarray):
     return a.item(a.argmin())
 
 
+def row_largest(a: np.ndarray) -> list:
+    """largest of each row of a 2-D array, as a list of Python scalars.
+
+    NaN propagates, and the one difference from largest is again only the
+    sign of a zero.  A single row takes largest itself, since a reduce
+    along an axis costs several times as much even then.
+    """
+    if len(a) == 1:
+        return [largest(a)]
+    return np.maximum.reduce(a, axis=1).tolist()
+
+
+def per_row(values: list):
+    """values, one per row of a stack, as a column that scales each row,
+    or as the number itself for a single row: numpy multiplies by a scalar
+    faster than by a broadcast column, with the same result."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Parameters of the layer problem: 0 < lam < LAM_MAX, finite ell > 0

@@ -27,7 +27,8 @@ The fused loop does the IEEE operations of the other two paths in the
 same order, so all three agree bit for bit at any n.  Where one of the
 numpy path's checks could fail, it returns None and solve_dirichlet
 takes the numpy path, which raises the error; every path thus raises the
-same errors.
+same errors.  solve_stack solves a stack of grids, one per row, the same
+way: it is how the adaptive loop solves all its lockstep rows.
 
 On the numpy path solve_dirichlet owns the arrays it assembles the bands
 into, and the right-hand side goes into the interior of the nodal vector
@@ -110,11 +111,18 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
         diag = np.add(lower, upper, out=hj)
         diag *= -1.0
         diag += lam2
-        left_term = lower[0] * left_value
-        right_term = upper[-1] * right_value
+        # as Python floats, whose sums overflow to inf without a numpy warning
+        left_term = float(lower[0] * left_value)
+        right_term = float(upper[-1] * right_value)
     # diag is >= 0 where finite; written so that NaN fails the check too
-    if not (largest(diag) < math.inf and math.isfinite(left_term) and math.isfinite(right_term)):
+    if not largest(diag) < math.inf:
         raise ValueError("grid steps too small: the scheme's coefficients overflow")
+    # a single unknown takes both terms, (0 - left_term) - right_term, as below
+    if not (math.isfinite(left_term) and math.isfinite(right_term)
+            and (grid.n_cells > 2 or math.isfinite(-left_term - right_term))):
+        raise ValueError(
+            f"Dirichlet data too large for the grid steps: the eliminated boundary terms "
+            f"overflow (left_value={left_value!r}, right_value={right_value!r})")
     d = smallest(diag)
     if d < PIVOT_FLOOR:
         raise ValueError(
@@ -149,6 +157,25 @@ def solve_dirichlet(grid: Grid, lam: float, left_value: float, right_value: floa
     lower, diag, upper, u = _assemble(grid, lam, left_value, right_value)
     solve_in_place(lower, diag, upper, u[1:-1])
     return u
+
+
+def solve_stack(nodes: np.ndarray, ell: float, lam: float, left_value: float,
+                right_value: float) -> np.ndarray:
+    """solve_dirichlet on each row of nodes, a stack of grids on [0, ell],
+    as one stack of nodal values.
+
+    Short rows run _solve_short on the rows as lists, with no Grid built.
+    Where one of them returns None, and for rows from FUSED_CUTOFF on,
+    every row goes through solve_dirichlet, which raises the numpy path's
+    error or returns the same values.
+    """
+    if nodes.shape[1] - 2 < FUSED_CUTOFF:
+        lam2 = float(_checked_lam2(lam, left_value, right_value))
+        left, right = float(left_value), float(right_value)
+        rows = [_solve_short(x, lam2, left, right) for x in nodes.tolist()]
+        if None not in rows:
+            return np.array(rows)
+    return np.array([solve_dirichlet(Grid(x, ell), lam, left_value, right_value) for x in nodes])
 
 
 def _solve_short(x: list, lam2: float, left_value: float, right_value: float):

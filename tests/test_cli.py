@@ -77,6 +77,20 @@ def test_solve_rejects_lambda_ell_overflow(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_solve_rejects_unresolvable_layer(tmp_path, capsys):
+    """The layer width 1/(beta*lam) is below ell's ulp: a usage error naming
+    the three flags, with no warning and no traceback."""
+    out = tmp_path / "x.csv"
+    for command in (["solve", "--n", "20"], ["convergence"]):
+        rc = main([*command, "--lambda", "1e-200", "--ell", "1e300", "--grid", "analytic",
+                   "--beta", "0.25", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lambda 1e-200, --ell 1e+300 and --beta 0.25:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_solve_rejects_underflowing_scheme(tmp_path, capsys):
     """lam**2 and 1/h**2 both underflow, so the scheme's rows are zero."""
     rc = main(["solve", "--lambda", "1e-310", "--ell", "1e300", "--n", "20",

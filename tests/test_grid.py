@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -125,3 +127,20 @@ def test_grid_csv_roundtrip(tmp_path, spec10):
     data = read_csv(path)
     assert list(data) == ["x"]
     assert np.array_equal(data["x"], g.nodes)
+
+
+def test_layer_narrower_than_an_ulp_of_ell_is_rejected():
+    """lam=1e-200, ell=1e300, beta=1/4: the layer width 1/(beta*lam) = 4e200
+    is below ell's ulp, so every mapped node would round to ell.  This is
+    a ValueError naming lam, ell and beta, raised before the underflow of
+    exp(-beta*lam*ell) warns."""
+    mapping = GridMapping(ProblemSpec(1e-200, 1e300), 0.25)
+    with pytest.raises(ValueError, match=r"lam=1e-200, ell=1e\+300, beta=0.25"):
+        analytic_mapped_grid(mapping, 20)
+    # a width of one ulp still resolves the two-cell grid (x(0) underflows,
+    # which is warned about and pinned)
+    ell = 1e300
+    lam = 1.0 / (0.25 * math.ulp(ell))
+    with pytest.warns(RuntimeWarning, match="underflows"):
+        g = analytic_mapped_grid(GridMapping(ProblemSpec(lam, ell), 0.25), 2)
+    assert g.nodes[0] == 0.0 < g.nodes[1] < g.nodes[2] == ell

@@ -183,6 +183,27 @@ def test_dirichlet_data_must_be_finite():
                     call(g, *args)
 
 
+def test_boundary_terms_overflow_names_the_dirichlet_values():
+    """One unknown takes both eliminated boundary terms: two finite terms
+    whose sum overflows are rejected with a ValueError naming the values,
+    not a numpy overflow warning.  So is a single term that overflows from
+    large data on steps of 0.5, on both solve paths."""
+    g = Grid([0.0, 1.0, 2.0], 2.0)
+    for call in (solve_dirichlet, assemble_dirichlet):
+        with pytest.raises(ValueError, match=r"left_value=-1e\+308, right_value=-1e\+308"):
+            call(g, -5.0, -1e308, -1e308)
+    # each term alone is finite and so is their sum: solved as before
+    u = solve_dirichlet(g, -5.0, -1e307, -1e307)
+    assert np.all(np.isfinite(u)) and u[1] == -2e307 / 27.0
+    for n_cells in (4, FUSED_CUTOFF + 10):
+        quarter = Grid(np.linspace(0.0, n_cells / 2, n_cells + 1), n_cells / 2)
+        for args, named in (((1.0, 1e308, 1.0), r"left_value=1e\+308"),
+                            ((1.0, 0.0, -1e308), r"right_value=-1e\+308")):
+            for call in (solve_dirichlet, assemble_dirichlet):
+                with pytest.raises(ValueError, match=named):
+                    call(quarter, *args)
+
+
 def test_steps_too_small_for_the_coefficients(spec10):
     """Steps of 1e-200 make 1/h^2 overflow, on all three paths.  Their
     product underflows to 0, which in Python floats is a division by zero;
