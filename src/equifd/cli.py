@@ -29,7 +29,7 @@ from .experiments import (
     run_table2,
     solve_single,
 )
-from .grid import GridMapping
+from .grid import GridMapping, analytic_mapped_grid
 from .io import default_output_dir
 from .problem import LAM_MAX, ProblemSpec, require
 
@@ -190,11 +190,18 @@ def main(argv=None) -> int:
         print(f"error: --lambda {args.lam:g} and --ell {args.ell:g}: {err}", file=sys.stderr)
         return 2
     if getattr(args, "grid", None) == "analytic":
-        try:  # nor the layer width 1/(beta*lam) against ell
-            GridMapping(spec, args.beta).check_layer_width()
+        mapping = GridMapping(spec, args.beta)
+        lam_ell = f"--lambda {args.lam:g}, --ell {args.ell:g}"
+        flags = f"{lam_ell} and --beta {args.beta:g}"
+        solve = args.command == "solve"
+        n_flag, n_values = ("--n", [args.n]) if solve else ("--n-ladder", args.n_ladder)
+        try:  # nor the layer width 1/(beta*lam) against ell, then against each N
+            mapping.check_layer_width()  # before a grid's underflow warning
+            for n in n_values:
+                flags = f"{lam_ell}, --beta {args.beta:g} and {n_flag} {n}"
+                analytic_mapped_grid(mapping, n)
         except ValueError as err:
-            print(f"error: --lambda {args.lam:g}, --ell {args.ell:g} and --beta {args.beta:g}: "
-                  f"{err}", file=sys.stderr)
+            print(f"error: {flags}: {err}", file=sys.stderr)
             return 2
     try:
         if args.command == "solve":

@@ -154,8 +154,15 @@ def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
     mapping.check_layer_width()
     q = np.arange(n_cells + 1) / n_cells
     nodes = np.asarray(mapping.evaluate(q), dtype=float)
+    spec = mapping.spec
     # roundoff (or underflow at q=0) in the log/exp composition must not
     # move the boundary nodes
     nodes[0] = 0.0
-    nodes[-1] = mapping.spec.ell
-    return Grid(nodes, mapping.spec.ell)
+    nodes[-1] = spec.ell
+    # a width of a few ulps of ell passes check_layer_width, yet neighbours near ell may collide
+    if mapping.beta > 0.0 and not smallest(nodes[1:] > nodes[:-1]):
+        raise ValueError(
+            f"the layer width 1/(beta*lam) spans too few ulps of ell for {n_cells} cells, so "
+            f"mapped nodes collide (lam={spec.lam}, ell={spec.ell}, beta={mapping.beta}, "
+            f"n_cells={n_cells})")
+    return Grid(nodes, spec.ell)

@@ -8,27 +8,21 @@ Interior rows discretize -u'' + lam^2 u = 0 as
 with the Dirichlet values eliminated into the right-hand side.  On a
 uniform grid this reduces to the standard three-point stencil.
 
-solve_dirichlet takes one of three paths by the number of unknowns
-n = N - 1:
+solve_dirichlet (and solve_stack, row by row) takes one of two paths by
+the number of unknowns n = N - 1:
 
-* n < FUSED_CUTOFF: _solve_short makes one pass over the nodes as Python
-  floats.  Each step of the loop forms one row's coefficients and takes
-  the Thomas forward step on it; a back-substitution loop follows.  At
-  table2's N = 20 this takes 6.2 us against 12.5 us for the numpy path,
-  of which ~9 us are the ~20 numpy calls and scalar writes of _assemble.
-  The cost of the loop grows by ~0.3 us a row, faster than that of the
-  whole-array numpy operations, so it stops at the measured crossover
-  (fused/numpy: 23/25 us at n = 80, 45/43 us at n = 160).
-* FUSED_CUTOFF <= n < tridiag.CR_CUTOFF: _assemble, then the Thomas loop
-  of tridiag.solve_in_place.
-* n >= tridiag.CR_CUTOFF: _assemble, then cyclic reduction.
+* n < tridiag.CR_CUTOFF: _solve_short makes one pass over the nodes as
+  Python floats, forming each row's coefficients and taking the Thomas
+  forward step on it, then back-substitutes.  At table2's N = 20 this
+  takes 6.2 us against 12.5 us for _assemble plus Thomas, ~9 us of which
+  are _assemble's numpy calls; from ~110 unknowns on it is slower, by up
+  to a quarter.
+* n >= CR_CUTOFF: _assemble, then cyclic reduction.
 
-The fused loop does the IEEE operations of the other two paths in the
-same order, so all three agree bit for bit at any n.  Where one of the
-numpy path's checks could fail, it returns None and solve_dirichlet
-takes the numpy path, which raises the error; every path thus raises the
-same errors.  solve_stack solves a stack of grids, one per row, the same
-way: it is how the adaptive loop solves all its lockstep rows.
+The loop does the IEEE operations of _assemble and the Thomas kernel in
+the same order, so it agrees with them bit for bit.  Where one of
+_assemble's checks could fail it returns None, and the numpy path (with
+Thomas below the cutoff) raises the error or returns the same values.
 
 On the numpy path solve_dirichlet owns the arrays it assembles the bands
 into, and the right-hand side goes into the interior of the nodal vector
@@ -46,13 +40,8 @@ import numpy as np
 
 from .grid import Grid
 from .problem import LAM_MAX, ProblemSpec, exact_solution, largest, require, smallest
-from .tridiag import PIVOT_FLOOR, TridiagonalSystem, solve_in_place
+from .tridiag import CR_CUTOFF, PIVOT_FLOOR, TridiagonalSystem, solve_in_place
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
-
-# unknowns below which solve_dirichlet runs _solve_short: the crossover
-# with _assemble plus Thomas, measured between 110 and 120 (2.1 GHz Xeon
-# vCPU, Python 3.11, numpy 2.4)
-FUSED_CUTOFF = 112
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,7 @@ def assemble_dirichlet(grid: Grid, lam: float, left_value: float, right_value: f
 
 def solve_dirichlet(grid: Grid, lam: float, left_value: float, right_value: float) -> np.ndarray:
     """Nodal values (boundary rows included) for arbitrary Dirichlet data."""
-    if grid.n_cells - 1 < FUSED_CUTOFF:
+    if grid.n_cells - 1 < CR_CUTOFF:
         lam2 = _checked_lam2(lam, left_value, right_value)
         # as Python floats: numpy scalars would be slower and warn on overflow
         u = _solve_short(grid.nodes.tolist(), float(lam2), float(left_value), float(right_value))
@@ -164,12 +153,10 @@ def solve_stack(nodes: np.ndarray, ell: float, lam: float, left_value: float,
     """solve_dirichlet on each row of nodes, a stack of grids on [0, ell],
     as one stack of nodal values.
 
-    Short rows run _solve_short on the rows as lists, with no Grid built.
-    Where one of them returns None, and for rows from FUSED_CUTOFF on,
-    every row goes through solve_dirichlet, which raises the numpy path's
-    error or returns the same values.
+    Short rows run _solve_short as lists, with no Grid built.  Long rows,
+    or all rows where one returns None, go through solve_dirichlet.
     """
-    if nodes.shape[1] - 2 < FUSED_CUTOFF:
+    if nodes.shape[1] - 2 < CR_CUTOFF:
         lam2 = float(_checked_lam2(lam, left_value, right_value))
         left, right = float(left_value), float(right_value)
         rows = [_solve_short(x, lam2, left, right) for x in nodes.tolist()]
@@ -195,9 +182,7 @@ def _solve_short(x: list, lam2: float, left_value: float, right_value: float):
     in [PIVOT_FLOOR, inf), which covers a diagonal that overflows or
     underflows, since lo * c >= 0 keeps each pivot at most its diagonal;
     a step product that underflows to 0; or a boundary term that
-    overflows, which leaves the last d not finite.  solve_dirichlet then
-    takes the numpy path, which raises its error or returns its own
-    (equal) result.
+    overflows, which leaves the last d not finite.
     """
     ell = x[-1]
     cp = []

@@ -1,12 +1,10 @@
 """Tridiagonal systems and two direct solvers for them.
 
-The finite-difference scheme's linear solves of solver.FUSED_CUTOFF or
-more unknowns go through solve_in_place.  Shorter ones never reach it:
-solver.solve_dirichlet eliminates them in the loop that assembles them,
-with the arithmetic of the Thomas kernel below.  (The frozen-weight grid
-equations have constant flux and are solved by a cumulative sum in
-equidist.)  The systems produced here are diagonally
-dominant M-matrices, so elimination without pivoting is stable.
+The finite-difference scheme's solves of CR_CUTOFF or more unknowns go
+through solve_in_place; solver.solve_dirichlet eliminates shorter ones in
+the loop that assembles them, with the arithmetic of the Thomas kernel
+below.  The systems are diagonally dominant M-matrices, so elimination
+without pivoting is stable.
 
 solve_in_place owns nothing: the caller hands it four arrays of length n,
 the lower band with its first slot unused, the diagonal, the upper band

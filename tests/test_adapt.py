@@ -186,8 +186,9 @@ def test_adaptive_loop_makes_no_ndarray_reductions():
 
 
 def test_adaptive_loop_solves_on_the_fused_path(monkeypatch):
-    """At N=20 every solve is solver._solve_short's one loop: none goes
-    through the numpy assembly or the tridiagonal kernels' entry."""
+    """At N=20, and at N=200 below tridiag.CR_CUTOFF, every solve is
+    solver._solve_short's one loop: none goes through the numpy assembly
+    or the tridiagonal kernels' entry."""
     counts = {"_solve_short": 0, "_assemble": 0, "solve_in_place": 0}
 
     def counted(module, name):
@@ -201,5 +202,9 @@ def test_adaptive_loop_solves_on_the_fused_path(monkeypatch):
     for module, name in ((solver, "_solve_short"), (solver, "_assemble"),
                          (solver, "solve_in_place"), (tridiag, "solve_in_place")):
         counted(module, name)
-    res = adaptive_solve(ProblemSpec(10, 1), 20, AdaptiveConfig(2.0, 0.25))
-    assert counts == {"_solve_short": res.outer_iterations, "_assemble": 0, "solve_in_place": 0}
+    for n_cells in (20, 200):
+        for name in counts:
+            counts[name] = 0
+        res = adaptive_solve(ProblemSpec(10, 1), n_cells, AdaptiveConfig(2.0, 0.25))
+        assert counts == {"_solve_short": res.outer_iterations, "_assemble": 0,
+                          "solve_in_place": 0}, n_cells

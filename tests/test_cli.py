@@ -91,6 +91,23 @@ def test_solve_rejects_unresolvable_layer(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_analytic_grid_rejects_layer_too_thin_for_n(tmp_path, capsys):
+    """--beta 1e14 at lambda 10, ell 1: the layer width 1e-15 is a few ulps
+    of ell, which passes the one-ulp check, but the nodes of N=20, and of
+    the ladder's N=16, collide.  A usage error naming the four flags, with
+    no traceback, after the warning that exp(-beta*lam*ell) underflows."""
+    out = tmp_path / "x.csv"
+    for command, n_flag in ((["solve"], "--n 20"),
+                            (["convergence", "--n-ladder", "2,4,8,16"], "--n-ladder 16")):
+        with pytest.warns(RuntimeWarning, match="underflows"):
+            rc = main([*command, "--grid", "analytic", "--beta", "1e14", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --lambda 10, --ell 1, --beta 1e+14 and {n_flag}: ")
+        assert "n_cells=" + n_flag.split()[1] in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_solve_rejects_underflowing_scheme(tmp_path, capsys):
     """lam**2 and 1/h**2 both underflow, so the scheme's rows are zero."""
     rc = main(["solve", "--lambda", "1e-310", "--ell", "1e300", "--n", "20",

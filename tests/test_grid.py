@@ -144,3 +144,19 @@ def test_layer_narrower_than_an_ulp_of_ell_is_rejected():
     with pytest.warns(RuntimeWarning, match="underflows"):
         g = analytic_mapped_grid(GridMapping(ProblemSpec(lam, ell), 0.25), 2)
     assert g.nodes[0] == 0.0 < g.nodes[1] < g.nodes[2] == ell
+
+
+def test_layer_of_a_few_ulps_of_ell_is_rejected_per_grid():
+    """lam=10, ell=1, beta=1e14: the layer width 1e-15 is ~4.5 ulps of ell,
+    so check_layer_width passes, yet the mapped nodes near ell collide
+    from N=16 on.  analytic_mapped_grid raises a ValueError naming lam,
+    ell, beta and n_cells instead of Grid's node-order error, after
+    exp(-beta*lam*ell) warns that it underflows."""
+    mapping = GridMapping(ProblemSpec(10.0, 1.0), 1e14)
+    mapping.check_layer_width()
+    with pytest.warns(RuntimeWarning, match="underflows"):
+        g = analytic_mapped_grid(mapping, 8)
+        with pytest.raises(ValueError, match=r"layer width .*\(lam=10.0, ell=1.0, "
+                                             r"beta=100000000000000.0, n_cells=20\)"):
+            analytic_mapped_grid(mapping, 20)
+    assert (g.steps > 0.0).all()

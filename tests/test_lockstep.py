@@ -20,7 +20,7 @@ from equifd.adapt import _lookup
 from equifd.equidist import DAMPING_FLOOR, EquidistResult
 from equifd.experiments import TABLE2_ALPHAS, TABLE2_BETAS
 from equifd.problem import largest, smallest
-from equifd.solver import FUSED_CUTOFF
+from equifd.tridiag import CR_CUTOFF
 
 # --- the reference: one config at a time ------------------------------------
 
@@ -244,10 +244,10 @@ def test_mixed_tolerances_and_caps(spec10):
 
 
 def test_past_the_fused_cutoff(spec10):
-    """N=200 solves on the numpy path."""
-    assert 200 - 1 >= FUSED_CUTOFF
+    """N=600 solves on the numpy path, by cyclic reduction."""
+    assert 600 - 1 >= CR_CUTOFF
     configs = [AdaptiveConfig(1.0, 0.5, max_outer=20), AdaptiveConfig(10.0, 0.25, max_outer=12)]
-    assert_batch_matches(spec10, 200, configs)
+    assert_batch_matches(spec10, 600, configs)
 
 
 def test_one_config_is_the_batch_of_one(spec10):

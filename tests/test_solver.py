@@ -18,7 +18,6 @@ from equifd import (
     uniform_grid,
 )
 from equifd.io import read_csv
-from equifd.solver import FUSED_CUTOFF
 from equifd.tridiag import CR_CUTOFF
 from conftest import random_grid
 
@@ -143,12 +142,13 @@ def reference_solve_dirichlet(grid, lam, left_value, right_value):
 
 
 def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
-    """All three paths, on either side of both cutoffs and of powers of two.
+    """Both paths, on either side of the cutoff and of powers of two.
 
-    n cells make n - 1 unknowns: table2's N = 20 and the fused loop's cut
-    with its neighbours are among them."""
+    n cells make n - 1 unknowns.  Among them are table2's N = 20; 111 to
+    113 and 300 unknowns, where the fused loop runs although _assemble
+    plus Thomas would be faster; and CR_CUTOFF - 1, its last size."""
     rng = np.random.default_rng(2048)
-    for n in (2, 3, 19, 20, FUSED_CUTOFF, FUSED_CUTOFF + 1, FUSED_CUTOFF + 2,
+    for n in (2, 3, 19, 20, 112, 113, 114, 301,
               CR_CUTOFF, CR_CUTOFF + 1, CR_CUTOFF + 2, 1024, 1025, 2048):
         grids = [random_grid(rng, n)] + [analytic_mapped_grid(GridMapping(spec10, beta), n)
                                          for beta in (0.25, 2.0)]
@@ -161,9 +161,9 @@ def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
                 assert np.array_equal(solve_tridiagonal(sys), u[1:-1]), (n, lam)
 
 
-# cell counts whose unknowns fall below FUSED_CUTOFF, between the cutoffs,
-# and from CR_CUTOFF on
-REGIMES = (4, FUSED_CUTOFF + 10, CR_CUTOFF + 10)
+# cell counts: short and mid-sized systems, both solved by the fused loop,
+# and unknowns from CR_CUTOFF on
+REGIMES = (4, 122, CR_CUTOFF + 10)
 
 
 def test_dirichlet_data_must_be_finite():
@@ -195,7 +195,7 @@ def test_boundary_terms_overflow_names_the_dirichlet_values():
     # each term alone is finite and so is their sum: solved as before
     u = solve_dirichlet(g, -5.0, -1e307, -1e307)
     assert np.all(np.isfinite(u)) and u[1] == -2e307 / 27.0
-    for n_cells in (4, FUSED_CUTOFF + 10):
+    for n_cells in (4, 122):
         quarter = Grid(np.linspace(0.0, n_cells / 2, n_cells + 1), n_cells / 2)
         for args, named in (((1.0, 1e308, 1.0), r"left_value=1e\+308"),
                             ((1.0, 0.0, -1e308), r"right_value=-1e\+308")):
@@ -205,13 +205,13 @@ def test_boundary_terms_overflow_names_the_dirichlet_values():
 
 
 def test_steps_too_small_for_the_coefficients(spec10):
-    """Steps of 1e-200 make 1/h^2 overflow, on all three paths.  Their
+    """Steps of 1e-200 make 1/h^2 overflow, on both paths.  Their
     product underflows to 0, which in Python floats is a division by zero;
     steps of 1e-160 leave a subnormal product whose reciprocal overflows."""
     assert 1e-200 * 1e-200 == 0.0 and 1e-160 * 1e-160 > 0.0
     tiny = [0.0, 1e-200, 2e-200, 3e-200, 4e-200]
     for nodes in ([0.0, 1e-200, 2e-200, 0.5, 1.0], [0.0, 1e-160, 2e-160, 0.5, 1.0],
-                  *(tiny + list(np.linspace(0.0, 1.0, n)[1:]) for n in (FUSED_CUTOFF + 10, 1001))):
+                  *(tiny + list(np.linspace(0.0, 1.0, n)[1:]) for n in (122, 1001))):
         g = Grid(nodes, 1.0)
         for call in (lambda: solve_bvp(g, spec10), lambda: assemble_scheme(g, spec10)):
             with pytest.raises(ValueError, match="too small"):
