@@ -169,6 +169,16 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _grid_sizes(args) -> tuple:
+    """The flag that sets the command's grid sizes N (None for table1's
+    fixed ladder), and those sizes."""
+    if args.command == "convergence":
+        return "--n-ladder", args.n_ladder
+    if args.command == "table1":
+        return None, LADDER
+    return "--n", [args.n]
+
+
 def _out_path(args, default_name: str) -> Path:
     if args.out is not None:
         return Path(args.out)
@@ -189,20 +199,25 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: --lambda {args.lam:g} and --ell {args.ell:g}: {err}", file=sys.stderr)
         return 2
+    # nor the grid each N starts from: uniform, or for --grid analytic mapped
+    # with the layer width 1/(beta*lam), checked against ell, then against each N
     if getattr(args, "grid", None) == "analytic":
         mapping = GridMapping(spec, args.beta)
         lam_ell = f"--lambda {args.lam:g}, --ell {args.ell:g}"
         flags = f"{lam_ell} and --beta {args.beta:g}"
-        solve = args.command == "solve"
-        n_flag, n_values = ("--n", [args.n]) if solve else ("--n-ladder", args.n_ladder)
-        try:  # nor the layer width 1/(beta*lam) against ell, then against each N
-            mapping.check_layer_width()  # before a grid's underflow warning
-            for n in n_values:
-                flags = f"{lam_ell}, --beta {args.beta:g} and {n_flag} {n}"
-                analytic_mapped_grid(mapping, n)
-        except ValueError as err:
-            print(f"error: {flags}: {err}", file=sys.stderr)
-            return 2
+        grid_flags = f"{lam_ell}, --beta {args.beta:g}"
+    else:
+        mapping = GridMapping(spec)
+        flags = grid_flags = f"--ell {args.ell:g}"
+    n_flag, n_values = _grid_sizes(args)
+    try:
+        mapping.check_layer_width()  # before a grid's underflow warning; beta = 0 passes
+        for n in n_values:
+            flags = f"{grid_flags} and {n_flag} {n}" if n_flag else grid_flags
+            analytic_mapped_grid(mapping, n)
+    except ValueError as err:
+        print(f"error: {flags}: {err}", file=sys.stderr)
+        return 2
     try:
         if args.command == "solve":
             sol, converged = solve_single(

@@ -9,10 +9,11 @@ it says the flux omega * dx is constant, so each sweep is solved by a
 cumulative sum of 1/omega; at the fixed point the discrete
 equidistribution principle omega_{j+1/2} J_{j+1/2} = const holds.
 
-Smooth monitors contract plainly.  Piecewise-constant monitors (the
-solution-adaptive family) make the sweep map discontinuous and it can
-enter a small limit cycle instead of converging; when the displacement
-grows between sweeps the update is therefore progressively damped.
+Piecewise-constant monitors (the solution-adaptive family) make the
+sweep map discontinuous and it can enter a small limit cycle instead of
+converging; when the displacement grows between sweeps the update is
+therefore progressively damped.  A smooth monitor can grow it too: the
+(u_x)^(1/2) one at lam = 10 halves the damping twice.
 Convergence is always measured on the undamped sweep displacement, so a
 converged grid moves less than tol under one more full sweep.
 

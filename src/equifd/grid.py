@@ -145,11 +145,18 @@ def uniform_grid(spec: ProblemSpec, n_cells: int) -> Grid:
     """Equally spaced grid x_j = j*ell/N."""
     require("n_cells", n_cells, 2)
     q = np.arange(n_cells + 1) / n_cells
-    return Grid(q * spec.ell, spec.ell)
+    nodes = q * spec.ell
+    # an ell of a few subnormal steps rounds neighbours together
+    if not smallest(nodes[1:] > nodes[:-1]):
+        raise ValueError(f"ell is too small for {n_cells} distinct steps, so uniform nodes "
+                         f"collide (ell={spec.ell}, n_cells={n_cells})")
+    return Grid(nodes, spec.ell)
 
 
 def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
     """Grid x_j = x(j/N) from the closed-form mapping, endpoints pinned."""
+    if mapping.beta == 0.0:  # x(q) = q*ell, bit for bit
+        return uniform_grid(mapping.spec, n_cells)
     require("n_cells", n_cells, 2)
     mapping.check_layer_width()
     q = np.arange(n_cells + 1) / n_cells
@@ -160,7 +167,7 @@ def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
     nodes[0] = 0.0
     nodes[-1] = spec.ell
     # a width of a few ulps of ell passes check_layer_width, yet neighbours near ell may collide
-    if mapping.beta > 0.0 and not smallest(nodes[1:] > nodes[:-1]):
+    if not smallest(nodes[1:] > nodes[:-1]):
         raise ValueError(
             f"the layer width 1/(beta*lam) spans too few ulps of ell for {n_cells} cells, so "
             f"mapped nodes collide (lam={spec.lam}, ell={spec.ell}, beta={mapping.beta}, "

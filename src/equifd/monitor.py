@@ -9,11 +9,13 @@ monitor 1 + alpha*|u_x|^beta built from a discrete solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemSpec, exact_derivative, require
+from .problem import ProblemSpec, check_domain, require
+from .problem import exact_derivative  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 
 class MonitorFunction:
@@ -42,17 +44,38 @@ class ConstantMonitor(MonitorFunction):
 
 @dataclass(frozen=True)
 class ExactPowerMonitor(MonitorFunction):
-    """(u_x)^beta with the exact derivative, sampled at interval midpoints."""
+    """(u_x)^beta with the exact derivative, sampled at interval midpoints.
+
+    With u_x = lam e^{lam(x - ell)} the power is taken in the exponent,
+    (u_x)^beta = e^{beta lam (x - ell) + beta ln lam}: one exp per interval
+    and no pow.  Its underflow and overflow limits are those of the exact
+    value, so for beta < 1 it stays positive where lam e^{lam(x - ell)}
+    itself underflows to 0.
+    """
 
     spec: ProblemSpec
     beta: float
+    _rate: float = field(init=False, repr=False, compare=False)  # beta*lam
+    _shift: float = field(init=False, repr=False, compare=False)  # beta*ln(lam)
 
     def __post_init__(self):
-        require("beta", self.beta, 0.0)
+        beta = float(require("beta", self.beta, 0.0))
+        lam = float(self.spec.lam)
+        # Python floats overflow to inf here without a numpy warning
+        rate, shift = beta * lam, beta * math.log(lam)
+        if not (math.isfinite(rate) and math.isfinite(shift)):
+            raise ValueError(f"beta*lam and beta*ln(lam) must be finite, "
+                             f"got beta={self.beta}, lam={self.spec.lam}")
+        object.__setattr__(self, "_rate", rate)
+        object.__setattr__(self, "_shift", shift)
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        return exact_derivative(self.spec, mid, 1) ** self.beta
+        y = check_domain(self.spec, 0.5 * (nodes[:-1] + nodes[1:]))
+        # the midpoints become the exponent in place: no temporary per step
+        y -= self.spec.ell
+        y *= self._rate
+        y += self._shift
+        return np.exp(y, out=y)
 
 
 def gradient_weights(alpha, beta: float, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -105,16 +105,18 @@ class ProblemSpec:
         return 1.0 / lam2 if lam2 else math.inf
 
 
-def _check_domain(spec: ProblemSpec, x) -> np.ndarray:
+def check_domain(spec: ProblemSpec, x) -> np.ndarray:
+    """x as a float array; ValueError unless every entry lies in [0, ell]."""
     x = np.asarray(x, dtype=float)
-    if x.size and not smallest((x >= 0.0) & (x <= spec.ell)):  # a NaN x fails too
+    # smallest and largest return the first NaN, which fails both comparisons
+    if x.size and not (0.0 <= smallest(x) and largest(x) <= spec.ell):
         raise ValueError(f"x must lie in [0, {spec.ell}]")
     return x
 
 
 def exact_solution(spec: ProblemSpec, x):
     """Exact solution exp(lam*(x - ell)); scalar in, scalar out."""
-    xv = _check_domain(spec, x)
+    xv = check_domain(spec, x)
     out = np.exp(spec.lam * (xv - spec.ell))
     return float(out) if np.ndim(x) == 0 else out
 
@@ -122,7 +124,7 @@ def exact_solution(spec: ProblemSpec, x):
 def exact_derivative(spec: ProblemSpec, x, order: int = 1):
     """Derivative d^k u / dx^k = lam^k * exp(lam*(x - ell)), 1 <= k <= 5."""
     require("order", order, 1, high=MAX_DERIVATIVE_ORDER + 1)
-    xv = _check_domain(spec, x)
+    xv = check_domain(spec, x)
     try:
         scale = float(spec.lam) ** order  # a Python float raises here, numpy would warn
     except OverflowError:

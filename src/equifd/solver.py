@@ -105,7 +105,8 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
         right_term = float(upper[-1] * right_value)
     # diag is >= 0 where finite; written so that NaN fails the check too
     if not largest(diag) < math.inf:
-        raise ValueError("grid steps too small: the scheme's coefficients overflow")
+        raise ValueError(f"grid steps too small: the scheme's coefficients overflow "
+                         f"(ell={grid.ell}, n_cells={grid.n_cells})")
     # a single unknown takes both terms, (0 - left_term) - right_term, as below
     if not (math.isfinite(left_term) and math.isfinite(right_term)
             and (grid.n_cells > 2 or math.isfinite(-left_term - right_term))):

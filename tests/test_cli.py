@@ -108,6 +108,33 @@ def test_analytic_grid_rejects_layer_too_thin_for_n(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_uniform_nodes_that_collide_are_a_usage_error(tmp_path, capsys):
+    """--ell 5e-324 cannot hold N distinct steps: exit 2 naming --ell and
+    the flag that sets N, with no traceback and no output file."""
+    out = tmp_path / "x.csv"
+    for command, n_flag in ((["solve", "--n", "20"], "--n 20"),
+                            (["solve", "--grid", "equidistributed", "--beta", "0.25"], "--n 20"),
+                            (["adapt", "--alpha", "1", "--beta", "1"], "--n 20"),
+                            (["convergence"], "--n-ladder 10"),
+                            (["error-profile"], "--n 80")):
+        rc = main([*command, "--ell", "5e-324", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --ell 4.94066e-324 and {n_flag}: ")
+        assert "n_cells=" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_solve_rejects_steps_too_small_for_the_scheme(tmp_path, capsys):
+    """--ell 1e-320: the 20 nodes are distinct, but 1/h**2 overflows.  No
+    cheap check of the flags sees this, so it is a run-time error (exit 1);
+    its message names ell and n_cells."""
+    rc = main(["solve", "--ell", "1e-320", "--n", "20", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "coefficients overflow (ell=1e-320, n_cells=20)" in err
+
+
 def test_solve_rejects_underflowing_scheme(tmp_path, capsys):
     """lam**2 and 1/h**2 both underflow, so the scheme's rows are zero."""
     rc = main(["solve", "--lambda", "1e-310", "--ell", "1e300", "--n", "20",
@@ -125,6 +152,17 @@ def test_solve_equidistributed_mode(tmp_path):
     # the numerically equidistributed grid carries an O(h^2) gap to the
     # closed-form one, so the error lands near (not at) the analytic value
     assert np.max(read_csv(out)["abs_error"]) <= 2.0 * 0.883e-6
+
+
+def test_equidistributed_mode_converges_to_a_spurious_grid(tmp_path):
+    """A known defect, pinned as it is: at lambda 100, beta 1/4, N = 200
+    the midpoint-sampled sweeps converge (exit 0) to a grid whose max error
+    is 0.716, where the closed-form grid gives 5.4e-10."""
+    out = tmp_path / "sol.csv"
+    rc = main(["solve", "--grid", "equidistributed", "--beta", "0.25", "--lambda", "100",
+               "--n", "200", "--out", str(out)])
+    assert rc == 0
+    assert np.max(read_csv(out)["abs_error"]) == pytest.approx(0.71623, rel=1e-4)
 
 
 def test_convergence_command(tmp_path, capsys):

@@ -10,9 +10,11 @@ from equifd import (
     GridMapping,
     MonitorFunction,
     MonotonicityError,
+    ProblemSpec,
     analytic_mapped_grid,
     equidist_defect,
     equidistribute,
+    max_error,
     solve_bvp,
     uniform_grid,
 )
@@ -90,6 +92,27 @@ def test_power_quarter_matches_analytic_grid(spec10):
     res40 = equidistribute(ExactPowerMonitor(spec10, 0.25), spec10, 40, tol=1e-12)
     gap40 = np.max(np.abs(res40.grid.nodes - analytic40.nodes))
     assert 0.15 <= gap40 / gap20 <= 0.4  # second-order decay under halving
+
+
+@pytest.mark.parametrize("lam,beta,gap,error,closed_error", [
+    (20.0, 0.5, 0.11383, 1.7456e-4, 1.4928e-5),
+    (100.0, 0.25, 0.21119, 0.71623, 5.3900e-10),
+])
+def test_midpoint_sampling_converges_to_a_spurious_grid(lam, beta, gap, error, closed_error):
+    """A known defect, pinned as it is: once beta*lam is large for N, the
+    wide cells away from the layer see the monitor at their midpoints
+    only, and the sweeps converge silently (defect ~1e-12 to 1e-9) to a
+    grid far from the closed-form one, with a much larger error.  At
+    lam = 10, beta = 1/2 the gap at N = 200 is the O(h^2) 1.1e-3.  A fix
+    of the sampling makes this test fail and replaces it."""
+    spec = ProblemSpec(lam, 1.0)
+    monitor = ExactPowerMonitor(spec, beta)
+    res = equidistribute(monitor, spec, 200)
+    closed = analytic_mapped_grid(GridMapping(spec, beta), 200)
+    assert equidist_defect(res.grid, monitor) < 1e-9
+    assert np.max(np.abs(res.grid.nodes - closed.nodes)) == pytest.approx(gap, rel=1e-4)
+    assert max_error(solve_bvp(res.grid, spec)) == pytest.approx(error, rel=1e-4)
+    assert max_error(solve_bvp(closed, spec)) == pytest.approx(closed_error, rel=1e-4)
 
 
 def test_converged_defect_small(spec10):

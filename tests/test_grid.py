@@ -160,3 +160,26 @@ def test_layer_of_a_few_ulps_of_ell_is_rejected_per_grid():
                                              r"beta=100000000000000.0, n_cells=20\)"):
             analytic_mapped_grid(mapping, 20)
     assert (g.steps > 0.0).all()
+
+
+def test_uniform_nodes_that_collide_are_rejected():
+    """ell = 5e-324 (one subnormal step) cannot hold 20 distinct steps: a
+    ValueError naming ell and n_cells, not Grid's node-order error.  The
+    beta = 0 mapping is the same grid and raises the same error."""
+    spec = ProblemSpec(10.0, 5e-324)
+    with pytest.raises(ValueError, match=r"collide \(ell=5e-324, n_cells=20\)"):
+        uniform_grid(spec, 20)
+    with pytest.raises(ValueError, match=r"collide \(ell=5e-324, n_cells=20\)"):
+        analytic_mapped_grid(GridMapping(spec, 0.0), 20)
+    # ten subnormal steps of ell = 1e-322 (20 subnormal ulps) stay distinct
+    assert (uniform_grid(ProblemSpec(10.0, 1e-322), 10).steps > 0.0).all()
+
+
+@pytest.mark.parametrize("ell", [1.0, 3.7, 1e-3, 1e300])
+@pytest.mark.parametrize("n", [2, 7, 20, 640])
+def test_beta_zero_mapping_is_the_uniform_grid(ell, n):
+    spec = ProblemSpec(1.0, ell)
+    assert np.array_equal(analytic_mapped_grid(GridMapping(spec, 0.0), n).nodes,
+                          GridMapping(spec, 0.0).evaluate(np.arange(n + 1) / n))
+    assert np.array_equal(analytic_mapped_grid(GridMapping(spec, 0.0), n).nodes,
+                          uniform_grid(spec, n).nodes)

@@ -1,14 +1,56 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equifd import (
     ConstantMonitor,
     DiscreteGradientMonitor,
     ExactPowerMonitor,
-    exact_derivative,
+    ProblemSpec,
     solve_bvp,
     uniform_grid,
 )
+
+ORACLE_BETAS = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
+ORACLE_LAMS = (1e-3, 1.0, 10.0, 1e3)
+
+
+def midpoints(nodes):
+    return 0.5 * (nodes[:-1] + nodes[1:])
+
+
+def pow_form(spec, beta, nodes):
+    """ExactPowerMonitor.interval_values as it was before the closed form:
+    exp, a scale multiply by lam, then pow."""
+    with np.errstate(over="ignore"):
+        return (spec.lam * np.exp(spec.lam * (midpoints(nodes) - spec.ell))) ** beta
+
+
+def closed_form(spec, beta, nodes):
+    with np.errstate(over="ignore"):
+        return ExactPowerMonitor(spec, beta).interval_values(nodes)
+
+
+def oracle_misses(spec, beta, mid, values) -> list:
+    """Midpoints where values is off (lam e^{lam(m - ell)})^beta, taken in
+    high precision at the float midpoint m, by more than the rounding bound
+    2*(|beta lam (m - ell)| + |beta ln lam| + 2) * 2^-52 relative (six
+    roundings: ln, two products, difference, sum, exp) plus one subnormal
+    ulp absolute."""
+    misses = []
+    with mpmath.workprec(256):
+        lam = mpmath.mpf(spec.lam)
+        for m, got in zip(mid.tolist(), values.tolist()):
+            exact = (lam * mpmath.exp(lam * (mpmath.mpf(m) - spec.ell))) ** beta
+            bound = 2.0 * (abs(beta * spec.lam * (m - spec.ell))
+                           + abs(beta * math.log(spec.lam)) + 2.0) * 2.0**-52
+            if not abs(mpmath.mpf(got) - exact) <= bound * exact + 2.0**-1074:
+                misses.append((m, got, float(exact)))
+    return misses
 
 
 def test_constant_values(spec10):
@@ -24,8 +66,88 @@ def test_constant_must_be_positive():
 def test_exact_power_midpoint_sampling(spec10):
     g = uniform_grid(spec10, 4)
     vals = ExactPowerMonitor(spec10, 0.25).interval_values(g.nodes)
-    expected = exact_derivative(spec10, g.midpoints, 1) ** 0.25
+    expected = np.exp(0.25 * 10.0 * (g.midpoints - 1.0) + 0.25 * math.log(10.0))
     assert np.array_equal(vals, expected)
+
+
+def oracle_nodes(ell, n=80):
+    """n uniform cells plus n nodes piling up geometrically at ell."""
+    near_ell = ell * (1.0 - np.geomspace(1e-12, 0.5, n))
+    return np.unique(np.concatenate([np.linspace(0.0, ell, n + 1), near_ell]))
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMS)
+@pytest.mark.parametrize("beta", ORACLE_BETAS)
+def test_exact_power_against_oracle(lam, beta):
+    spec = ProblemSpec(lam, 1.0)
+    nodes = oracle_nodes(spec.ell)
+    assert oracle_misses(spec, beta, midpoints(nodes), closed_form(spec, beta, nodes)) == []
+
+
+def frozen_node_sets(ell):
+    rng = np.random.default_rng(2024)
+    yield oracle_nodes(ell, 10)
+    yield ell * np.array([0.0, 0.5, 1.0 - 1e-9, 1.0])
+    for _ in range(3):
+        yield np.sort(rng.uniform(0.0, ell, 8))
+
+
+def test_exact_power_passes_wherever_pow_form_did():
+    """Every node set whose pow-form values are all finite and positive
+    gets finite, positive values within the oracle bound from the closed
+    form too."""
+    checked = 0
+    for lam in (*ORACLE_LAMS, 1e-300, 1e5, 2.0**511):
+        for ell in (1.0, 1e-3):
+            spec = ProblemSpec(lam, ell)
+            for beta in (*ORACLE_BETAS, 8.0):
+                for nodes in frozen_node_sets(ell):
+                    old = pow_form(spec, beta, nodes)
+                    if not (np.isfinite(old).all() and (old > 0.0).all()):
+                        continue
+                    checked += 1
+                    new = closed_form(spec, beta, nodes)
+                    assert np.isfinite(new).all() and (new > 0.0).all()
+                    assert oracle_misses(spec, beta, midpoints(nodes), new) == []
+    assert checked > 100
+
+
+def test_exact_power_positive_where_pow_form_underflowed():
+    """For beta < 1 the closed form stays positive where lam e^{lam(x-ell)}
+    itself underflows to 0: at x = 0.2 for lam = 1e3, e^{-800} = 0."""
+    spec = ProblemSpec(1e3, 1.0)
+    nodes = np.array([0.0, 0.4, 1.0])  # first midpoint 0.2
+    assert pow_form(spec, 0.25, nodes)[0] == 0.0
+    new = ExactPowerMonitor(spec, 0.25).interval_values(nodes)
+    assert new[0] > 0.0
+    assert oracle_misses(spec, 0.25, midpoints(nodes), new) == []
+
+
+def test_exact_power_rejects_nonfinite_exponent_terms():
+    # beta*lam overflows
+    with pytest.raises(ValueError, match=r"beta=1e\+300, lam=10000000000\.0"):
+        ExactPowerMonitor(ProblemSpec(1e10, 1e-20), 1e300)
+    # beta*ln(lam) overflows while beta*lam does not
+    with pytest.raises(ValueError, match=r"beta=1e\+307, lam=1e-300"):
+        ExactPowerMonitor(ProblemSpec(1e-300, 1.0), 1e307)
+
+
+# lam = 10^e spans the small, moderate and layer regimes; x = 1 - t^8 puts
+# many nodes close to ell, where a large lam leaves values that do not underflow
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(log_lam=st.floats(-8.0, 8.0), beta=st.floats(0.0, 8.0),
+       nodes=st.lists(st.floats(0.0, 1.0).map(lambda t: 1.0 - t**8), min_size=2,
+                      max_size=12).map(sorted))
+def test_exact_power_property_against_pow_form(log_lam, beta, nodes):
+    """Wherever the pow form is finite and positive, so is the closed form,
+    within the oracle bound."""
+    spec = ProblemSpec(10.0**log_lam, 1.0)
+    nodes = np.array(nodes)
+    old = pow_form(spec, beta, nodes)
+    new = closed_form(spec, beta, nodes)
+    kept = np.isfinite(old) & (old > 0.0)
+    assert np.isfinite(new[kept]).all() and (new[kept] > 0.0).all()
+    assert oracle_misses(spec, beta, midpoints(nodes)[kept], new[kept]) == []
 
 
 def test_exact_power_beta_zero_is_constant(spec10):

@@ -125,14 +125,15 @@ def test_empty_input_keeps_its_behaviour(spec10):
         largest(np.array([]))
 
 
-@pytest.mark.parametrize("x", [-0.1, 1.1, math.nan])
+@pytest.mark.parametrize("x", [-0.1, -1e-300, 1.0 + 1e-9, 1.1, math.nan])
 def test_domain_errors(spec10, x):
-    with pytest.raises(ValueError):
+    message = r"^x must lie in \[0, 1\.0\]$"
+    with pytest.raises(ValueError, match=message):
         exact_solution(spec10, x)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         exact_derivative(spec10, x, 1)
-    with pytest.raises(ValueError):
-        ExactPowerMonitor(spec10, 0.25).interval_values(np.array([0.0, x, 1.0]))
+    with pytest.raises(ValueError, match=message):
+        ExactPowerMonitor(spec10, 0.25).interval_values(np.array([0.0, 2.0 * x, 0.0]))
 
 
 @pytest.mark.parametrize("order", [0, 6, -1])

@@ -216,6 +216,12 @@ def test_steps_too_small_for_the_coefficients(spec10):
         for call in (lambda: solve_bvp(g, spec10), lambda: assemble_scheme(g, spec10)):
             with pytest.raises(ValueError, match="too small"):
                 call()
+    # ell = 1e-320: distinct uniform nodes, whose error names ell and n_cells
+    spec = ProblemSpec(10.0, 1e-320)
+    g = uniform_grid(spec, 20)
+    for call in (lambda: solve_bvp(g, spec), lambda: assemble_scheme(g, spec)):
+        with pytest.raises(ValueError, match=r"overflow \(ell=1e-320, n_cells=20\)"):
+            call()
 
 
 def test_scheme_row_underflow_is_rejected():
