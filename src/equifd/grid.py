@@ -166,10 +166,14 @@ def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
     # move the boundary nodes
     nodes[0] = 0.0
     nodes[-1] = spec.ell
-    # a width of a few ulps of ell passes check_layer_width, yet neighbours near ell may collide
+    # a width of a few ulps of ell passes check_layer_width, yet neighbours near
+    # ell may collide; so may all nodes where a layer much wider than ell makes
+    # e^{-beta*lam*ell} round to about 1
     if not smallest(nodes[1:] > nodes[:-1]):
-        raise ValueError(
-            f"the layer width 1/(beta*lam) spans too few ulps of ell for {n_cells} cells, so "
-            f"mapped nodes collide (lam={spec.lam}, ell={spec.ell}, beta={mapping.beta}, "
-            f"n_cells={n_cells})")
+        arg = mapping.beta * spec.lam * spec.ell
+        cause = (f"beta*lam*ell = {arg!r} is too small for the mapping to resolve "
+                 f"{n_cells} cells" if arg < 1.0 else
+                 f"the layer width 1/(beta*lam) spans too few ulps of ell for {n_cells} cells")
+        raise ValueError(f"{cause}, so mapped nodes collide (lam={spec.lam}, ell={spec.ell}, "
+                         f"beta={mapping.beta}, n_cells={n_cells})")
     return Grid(nodes, spec.ell)

@@ -11,18 +11,18 @@ uniform grid this reduces to the standard three-point stencil.
 solve_dirichlet (and solve_stack, row by row) takes one of two paths by
 the number of unknowns n = N - 1:
 
-* n < tridiag.CR_CUTOFF: _solve_short makes one pass over the nodes as
-  Python floats, forming each row's coefficients and taking the Thomas
-  forward step on it, then back-substitutes.  At table2's N = 20 this
-  takes 6.2 us against 12.5 us for _assemble plus Thomas, ~9 us of which
-  are _assemble's numpy calls; from ~110 unknowns on it is slower, by up
-  to a quarter.
-* n >= CR_CUTOFF: _assemble, then cyclic reduction.
+* n < CR_CUTOFF: _solve_short makes one pass over the nodes as Python
+  floats, forming each row's coefficients and taking the Thomas forward
+  step on it, then back-substitutes.  At table2's N = 20 this takes
+  6.2 us against 12.5 us for _assemble plus a Thomas loop over Python
+  floats, ~9 us of which are _assemble's numpy calls; from ~110 unknowns
+  on it is slower, by up to a quarter.
+* n >= CR_CUTOFF: _assemble, then cyclic reduction by
+  tridiag.solve_in_place.
 
-The loop does the IEEE operations of _assemble and the Thomas kernel in
-the same order, so it agrees with them bit for bit.  Where one of
-_assemble's checks could fail it returns None, and the numpy path (with
-Thomas below the cutoff) raises the error or returns the same values.
+Where one of _assemble's checks could fail the loop returns None, and
+the numpy path raises the error, or solves the system by cyclic
+reduction like a long one.
 
 On the numpy path solve_dirichlet owns the arrays it assembles the bands
 into, and the right-hand side goes into the interior of the nodal vector
@@ -40,8 +40,14 @@ import numpy as np
 
 from .grid import Grid
 from .problem import LAM_MAX, ProblemSpec, exact_solution, largest, require, smallest
-from .tridiag import CR_CUTOFF, PIVOT_FLOOR, TridiagonalSystem, solve_in_place
+from .tridiag import PIVOT_FLOOR, TridiagonalSystem, solve_in_place
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
+
+# unknowns from which solve_dirichlet assembles and solves by cyclic
+# reduction: near its crossover with _solve_short, which on a uniform grid
+# takes 324 us against 348 at 500 unknowns and 379 against 393 at 576
+# (best of 5, 2-vCPU Xeon, numpy 2.4.6)
+CR_CUTOFF = 576
 
 
 @dataclass(frozen=True)
@@ -169,15 +175,14 @@ def solve_stack(nodes: np.ndarray, ell: float, lam: float, left_value: float,
 def _solve_short(x: list, lam2: float, left_value: float, right_value: float):
     """solve_dirichlet's nodal values as a list, by one loop over the nodes x.
 
-    Each pass forms one row's coefficients as _assemble does and takes
-    the Thomas forward step on it as tridiag._thomas does, with the same
-    IEEE operations in the same order, so the result is the same bit for
-    bit.  The first row's lower coefficient multiplies left_value into its
-    right side, which is the forward step from a row before it with
-    c = 0 and d = left_value; only the last row, at x[-1] = ell, has the
-    right boundary term.  (With a single row the two terms are subtracted
-    from 0 in the other order: (0 - a) - b and (0 - b) - a round alike,
-    signed zeros included.)
+    Each pass forms one row's coefficients as _assemble does, with the
+    same IEEE operations in the same order, and takes the Thomas
+    algorithm's forward step on it.  The first row's lower coefficient
+    multiplies left_value into its right side, which is the forward step
+    from a row before it with c = 0 and d = left_value; only the last row,
+    at x[-1] = ell, has the right boundary term.  (With a single row the
+    two terms are subtracted from 0 in the other order: (0 - a) - b and
+    (0 - b) - a round alike, signed zeros included.)
 
     Returns None where a check of the numpy path could fail: a pivot not
     in [PIVOT_FLOOR, inf), which covers a diagonal that overflows or

@@ -1,10 +1,10 @@
-"""Tridiagonal systems and two direct solvers for them.
+"""Tridiagonal systems and their direct solve by cyclic reduction.
 
-The finite-difference scheme's solves of CR_CUTOFF or more unknowns go
-through solve_in_place; solver.solve_dirichlet eliminates shorter ones in
-the loop that assembles them, with the arithmetic of the Thomas kernel
-below.  The systems are diagonally dominant M-matrices, so elimination
-without pivoting is stable.
+The finite-difference scheme's solves of solver.CR_CUTOFF or more
+unknowns go through solve_in_place; solver.solve_dirichlet eliminates
+shorter ones by the Thomas algorithm in the loop that assembles them.
+The systems are diagonally dominant M-matrices, so elimination without
+pivoting is stable.
 
 solve_in_place owns nothing: the caller hands it four arrays of length n,
 the lower band with its first slot unused, the diagonal, the upper band
@@ -14,17 +14,11 @@ assembles the scheme straight into such arrays, so a long solve makes no
 copy of its bands.  solve_tridiagonal(sys) copies a TridiagonalSystem's
 bands into fresh arrays of that layout and leaves the system unchanged.
 
-solve_in_place picks its kernel by the number of unknowns n:
-
-* n < CR_CUTOFF: the Thomas algorithm, looping over Python floats.  The
-  arithmetic and its order are those of the loop over numpy arrays it
-  replaces, so the results are the same bit for bit; a Python float
-  costs a fraction of a numpy scalar per operation.
-* n >= CR_CUTOFF: odd-even cyclic reduction (Hockney, J. ACM 12, 1965).
-  Each of its log2(n) levels eliminates every other remaining row with
-  whole-array numpy operations, and a back substitution runs the levels
-  in reverse.  Each level costs a fixed ~20 us of numpy calls, so short
-  systems are faster by Thomas; the cutoff is the measured crossover.
+The kernel is odd-even cyclic reduction (Hockney, J. ACM 12, 1965), at
+every n.  Each of its log2(n) levels eliminates every other remaining row
+with whole-array numpy operations, and a back substitution runs the
+levels in reverse.  Each level costs a fixed ~20 us of numpy calls, which
+is why solver.solve_dirichlet keeps short systems to its own loop.
 
 Cyclic reduction carries the row sums s = a + b + c of the remaining
 rows, updates them as s - k_l s_l - k_r s_r, and forms each pivot as
@@ -44,17 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_FLOOR = 1e-300
-# unknowns from which cyclic reduction is faster than the Thomas loop: the
-# crossover measured between 544 and 608 (2.1 GHz Xeon vCPU, numpy 2.4)
-CR_CUTOFF = 576
 
 
 class PivotError(ArithmeticError):
     """Raised when elimination meets a pivot below PIVOT_FLOOR in magnitude.
 
-    index is the row of the original system whose pivot vanished, for
-    either kernel (cyclic reduction meets the pivots in another order
-    than Thomas, so the two may name different rows of one system).
+    index is the row of the original system whose pivot vanished.
+    Cyclic reduction meets the pivots in another order than the Thomas
+    algorithm, so the two may name different rows of one system.
     """
 
     def __init__(self, index: int, pivot: float):
@@ -125,38 +116,11 @@ def solve_in_place(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: 
 
     The four arrays have length n; lower[0] and upper[-1] are not part of
     the system and are set to 0.  On return rhs holds the solution and the
-    others hold what elimination left in them.  Thomas below CR_CUTOFF
-    unknowns, cyclic reduction from there on.
+    others hold what elimination left in them.
     """
     lower[0] = 0.0
     upper[-1] = 0.0
-    if diag.size < CR_CUTOFF:
-        _thomas(lower, diag, upper, rhs)
-    else:
-        _reduce(lower, diag, upper, rhs)
-
-
-def _thomas(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:
-    lower, diag, upper, rhs = (band.tolist() for band in (a, b, c, x))
-    piv = diag[0]
-    if abs(piv) < PIVOT_FLOOR:
-        raise PivotError(0, piv)
-    ci = upper[0] / piv
-    di = rhs[0] / piv
-    cp = [ci]
-    dp = [di]
-    for i in range(1, len(diag)):
-        li = lower[i]
-        piv = diag[i] - li * ci
-        if abs(piv) < PIVOT_FLOOR:
-            raise PivotError(i, piv)
-        ci = upper[i] / piv  # the last row's is never read
-        di = (rhs[i] - li * di) / piv
-        cp.append(ci)
-        dp.append(di)
-    for i in range(len(dp) - 2, -1, -1):
-        dp[i] -= cp[i] * dp[i + 1]
-    x[:] = dp
+    _reduce(lower, diag, upper, rhs)
 
 
 def _reduce(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:

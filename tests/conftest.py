@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from equifd import Grid, ProblemSpec
+from equifd import Grid, PivotError, ProblemSpec
+from equifd.tridiag import PIVOT_FLOOR
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -38,3 +39,29 @@ def table2_cells():
     from equifd.experiments import run_table2
 
     return run_table2()
+
+
+def reference_thomas(sys):
+    """The Thomas loop over numpy arrays that solve_tridiagonal ran before
+    it had cyclic reduction, kept unchanged as the reference for the
+    solver's fused loop."""
+    n = sys.n
+    c = np.empty(n - 1) if n > 1 else np.empty(0)
+    d = np.empty(n)
+    piv = sys.diag[0]
+    if abs(piv) < PIVOT_FLOOR:
+        raise PivotError(0, piv)
+    if n > 1:
+        c[0] = sys.upper[0] / piv
+    d[0] = sys.rhs[0] / piv
+    for i in range(1, n):
+        piv = sys.diag[i] - sys.lower[i - 1] * c[i - 1]
+        if abs(piv) < PIVOT_FLOOR:
+            raise PivotError(i, piv)
+        if i < n - 1:
+            c[i] = sys.upper[i] / piv
+        d[i] = (sys.rhs[i] - sys.lower[i - 1] * d[i - 1]) / piv
+    x = d
+    for i in range(n - 2, -1, -1):
+        x[i] -= c[i] * x[i + 1]
+    return x

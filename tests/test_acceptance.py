@@ -24,7 +24,7 @@ from equifd import (
     solve_tridiagonal,
     uniform_grid,
 )
-from equifd.tridiag import CR_CUTOFF
+from equifd.solver import CR_CUTOFF
 from conftest import random_grid
 
 LADDER = (10, 20, 40, 80, 160, 320, 640)

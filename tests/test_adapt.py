@@ -186,9 +186,9 @@ def test_adaptive_loop_makes_no_ndarray_reductions():
 
 
 def test_adaptive_loop_solves_on_the_fused_path(monkeypatch):
-    """At N=20, and at N=200 below tridiag.CR_CUTOFF, every solve is
+    """At N=20, and at N=200 below solver.CR_CUTOFF, every solve is
     solver._solve_short's one loop: none goes through the numpy assembly
-    or the tridiagonal kernels' entry."""
+    or the tridiagonal kernel's entry."""
     counts = {"_solve_short": 0, "_assemble": 0, "solve_in_place": 0}
 
     def counted(module, name):

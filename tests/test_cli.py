@@ -108,6 +108,24 @@ def test_analytic_grid_rejects_layer_too_thin_for_n(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_analytic_grid_rejects_layer_too_wide_for_ell(tmp_path, capsys):
+    """--ell 1e-15 or 1e-321 at lambda 10, beta 0.25: beta*lam*ell is so
+    small that the mapped nodes collide.  A usage error naming the four
+    flags and that cause, not a thin layer; the uniform grid solves."""
+    out = tmp_path / "x.csv"
+    for ell in ("1e-15", "1e-321"):
+        rc = main(["solve", "--grid", "analytic", "--beta", "0.25", "--n", "20",
+                   "--ell", ell, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --lambda 10, --ell {float(ell):g}, --beta 0.25 and --n 20: "
+                              "beta*lam*ell = ")
+        assert "too small for the mapping to resolve 20 cells" in err
+        assert "layer width" not in err and "Traceback" not in err
+        assert not out.exists()
+    assert main(["solve", "--n", "20", "--ell", "1e-15", "--out", str(out)]) == 0
+
+
 def test_uniform_nodes_that_collide_are_a_usage_error(tmp_path, capsys):
     """--ell 5e-324 cannot hold N distinct steps: exit 2 naming --ell and
     the flag that sets N, with no traceback and no output file."""

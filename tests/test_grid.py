@@ -162,6 +162,22 @@ def test_layer_of_a_few_ulps_of_ell_is_rejected_per_grid():
     assert (g.steps > 0.0).all()
 
 
+def test_layer_too_wide_for_the_mapping_is_rejected_per_grid():
+    """lam=10, beta=1/4 with ell=1e-15 or 1e-321: the layer width 0.4 is
+    far wider than ell, and e^{-beta*lam*ell} rounds to about 1, so the
+    mapped nodes collide.  The error blames beta*lam*ell, not a thin
+    layer; the uniform grid of ell=1e-15 is fine."""
+    for ell in (1e-15, 1e-321):
+        mapping = GridMapping(ProblemSpec(10.0, ell), 0.25)
+        mapping.check_layer_width()
+        with pytest.raises(ValueError, match=r"beta\*lam\*ell = .* too small for the mapping to "
+                                             r"resolve 20 cells") as err:
+            analytic_mapped_grid(mapping, 20)
+        assert f"(lam=10.0, ell={ell}, beta=0.25, n_cells=20)" in str(err.value)
+        assert "layer width" not in str(err.value)
+    assert (uniform_grid(ProblemSpec(10.0, 1e-15), 20).steps > 0.0).all()
+
+
 def test_uniform_nodes_that_collide_are_rejected():
     """ell = 5e-324 (one subnormal step) cannot hold 20 distinct steps: a
     ValueError naming ell and n_cells, not Grid's node-order error.  The

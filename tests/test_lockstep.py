@@ -20,7 +20,7 @@ from equifd.adapt import _lookup
 from equifd.equidist import DAMPING_FLOOR, EquidistResult
 from equifd.experiments import TABLE2_ALPHAS, TABLE2_BETAS
 from equifd.problem import largest, smallest
-from equifd.tridiag import CR_CUTOFF
+from equifd.solver import CR_CUTOFF
 
 # --- the reference: one config at a time ------------------------------------
 

@@ -1,12 +1,18 @@
-"""README.md names the package's code as it is.
+"""README.md and the package's docstrings name the package's code as it is.
 
-Each inline code span that starts with a dotted name whose first part is
-an equifd module (`tridiag.CR_CUTOFF`, `equifd.problem.require`,
-`problem.largest(a) = ...`) must resolve, and where a parenthesised
-number follows a span that is just the name, `tridiag.CR_CUTOFF` (576),
-the name's value must equal it.
+Each inline code span in README.md that starts with a dotted name whose
+first part is an equifd module (`solver.CR_CUTOFF`,
+`equifd.problem.require`, `problem.largest(a) = ...`) must resolve, and
+where a parenthesised number follows a span that is just the name,
+`solver.CR_CUTOFF` (576), the name's value must equal it.
+
+In the docstrings of equifd's modules, classes and functions, every
+dotted name whose first part is one of DOCSTRING_MODULES must resolve.
+grid and monitor are left out: they double as local variable names, as
+in grid.nodes.
 """
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -15,10 +21,14 @@ from pathlib import Path
 import equifd
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(equifd.__path__[0])
 MODULES = {info.name for info in pkgutil.iter_modules(equifd.__path__)}
+DOCSTRING_MODULES = ("adapt", "analysis", "equidist", "experiments", "problem", "solver",
+                     "tridiag")
 # an inline code span, and a number in parentheses right after it
 SPAN = re.compile(r"`([^`]+)`(?:\s+\(([-+0-9.,eE]+)\))?")
 DOTTED = re.compile(r"(?:equifd\.)?(\w+)((?:\.\w+)+)")
+IN_DOCSTRING = re.compile(r"\b(?:equifd\.)?(?:%s)(?:\.\w+)+" % "|".join(DOCSTRING_MODULES))
 
 
 def readme_names():
@@ -33,6 +43,20 @@ def readme_names():
     return found
 
 
+def docstring_names():
+    """(where, dotted name) for each module-qualified name in a docstring."""
+    found = []
+    for module in sorted(MODULES):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node) or ""
+                where = f"{module}.{getattr(node, 'name', '')}".rstrip(".")
+                found.extend((where, name) for name in IN_DOCSTRING.findall(doc))
+    return found
+
+
 def resolve(dotted: str):
     module, *attrs = dotted.removeprefix("equifd.").split(".")
     obj = importlib.import_module(f"equifd.{module}")
@@ -43,7 +67,7 @@ def resolve(dotted: str):
 
 def test_readme_names_resolve():
     found = readme_names()
-    assert ("tridiag.CR_CUTOFF", "tridiag.CR_CUTOFF", "576") in found  # the scan sees them
+    assert ("solver.CR_CUTOFF", "solver.CR_CUTOFF", "576") in found  # the scan sees them
     for dotted, code, number in found:
         try:
             value = resolve(dotted)
@@ -51,3 +75,14 @@ def test_readme_names_resolve():
             raise AssertionError(f"README.md names `{code}`, which equifd lacks") from None
         if number is not None and code == dotted:
             assert value == float(number.replace(",", "")), (dotted, number, value)
+
+
+def test_docstring_names_resolve():
+    found = docstring_names()
+    assert ("tridiag", "solver.CR_CUTOFF") in found  # the scan sees them
+    for where, dotted in found:
+        try:
+            resolve(dotted)
+        except AttributeError:
+            raise AssertionError(f"the docstring of {where} names {dotted}, "
+                                 "which equifd lacks") from None

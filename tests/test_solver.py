@@ -6,6 +6,7 @@ import pytest
 from equifd import (
     Grid,
     GridMapping,
+    PivotError,
     ProblemSpec,
     TridiagonalSystem,
     analytic_mapped_grid,
@@ -18,8 +19,8 @@ from equifd import (
     uniform_grid,
 )
 from equifd.io import read_csv
-from equifd.tridiag import CR_CUTOFF
-from conftest import random_grid
+from equifd.solver import CR_CUTOFF
+from conftest import random_grid, reference_thomas
 
 
 def test_pure_laplacian_row_pattern(spec10):
@@ -127,8 +128,9 @@ def test_values_shape_validated(spec10):
 
 
 def reference_solve_dirichlet(grid, lam, left_value, right_value):
-    """The assembly and solve that solve_dirichlet ran before it assembled
-    into the solver's own arrays, kept unchanged as its reference."""
+    """The assembly that solve_dirichlet ran before it assembled into the
+    solver's own arrays, kept as its reference, with the frozen Thomas loop
+    below the cutoff and cyclic reduction from it on."""
     h = grid.steps
     hj = 0.5 * (h[:-1] + h[1:])
     lower = -1.0 / (hj * h[:-1])
@@ -138,7 +140,8 @@ def reference_solve_dirichlet(grid, lam, left_value, right_value):
     rhs[0] -= lower[0] * left_value
     rhs[-1] -= upper[-1] * right_value
     sys = TridiagonalSystem(lower=lower[1:], diag=diag, upper=upper[:-1], rhs=rhs)
-    return np.concatenate(([left_value], solve_tridiagonal(sys), [right_value]))
+    solve = reference_thomas if sys.n < CR_CUTOFF else solve_tridiagonal
+    return np.concatenate(([left_value], solve(sys), [right_value]))
 
 
 def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
@@ -146,7 +149,8 @@ def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
 
     n cells make n - 1 unknowns.  Among them are table2's N = 20; 111 to
     113 and 300 unknowns, where the fused loop runs although _assemble
-    plus Thomas would be faster; and CR_CUTOFF - 1, its last size."""
+    plus Thomas would be faster; and CR_CUTOFF - 1, its last size.  From
+    the cutoff on, solve_tridiagonal on the assembled system agrees too."""
     rng = np.random.default_rng(2048)
     for n in (2, 3, 19, 20, 112, 113, 114, 301,
               CR_CUTOFF, CR_CUTOFF + 1, CR_CUTOFF + 2, 1024, 1025, 2048):
@@ -157,8 +161,9 @@ def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
                 left, right = rng.uniform(-3, 3, size=2)
                 u = solve_dirichlet(g, lam, left, right)
                 assert np.array_equal(u, reference_solve_dirichlet(g, lam, left, right)), (n, lam)
-                sys = assemble_dirichlet(g, lam, left, right)
-                assert np.array_equal(solve_tridiagonal(sys), u[1:-1]), (n, lam)
+                if n - 1 >= CR_CUTOFF:
+                    sys = assemble_dirichlet(g, lam, left, right)
+                    assert np.array_equal(solve_tridiagonal(sys), u[1:-1]), (n, lam)
 
 
 # cell counts: short and mid-sized systems, both solved by the fused loop,
@@ -236,6 +241,19 @@ def test_scheme_row_underflow_is_rejected():
                          lambda: solve_dirichlet(g, 0.0, 1.0, 2.0)):
                 with pytest.raises(ValueError, match=rf"ell=1e\+300, n_cells={n}\)"):
                     call()
+
+
+def test_declined_short_system_is_eliminated_by_cyclic_reduction():
+    """Steps of 1e145, 1e140 and 1e160 with lam = 0: both diagonals pass
+    tridiag.PIVOT_FLOOR (2e-285 and 2e-300), but the second pivot,
+    2e-300 less the first row's share, falls below it.  The fused loop
+    declines the system, the assembly accepts it, and cyclic reduction
+    meets the small pivot at row 1."""
+    x = [0.0, 1e145, 1e145 + 1e140, 1e145 + 1e140 + 1e160]
+    with pytest.raises(PivotError) as err:
+        solve_dirichlet(Grid(x, x[-1]), 0.0, 1.0, 2.0)
+    assert err.value.index == 1
+    assert 0.0 < err.value.pivot < 1e-300
 
 
 def test_long_solve_working_set(spec10):

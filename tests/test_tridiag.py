@@ -12,11 +12,11 @@ from equifd import (
     solve_tridiagonal,
     uniform_grid,
 )
-from equifd import tridiag
-from equifd.tridiag import CR_CUTOFF, PIVOT_FLOOR
+from equifd.solver import CR_CUTOFF
+from conftest import reference_thomas
 
-# sizes around the kernel cutoff and around powers of two (the reduction's
-# levels change shape there)
+# sizes around the solver's cutoff and around powers of two (the
+# reduction's levels change shape there)
 CR_SIZES = (CR_CUTOFF - 1, CR_CUTOFF, 511, 512, 513, 1023, 1024, 1025, 2047)
 
 
@@ -31,31 +31,6 @@ def random_dominant_system(rng, n):
     diag *= rng.choice([-1.0, 1.0], size=n)
     rhs = rng.uniform(-5.0, 5.0, size=n)
     return TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs)
-
-
-def reference_thomas(sys):
-    """The Thomas loop over numpy arrays that solve_tridiagonal ran before
-    it had two kernels, kept unchanged as the reference for both."""
-    n = sys.n
-    c = np.empty(n - 1) if n > 1 else np.empty(0)
-    d = np.empty(n)
-    piv = sys.diag[0]
-    if abs(piv) < PIVOT_FLOOR:
-        raise PivotError(0, piv)
-    if n > 1:
-        c[0] = sys.upper[0] / piv
-    d[0] = sys.rhs[0] / piv
-    for i in range(1, n):
-        piv = sys.diag[i] - sys.lower[i - 1] * c[i - 1]
-        if abs(piv) < PIVOT_FLOOR:
-            raise PivotError(i, piv)
-        if i < n - 1:
-            c[i] = sys.upper[i] / piv
-        d[i] = (sys.rhs[i] - sys.lower[i - 1] * d[i - 1]) / piv
-    x = d
-    for i in range(n - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
-    return x
 
 
 def reference_cyclic_reduction(sys):
@@ -109,14 +84,6 @@ def reference_cyclic_reduction(sys):
     return x
 
 
-def cyclic_reduction(monkeypatch, sys):
-    """solve_tridiagonal with the reduction at any n: solve_in_place reads
-    the cutoff when it is called."""
-    with monkeypatch.context() as patch:
-        patch.setattr(tridiag, "CR_CUTOFF", 1)
-        return solve_tridiagonal(sys)
-
-
 def test_identity_system():
     sys = TridiagonalSystem(lower=[0, 0], diag=[1, 1, 1], upper=[0, 0], rhs=[3, 5, 7])
     assert np.array_equal(solve_tridiagonal(sys), [3.0, 5.0, 7.0])
@@ -154,16 +121,15 @@ def test_dense_oracle_sweep():
     assert count >= 100
 
 
-def test_residual_bound(monkeypatch):
+def test_residual_bound():
     rng = np.random.default_rng(11)
     for n in [1, 2, 5, 17, 32, *CR_SIZES]:
         sys = random_dominant_system(rng, n)
         norm_a = np.max(np.abs(sys.dense()).sum(axis=1))
-        for kernel, x in (("default", solve_tridiagonal(sys)),
-                          ("reduction", cyclic_reduction(monkeypatch, sys))):
-            resid = np.max(np.abs(sys.matvec(x) - sys.rhs))
-            bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(sys.rhs)))
-            assert resid <= bound, (kernel, n)
+        x = solve_tridiagonal(sys)
+        resid = np.max(np.abs(sys.matvec(x) - sys.rhs))
+        bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(sys.rhs)))
+        assert resid <= bound, n
 
 
 def test_solve_does_not_mutate_input():
@@ -208,34 +174,30 @@ def test_band_length_validation():
 
 
 def test_short_systems_match_reference_bit_for_bit():
-    """Below the cutoff the same arithmetic in the same order: equal results."""
+    """Below the solver's cutoff too, the in-place reduction does the
+    arithmetic of the copying one in the same order: equal results."""
     rng = np.random.default_rng(99)
     for n in range(1, CR_CUTOFF):
         sys = random_dominant_system(rng, n)
-        assert np.array_equal(solve_tridiagonal(sys), reference_thomas(sys)), n
+        assert np.array_equal(solve_tridiagonal(sys), reference_cyclic_reduction(sys)), n
 
 
-def test_long_systems_match_reference_bit_for_bit(monkeypatch):
-    """From the cutoff on, the in-place reduction does the arithmetic of the
-    copying one in the same order: equal results."""
+def test_long_systems_match_reference_bit_for_bit():
+    """From the cutoff on, and around powers of two: equal results."""
     rng = np.random.default_rng(98)
     spec = ProblemSpec(lam=10.0, ell=1.0)
     systems = [random_dominant_system(rng, n) for n in CR_SIZES + (1, 2, 3)]
     systems.append(assemble_scheme(uniform_grid(spec, 4096), spec))
     for sys in systems:
-        expected = reference_cyclic_reduction(sys)
-        assert np.array_equal(cyclic_reduction(monkeypatch, sys), expected), sys.n
-        if sys.n >= CR_CUTOFF:
-            assert np.array_equal(solve_tridiagonal(sys), expected), sys.n
+        assert np.array_equal(solve_tridiagonal(sys), reference_cyclic_reduction(sys)), sys.n
 
 
-def test_cyclic_reduction_matches_dense_oracle(monkeypatch):
+def test_cyclic_reduction_matches_dense_oracle():
     rng = np.random.default_rng(4096)
     for n in CR_SIZES:
         sys = random_dominant_system(rng, n)
         x_dense = np.linalg.solve(sys.dense(), sys.rhs)
-        for x in (solve_tridiagonal(sys), cyclic_reduction(monkeypatch, sys)):
-            assert np.max(np.abs(x - x_dense)) <= 1e-12, n
+        assert np.max(np.abs(solve_tridiagonal(sys) - x_dense)) <= 1e-12, n
 
 
 def _identity_system(n):
