@@ -23,8 +23,9 @@ from .solver import DiscreteSolution, scheme_residual
 
 def max_error(solution: DiscreteSolution) -> float:
     """Max-norm distance to the exact solution at the nodes."""
-    exact = exact_solution(solution.spec, solution.grid.nodes)
-    return largest(abs(solution.values - exact))
+    err = exact_solution(solution.spec, solution.grid.nodes)  # a fresh array, reused
+    np.subtract(solution.values, err, out=err)
+    return largest(np.abs(err, out=err))
 
 
 def convergence_order(error_coarse: float, error_fine: float) -> float:

@@ -42,6 +42,17 @@ class Grid:
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
+    @classmethod
+    def _adopt(cls, nodes: np.ndarray, ell: float) -> "Grid":
+        """Grid that takes over nodes, a fresh array, without a copy or a
+        check: for the grid makers below, which have checked what
+        __post_init__ checks."""
+        nodes.flags.writeable = False
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "nodes", nodes)
+        object.__setattr__(grid, "ell", ell)
+        return grid
+
     @property
     def n_cells(self) -> int:
         """Number of intervals N."""
@@ -119,8 +130,15 @@ class GridMapping:
         if self.beta == 0.0:
             return q * spec.ell
         e = self._decay()
+        # ell + ln(q + (1 - q) e) / (beta lam), built in one array
+        x = np.subtract(1.0, q, out=np.empty(q.shape))
+        x *= e
+        x += q
         with np.errstate(divide="ignore"):
-            return spec.ell + np.log(q + (1.0 - q) * e) / (self.beta * spec.lam)
+            np.log(x, out=x)
+        x /= self.beta * spec.lam
+        x += spec.ell
+        return x if x.ndim else x[()]
 
     def derivative(self, q):
         """Jacobian dx/dq of the mapping."""
@@ -144,13 +162,14 @@ class GridMapping:
 def uniform_grid(spec: ProblemSpec, n_cells: int) -> Grid:
     """Equally spaced grid x_j = j*ell/N."""
     require("n_cells", n_cells, 2)
-    q = np.arange(n_cells + 1) / n_cells
-    nodes = q * spec.ell
+    nodes = np.arange(n_cells + 1, dtype=float)
+    nodes /= n_cells
+    nodes *= spec.ell
     # an ell of a few subnormal steps rounds neighbours together
     if not smallest(nodes[1:] > nodes[:-1]):
         raise ValueError(f"ell is too small for {n_cells} distinct steps, so uniform nodes "
                          f"collide (ell={spec.ell}, n_cells={n_cells})")
-    return Grid(nodes, spec.ell)
+    return Grid._adopt(nodes, spec.ell)
 
 
 def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
@@ -159,8 +178,9 @@ def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
         return uniform_grid(mapping.spec, n_cells)
     require("n_cells", n_cells, 2)
     mapping.check_layer_width()
-    q = np.arange(n_cells + 1) / n_cells
-    nodes = np.asarray(mapping.evaluate(q), dtype=float)
+    q = np.arange(n_cells + 1, dtype=float)
+    q /= n_cells
+    nodes = mapping.evaluate(q)
     spec = mapping.spec
     # roundoff (or underflow at q=0) in the log/exp composition must not
     # move the boundary nodes
@@ -176,4 +196,4 @@ def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
                  f"the layer width 1/(beta*lam) spans too few ulps of ell for {n_cells} cells")
         raise ValueError(f"{cause}, so mapped nodes collide (lam={spec.lam}, ell={spec.ell}, "
                          f"beta={mapping.beta}, n_cells={n_cells})")
-    return Grid(nodes, spec.ell)
+    return Grid._adopt(nodes, spec.ell)

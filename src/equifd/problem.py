@@ -117,7 +117,9 @@ def check_domain(spec: ProblemSpec, x) -> np.ndarray:
 def exact_solution(spec: ProblemSpec, x):
     """Exact solution exp(lam*(x - ell)); scalar in, scalar out."""
     xv = check_domain(spec, x)
-    out = np.exp(spec.lam * (xv - spec.ell))
+    out = np.subtract(xv, spec.ell, out=np.empty(xv.shape))  # one array for the result
+    out *= spec.lam
+    np.exp(out, out=out)
     return float(out) if np.ndim(x) == 0 else out
 
 

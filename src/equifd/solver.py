@@ -24,11 +24,19 @@ Where one of _assemble's checks could fail the loop returns None, and
 the numpy path raises the error, or solves the system by cyclic
 reduction like a long one.
 
+The kernel takes row sums in place of a diagonal, and the scheme's are
+known in closed form: lam^2 in an interior row, and lam^2 less the
+boundary coupling in the first and last rows, whose coupling went into
+the right-hand side.  _assemble hands these to the kernel and forms a
+diagonal only for a check.  Summed back from a diagonal rounded at
+~4/h^2, a row sum would keep an error of eps*4/h^2 against lam^2, which
+floors the error of long solves (README, numerical notes).
+
 On the numpy path solve_dirichlet owns the arrays it assembles the bands
-into, and the right-hand side goes into the interior of the nodal vector
-it returns; tridiag.solve_in_place overwrites them all, leaving the
-solution there.  A long solve thus holds 4.5n doubles: three bands, the
-nodal vector and the kernel's buffer of n/2.
+and row sums into, and the right-hand side goes into the interior of the
+nodal vector it returns; tridiag.solve_in_place overwrites them all,
+leaving the solution there.  A long solve thus holds 4.5n doubles: two
+bands, the row sums, the nodal vector and the kernel's buffer of n/2.
 """
 
 from __future__ import annotations
@@ -48,6 +56,9 @@ from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer
 # takes 324 us against 348 at 500 unknowns and 379 against 393 at 576
 # (best of 5, 2-vCPU Xeon, numpy 2.4.6)
 CR_CUTOFF = 576
+
+# no sum of three terms in [0, _DIAG_TERM_SAFE) overflows
+_DIAG_TERM_SAFE = np.finfo(float).max / 3
 
 
 @dataclass(frozen=True)
@@ -85,13 +96,27 @@ def _checked_lam2(lam: float, left_value: float, right_value: float):
     return lam**2
 
 
-def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
-    """Bands of the scheme, and the nodal vector holding its right-hand side.
+def _diagonal(lower: np.ndarray, upper: np.ndarray, lam2: float, out=None) -> np.ndarray:
+    """The scheme's diagonal -(lower + upper) + lam2, in out if given."""
+    with np.errstate(all="ignore"):  # the caller checks for overflow
+        diag = np.add(lower, upper, out=out)
+        diag *= -1.0
+        diag += lam2
+    return diag
 
-    Returns lower, diag, upper (length N-1) and u (length N+1).  lower[0]
+
+def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
+    """Bands and row sums of the scheme, and the nodal vector holding its
+    right-hand side.
+
+    Returns lower, rowsum, upper (length N-1) and u (length N+1).  lower[0]
     and upper[-1] couple the first and last rows to the boundary nodes:
     their terms are eliminated into the right-hand side, which fills the
-    interior of u, and u's ends hold the Dirichlet values.
+    interior of u, and u's ends hold the Dirichlet values.  The row sums
+    are in closed form: lam**2 in every row, less lower[0] in the first
+    and upper[-1] in the last, whose couplings left the matrix.  The
+    diagonal -(lower + upper) + lam**2 is formed, for a check, only where
+    it might overflow or fall below PIVOT_FLOOR.
     """
     lam2 = _checked_lam2(lam, left_value, right_value)
     h = grid.steps
@@ -103,33 +128,38 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
         del h  # freed before u is allocated
         np.divide(-1.0, lower, out=lower)
         np.divide(-1.0, upper, out=upper)
-        diag = np.add(lower, upper, out=hj)
-        diag *= -1.0
-        diag += lam2
         # as Python floats, whose sums overflow to inf without a numpy warning
         left_term = float(lower[0] * left_value)
         right_term = float(upper[-1] * right_value)
-    # diag is >= 0 where finite; written so that NaN fails the check too
-    if not largest(diag) < math.inf:
-        raise ValueError(f"grid steps too small: the scheme's coefficients overflow "
-                         f"(ell={grid.ell}, n_cells={grid.n_cells})")
+    # the diagonal's three terms are >= 0 (lower and upper may be -inf, not
+    # NaN), so it can overflow only where one of them reaches a third of the
+    # largest float
+    if max(lam2, -smallest(lower), -smallest(upper)) >= _DIAG_TERM_SAFE:
+        if not largest(_diagonal(lower, upper, lam2, out=hj)) < math.inf:
+            raise ValueError(f"grid steps too small: the scheme's coefficients overflow "
+                             f"(ell={grid.ell}, n_cells={grid.n_cells})")
     # a single unknown takes both terms, (0 - left_term) - right_term, as below
     if not (math.isfinite(left_term) and math.isfinite(right_term)
             and (grid.n_cells > 2 or math.isfinite(-left_term - right_term))):
         raise ValueError(
             f"Dirichlet data too large for the grid steps: the eliminated boundary terms "
             f"overflow (left_value={left_value!r}, right_value={right_value!r})")
-    d = smallest(diag)
-    if d < PIVOT_FLOOR:
-        raise ValueError(
-            f"scheme row underflows: diagonal {d!r} below {PIVOT_FLOOR} where lam**2 and "
-            f"1/h**2 underflow (lam={lam}, ell={grid.ell}, n_cells={grid.n_cells})")
+    if lam2 < PIVOT_FLOOR:  # else the diagonal, at least lam**2, passes
+        d = smallest(_diagonal(lower, upper, lam2, out=hj))
+        if d < PIVOT_FLOOR:
+            raise ValueError(
+                f"scheme row underflows: diagonal {d!r} below {PIVOT_FLOOR} where lam**2 and "
+                f"1/h**2 underflow (lam={lam}, ell={grid.ell}, n_cells={grid.n_cells})")
+    rowsum = hj
+    rowsum.fill(lam2)
+    rowsum[0] -= lower[0]
+    rowsum[-1] -= upper[-1]
     u = np.zeros(grid.n_cells + 1)
     u[0] = left_value
     u[-1] = right_value
     u[1] -= left_term
     u[-2] -= right_term
-    return lower, diag, upper, u
+    return lower, rowsum, upper, u
 
 
 def assemble_dirichlet(grid: Grid, lam: float, left_value: float, right_value: float) -> TridiagonalSystem:
@@ -138,8 +168,9 @@ def assemble_dirichlet(grid: Grid, lam: float, left_value: float, right_value: f
     lam = 0 is allowed here (pure second-difference operator, exact for
     affine functions); the ProblemSpec-facing wrappers require lam > 0.
     """
-    lower, diag, upper, u = _assemble(grid, lam, left_value, right_value)
-    return TridiagonalSystem(lower=lower[1:], diag=diag, upper=upper[:-1], rhs=u[1:-1])
+    lower, _, upper, u = _assemble(grid, lam, left_value, right_value)
+    return TridiagonalSystem(lower=lower[1:], diag=_diagonal(lower, upper, lam**2),
+                             upper=upper[:-1], rhs=u[1:-1])
 
 
 def solve_dirichlet(grid: Grid, lam: float, left_value: float, right_value: float) -> np.ndarray:
@@ -150,8 +181,8 @@ def solve_dirichlet(grid: Grid, lam: float, left_value: float, right_value: floa
         u = _solve_short(grid.nodes.tolist(), float(lam2), float(left_value), float(right_value))
         if u is not None:
             return np.array(u)
-    lower, diag, upper, u = _assemble(grid, lam, left_value, right_value)
-    solve_in_place(lower, diag, upper, u[1:-1])
+    lower, rowsum, upper, u = _assemble(grid, lam, left_value, right_value)
+    solve_in_place(lower, rowsum, upper, u[1:-1])
     return u
 
 
@@ -175,14 +206,14 @@ def solve_stack(nodes: np.ndarray, ell: float, lam: float, left_value: float,
 def _solve_short(x: list, lam2: float, left_value: float, right_value: float):
     """solve_dirichlet's nodal values as a list, by one loop over the nodes x.
 
-    Each pass forms one row's coefficients as _assemble does, with the
-    same IEEE operations in the same order, and takes the Thomas
-    algorithm's forward step on it.  The first row's lower coefficient
-    multiplies left_value into its right side, which is the forward step
-    from a row before it with c = 0 and d = left_value; only the last row,
-    at x[-1] = ell, has the right boundary term.  (With a single row the
-    two terms are subtracted from 0 in the other order: (0 - a) - b and
-    (0 - b) - a round alike, signed zeros included.)
+    Each pass forms one row's coefficients as assemble_dirichlet does,
+    with the same IEEE operations in the same order, diagonal included,
+    and takes the Thomas algorithm's forward step on it.  The first row's
+    lower coefficient multiplies left_value into its right side, which is
+    the forward step from a row before it with c = 0 and d = left_value;
+    only the last row, at x[-1] = ell, has the right boundary term.  (With
+    a single row the two terms are subtracted from 0 in the other order:
+    (0 - a) - b and (0 - b) - a round alike, signed zeros included.)
 
     Returns None where a check of the numpy path could fail: a pivot not
     in [PIVOT_FLOOR, inf), which covers a diagonal that overflows or

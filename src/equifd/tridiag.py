@@ -7,12 +7,15 @@ The systems are diagonally dominant M-matrices, so elimination without
 pivoting is stable.
 
 solve_in_place owns nothing: the caller hands it four arrays of length n,
-the lower band with its first slot unused, the diagonal, the upper band
+the lower band with its first slot unused, the row sums, the upper band
 with its last slot unused, and the right-hand side, and it overwrites all
-four, leaving the solution in the right-hand side.  solver.solve_dirichlet
-assembles the scheme straight into such arrays, so a long solve makes no
-copy of its bands.  solve_tridiagonal(sys) copies a TridiagonalSystem's
-bands into fresh arrays of that layout and leaves the system unchanged.
+four, leaving the solution in the right-hand side.  The kernel takes row
+sums in place of the diagonal: solver.solve_dirichlet knows the scheme's
+in closed form and assembles the bands and those row sums straight into
+such arrays, so a long solve makes no copy of its bands and forms no
+diagonal.  solve_tridiagonal(sys), the one place where a diagonal is
+turned into row sums, does so in fresh arrays of that layout and leaves
+the system unchanged.
 
 The kernel is odd-even cyclic reduction (Hockney, J. ACM 12, 1965), at
 every n.  Each of its log2(n) levels eliminates every other remaining row
@@ -28,7 +31,9 @@ subtracts quantities of size 2/h^2 to leave a diagonal excess of size
 lam^2, and the rounding error this cancellation leaves grows with every
 level: it moves the max error of the uniform layer problem at N=40960 by
 18%.  The device is that of Grassmann, Taksar & Heyman (Oper. Res. 33,
-1985) for Markov chains.
+1985) for Markov chains.  The row sums must not come from that
+cancellation either, which is why the kernel takes them in place of the
+diagonal (see solver).
 """
 
 from __future__ import annotations
@@ -103,47 +108,55 @@ class TridiagonalSystem:
 def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     """Solve the system; the input is not mutated.
 
-    The bands are copied into the layout solve_in_place overwrites.
+    The diagonal is turned into row sums diag + lower + upper, in fresh
+    arrays of the layout solve_in_place overwrites.  Raises ValueError
+    where a row sum of the finite bands overflows.
     """
+    a = np.concatenate(([0.0], sys.lower))
+    c = np.concatenate((sys.upper, [0.0]))
+    with np.errstate(over="ignore"):
+        s = sys.diag + a
+        s += c
+    if not np.isfinite(s).all():
+        raise ValueError("the row sums diag + lower + upper overflow")
     rhs = sys.rhs.copy()
-    solve_in_place(np.concatenate(([0.0], sys.lower)), sys.diag.copy(),
-                   np.concatenate((sys.upper, [0.0])), rhs)
+    solve_in_place(a, s, c, rhs)
     return rhs
 
 
-def solve_in_place(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> None:
-    """Solve the system with bands lower[1:], diag, upper[:-1]; overwrites all four.
+def solve_in_place(lower: np.ndarray, rowsum: np.ndarray, upper: np.ndarray,
+                   rhs: np.ndarray) -> None:
+    """Solve the system with bands lower[1:], upper[:-1] and row sums
+    rowsum; overwrites all four.
 
     The four arrays have length n; lower[0] and upper[-1] are not part of
-    the system and are set to 0.  On return rhs holds the solution and the
-    others hold what elimination left in them.
+    the system and are set to 0.  Row i's diagonal is rowsum[i] - lower[i]
+    - upper[i].  On return rhs holds the solution and the others hold what
+    elimination left in them.
     """
     lower[0] = 0.0
     upper[-1] = 0.0
-    _reduce(lower, diag, upper, rhs)
+    _reduce(lower, rowsum, upper, rhs)
 
 
-def _reduce(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:
+def _reduce(a: np.ndarray, s: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:
     """Cyclic reduction with row sums, in place, with a[0] = c[-1] = 0.
 
-    Row i reads a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i], with row sum
-    s[i].  At stride st the rows left are st-1, 2st-1, ... (n // st of
-    them).  The first, third, ... of these are eliminated: each is divided
-    by minus its pivot, which leaves -a/b, -c/b, -s/b and -d/b in its own
-    slots for the back substitution, and is added into its neighbours,
-    which are the rows left at stride 2st.  The row sums take the place
-    of b once the first level's pivots are taken from it, and the right
-    side becomes the solution, so besides the four arrays the only
-    storage is one buffer of n/2.  (Negated slots need no negation of the
-    kept rows' a and c, and np.negative is avoided: in numpy 2.4.6 it
-    writes wrong values into an output view with a stride of 8 elements.)
+    Row i reads a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i], and is given
+    by a, c and its row sum s[i] = a[i] + b[i] + c[i]; its pivot is
+    s - a - c at every level, the first included.  At stride st the rows
+    left are st-1, 2st-1, ... (n // st of them).  The first, third, ... of
+    these are eliminated: each is divided by minus its pivot, which leaves
+    -a/b, -c/b, -s/b and -d/b in its own slots for the back substitution,
+    and is added into its neighbours, which are the rows left at stride
+    2st.  The right side becomes the solution, so besides the four arrays
+    the only storage is one buffer of n/2.  (Negated slots need no
+    negation of the kept rows' a and c, and np.negative is avoided: in
+    numpy 2.4.6 it writes wrong values into an output view with a stride
+    of 8 elements.)
     """
-    n = b.size
+    n = s.size
     buf = np.empty((n + 1) // 2)
-    np.multiply(b[::2], -1.0, out=buf)  # minus the first level's pivots
-    s = b
-    s += a
-    s += c
     st = 1
     while 2 * st <= n:
         e = slice(st - 1, None, 2 * st)
@@ -152,9 +165,8 @@ def _reduce(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:
         ak, ck, sk, xk = a[k], c[k], s[k], x[k]
         nk, r = ak.size, ae.size - 1  # rows kept; of them, rows with a right neighbour
         nb = buf[: ae.size]  # minus the pivots: a - s + c, all terms <= 0 for an M-matrix
-        if st > 1:
-            np.subtract(ae, se, out=nb)
-            nb += ce
+        np.subtract(ae, se, out=nb)
+        nb += ce
         if nb.max() > -PIVOT_FLOOR:  # not all pivots positive: find any small one
             small = np.abs(nb) < PIVOT_FLOOR
             if small.any():

@@ -20,6 +20,7 @@ from equifd import (
 )
 from equifd.io import read_csv
 from equifd.solver import CR_CUTOFF
+from equifd.tridiag import solve_in_place
 from conftest import random_grid, reference_thomas
 
 
@@ -129,19 +130,26 @@ def test_values_shape_validated(spec10):
 
 def reference_solve_dirichlet(grid, lam, left_value, right_value):
     """The assembly that solve_dirichlet ran before it assembled into the
-    solver's own arrays, kept as its reference, with the frozen Thomas loop
-    below the cutoff and cyclic reduction from it on."""
+    solver's own arrays, kept as its reference: below the cutoff, the
+    system with its diagonal and the frozen Thomas loop; from it on, the
+    bands with the scheme's row sums in closed form and cyclic reduction."""
     h = grid.steps
     hj = 0.5 * (h[:-1] + h[1:])
     lower = -1.0 / (hj * h[:-1])
     upper = -1.0 / (hj * h[1:])
-    diag = -(lower + upper) + lam**2
     rhs = np.zeros(grid.n_cells - 1)
     rhs[0] -= lower[0] * left_value
     rhs[-1] -= upper[-1] * right_value
-    sys = TridiagonalSystem(lower=lower[1:], diag=diag, upper=upper[:-1], rhs=rhs)
-    solve = reference_thomas if sys.n < CR_CUTOFF else solve_tridiagonal
-    return np.concatenate(([left_value], solve(sys), [right_value]))
+    if rhs.size < CR_CUTOFF:
+        diag = -(lower + upper) + lam**2
+        sys = TridiagonalSystem(lower=lower[1:], diag=diag, upper=upper[:-1], rhs=rhs)
+        rhs = reference_thomas(sys)
+    else:
+        rowsum = np.full(rhs.size, lam**2)
+        rowsum[0] -= lower[0]
+        rowsum[-1] -= upper[-1]
+        solve_in_place(lower, rowsum, upper, rhs)
+    return np.concatenate(([left_value], rhs, [right_value]))
 
 
 def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
@@ -149,8 +157,15 @@ def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
 
     n cells make n - 1 unknowns.  Among them are table2's N = 20; 111 to
     113 and 300 unknowns, where the fused loop runs although _assemble
-    plus Thomas would be faster; and CR_CUTOFF - 1, its last size.  From
-    the cutoff on, solve_tridiagonal on the assembled system agrees too."""
+    plus Thomas would be faster; and CR_CUTOFF - 1, its last size.
+
+    From the cutoff on, solve_tridiagonal on the assembled system, which
+    sums its row sums from the rounded diagonal, agrees within the
+    dense-LU oracle's 1e-12 at lam = 10.  At lam = 0 those row sums keep
+    eps*4/h^2 where the closed form has 0, and the system is too
+    ill-conditioned for an absolute bound (dense LU misses the affine
+    solution by up to 2.6e-10 on the beta = 2 grids): the solution then
+    meets the assembled system's residual bound of tridiag's tests."""
     rng = np.random.default_rng(2048)
     for n in (2, 3, 19, 20, 112, 113, 114, 301,
               CR_CUTOFF, CR_CUTOFF + 1, CR_CUTOFF + 2, 1024, 1025, 2048):
@@ -163,7 +178,14 @@ def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
                 assert np.array_equal(u, reference_solve_dirichlet(g, lam, left, right)), (n, lam)
                 if n - 1 >= CR_CUTOFF:
                     sys = assemble_dirichlet(g, lam, left, right)
-                    assert np.array_equal(solve_tridiagonal(sys), u[1:-1]), (n, lam)
+                    x = u[1:-1]
+                    if lam:
+                        assert np.max(np.abs(solve_tridiagonal(sys) - x)) <= 1e-12, n
+                    else:
+                        norm_a = sys.diag - np.append(0.0, sys.lower) - np.append(sys.upper, 0.0)
+                        norm_a = np.max(norm_a)  # the off-diagonal bands are < 0
+                        bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(sys.rhs)))
+                        assert np.max(np.abs(sys.matvec(x) - sys.rhs)) <= bound, n
 
 
 # cell counts: short and mid-sized systems, both solved by the fused loop,
@@ -212,7 +234,8 @@ def test_boundary_terms_overflow_names_the_dirichlet_values():
 def test_steps_too_small_for_the_coefficients(spec10):
     """Steps of 1e-200 make 1/h^2 overflow, on both paths.  Their
     product underflows to 0, which in Python floats is a division by zero;
-    steps of 1e-160 leave a subnormal product whose reciprocal overflows."""
+    steps of 1e-160 leave a subnormal product whose reciprocal overflows;
+    steps of 1e-154 leave finite bands whose diagonal overflows."""
     assert 1e-200 * 1e-200 == 0.0 and 1e-160 * 1e-160 > 0.0
     tiny = [0.0, 1e-200, 2e-200, 3e-200, 4e-200]
     for nodes in ([0.0, 1e-200, 2e-200, 0.5, 1.0], [0.0, 1e-160, 2e-160, 0.5, 1.0],
@@ -221,6 +244,20 @@ def test_steps_too_small_for_the_coefficients(spec10):
         for call in (lambda: solve_bvp(g, spec10), lambda: assemble_scheme(g, spec10)):
             with pytest.raises(ValueError, match="too small"):
                 call()
+    # uniform steps of 1e-154 leave both bands finite, about -1e308, while the
+    # diagonal -(lower + upper) + lam**2 overflows; on steps of 1.5e-154 the
+    # bands stay below a third of the largest float and lam**2 = 1.44e308
+    # makes it overflow: a check on the bands alone would let both through
+    for lam, step in ((10.0, 1e-154), (1.2e154, 1.5e-154)):
+        for n in (20, 700):
+            spec = ProblemSpec(lam, n * step)
+            g = uniform_grid(spec, n)
+            h = g.steps
+            hj = 0.5 * (h[:-1] + h[1:])
+            assert np.all(np.isfinite(1.0 / (hj * h[:-1]))) and np.all(np.isfinite(1.0 / (hj * h[1:])))
+            for call in (lambda: solve_bvp(g, spec), lambda: assemble_scheme(g, spec)):
+                with pytest.raises(ValueError, match=r"too small: the scheme's coefficients overflow"):
+                    call()
     # ell = 1e-320: distinct uniform nodes, whose error names ell and n_cells
     spec = ProblemSpec(10.0, 1e-320)
     g = uniform_grid(spec, 20)
@@ -254,6 +291,20 @@ def test_declined_short_system_is_eliminated_by_cyclic_reduction():
         solve_dirichlet(Grid(x, x[-1]), 0.0, 1.0, 2.0)
     assert err.value.index == 1
     assert 0.0 < err.value.pivot < 1e-300
+
+
+def test_long_ladder_keeps_its_orders(spec10):
+    """The closed-form row sums leave the long solves none of the error
+    eps*4/h^2 that row sums summed from a rounded diagonal carry: beta =
+    1/4 stays at the roundoff floor of 1e-14 from N=2560 to 81920 (summed
+    row sums gave 5.3e-13 to 5.1e-11), and the uniform grid keeps its
+    second-order constant N^2 err from N=40960 to 81920 (they gave 7.88
+    against 1.533)."""
+    quarter = GridMapping(spec10, 0.25)
+    for n in (2560, 5120, 10240, 20480, 40960, 81920):
+        assert max_error(solve_bvp(analytic_mapped_grid(quarter, n), spec10)) <= 1e-14, n
+    c = [n * n * max_error(solve_bvp(uniform_grid(spec10, n), spec10)) for n in (40960, 81920)]
+    assert abs(c[1] / c[0] - 1.0) <= 0.005
 
 
 def test_long_solve_working_set(spec10):

@@ -35,8 +35,9 @@ def random_dominant_system(rng, n):
 
 def reference_cyclic_reduction(sys):
     """Cyclic reduction as it ran on copies of a system's bands, with the
-    row sums in an array of their own, kept unchanged as the reference for
-    the in-place kernel."""
+    row sums in an array of their own, kept as the reference for the
+    in-place kernel.  Every level, the first included, forms its pivots
+    from the row sums."""
     n = sys.n
     a = np.concatenate(([0.0], sys.lower))
     c = np.concatenate((sys.upper, [0.0]))
@@ -52,11 +53,8 @@ def reference_cyclic_reduction(sys):
         ak, ck, sk, xk = a[k], c[k], s[k], x[k]
         nk, r = ak.size, ae.size - 1
         nb = buf[: ae.size]
-        if st == 1:
-            np.multiply(sys.diag[e], -1.0, out=nb)
-        else:
-            np.subtract(ae, se, out=nb)
-            nb += ce
+        np.subtract(ae, se, out=nb)
+        nb += ce
         for band in (ae, ce, se, xe):
             band /= nb
         t = buf[:nk]
@@ -157,6 +155,15 @@ def test_zero_pivot_during_elimination():
     with pytest.raises(PivotError) as err:
         solve_tridiagonal(sys)
     assert err.value.index == 1
+
+
+def test_row_sums_that_overflow_are_rejected():
+    """Finite bands whose row sums diag + lower + upper overflow are
+    rejected by name, not solved into NaN (the dense solve gives 4e-309
+    for each entry)."""
+    sys = TridiagonalSystem(lower=[1e308], diag=[1.5e308, 1.5e308], upper=[1e308], rhs=[1, 1])
+    with pytest.raises(ValueError, match=r"row sums diag \+ lower \+ upper overflow"):
+        solve_tridiagonal(sys)
 
 
 def test_band_length_validation():
