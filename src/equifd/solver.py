@@ -27,8 +27,8 @@ reduction like a long one.
 The kernel takes row sums in place of a diagonal, and the scheme's are
 known in closed form: lam^2 in an interior row, and lam^2 less the
 boundary coupling in the first and last rows, whose coupling went into
-the right-hand side.  _assemble hands these to the kernel and forms a
-diagonal only for a check.  Summed back from a diagonal rounded at
+the right-hand side.  _assemble hands these to the kernel, and forms
+the diagonal only to check it.  Summed back from a diagonal rounded at
 ~4/h^2, a row sum would keep an error of eps*4/h^2 against lam^2, which
 floors the error of long solves (README, numerical notes).
 
@@ -56,9 +56,6 @@ from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer
 # takes 324 us against 348 at 500 unknowns and 379 against 393 at 576
 # (best of 5, 2-vCPU Xeon, numpy 2.4.6)
 CR_CUTOFF = 576
-
-# no sum of three terms in [0, _DIAG_TERM_SAFE) overflows
-_DIAG_TERM_SAFE = np.finfo(float).max / 3
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,9 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
     interior of u, and u's ends hold the Dirichlet values.  The row sums
     are in closed form: lam**2 in every row, less lower[0] in the first
     and upper[-1] in the last, whose couplings left the matrix.  The
-    diagonal -(lower + upper) + lam**2 is formed, for a check, only where
-    it might overflow or fall below PIVOT_FLOOR.
+    diagonal -(lower + upper) + lam**2 is formed only to be checked for
+    overflow and for a row below PIVOT_FLOOR, in the buffer the row sums
+    then fill.
     """
     lam2 = _checked_lam2(lam, left_value, right_value)
     h = grid.steps
@@ -131,26 +129,23 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
         # as Python floats, whose sums overflow to inf without a numpy warning
         left_term = float(lower[0] * left_value)
         right_term = float(upper[-1] * right_value)
-    # the diagonal's three terms are >= 0 (lower and upper may be -inf, not
-    # NaN), so it can overflow only where one of them reaches a third of the
-    # largest float
-    if max(lam2, -smallest(lower), -smallest(upper)) >= _DIAG_TERM_SAFE:
-        if not largest(_diagonal(lower, upper, lam2, out=hj)) < math.inf:
-            raise ValueError(f"grid steps too small: the scheme's coefficients overflow "
-                             f"(ell={grid.ell}, n_cells={grid.n_cells})")
+    diag = _diagonal(lower, upper, lam2, out=hj)
+    # diag is >= 0 where finite; written so that NaN fails the check too
+    if not largest(diag) < math.inf:
+        raise ValueError(f"grid steps too small: the scheme's coefficients overflow "
+                         f"(ell={grid.ell}, n_cells={grid.n_cells})")
     # a single unknown takes both terms, (0 - left_term) - right_term, as below
     if not (math.isfinite(left_term) and math.isfinite(right_term)
             and (grid.n_cells > 2 or math.isfinite(-left_term - right_term))):
         raise ValueError(
             f"Dirichlet data too large for the grid steps: the eliminated boundary terms "
             f"overflow (left_value={left_value!r}, right_value={right_value!r})")
-    if lam2 < PIVOT_FLOOR:  # else the diagonal, at least lam**2, passes
-        d = smallest(_diagonal(lower, upper, lam2, out=hj))
-        if d < PIVOT_FLOOR:
-            raise ValueError(
-                f"scheme row underflows: diagonal {d!r} below {PIVOT_FLOOR} where lam**2 and "
-                f"1/h**2 underflow (lam={lam}, ell={grid.ell}, n_cells={grid.n_cells})")
-    rowsum = hj
+    d = smallest(diag)
+    if d < PIVOT_FLOOR:
+        raise ValueError(
+            f"scheme row underflows: diagonal {d!r} below {PIVOT_FLOOR} where lam**2 and "
+            f"1/h**2 underflow (lam={lam}, ell={grid.ell}, n_cells={grid.n_cells})")
+    rowsum = diag  # the diagonal's buffer, no longer needed
     rowsum.fill(lam2)
     rowsum[0] -= lower[0]
     rowsum[-1] -= upper[-1]

@@ -12,10 +12,10 @@ with its last slot unused, and the right-hand side, and it overwrites all
 four, leaving the solution in the right-hand side.  The kernel takes row
 sums in place of the diagonal: solver.solve_dirichlet knows the scheme's
 in closed form and assembles the bands and those row sums straight into
-such arrays, so a long solve makes no copy of its bands and forms no
-diagonal.  solve_tridiagonal(sys), the one place where a diagonal is
-turned into row sums, does so in fresh arrays of that layout and leaves
-the system unchanged.
+such arrays, so a long solve makes no copy of its bands and sums no row
+sums from a rounded diagonal.  solve_tridiagonal(sys), the one place
+where a diagonal is turned into row sums, does so in fresh arrays of
+that layout and leaves the system unchanged.
 
 The kernel is odd-even cyclic reduction (Hockney, J. ACM 12, 1965), at
 every n.  Each of its log2(n) levels eliminates every other remaining row
@@ -111,6 +111,12 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     The diagonal is turned into row sums diag + lower + upper, in fresh
     arrays of the layout solve_in_place overwrites.  Raises ValueError
     where a row sum of the finite bands overflows.
+
+    The system must be diagonally dominant.  The kernel recovers every
+    pivot, the first level's included, as rowsum - lower - upper, and
+    where |lower| + |upper| dwarfs |diag| that difference loses the
+    diagonal to cancellation: lower = upper = [1e17] with diag = [1, 1]
+    recovers a first pivot of 0 and raises PivotError.
     """
     a = np.concatenate(([0.0], sys.lower))
     c = np.concatenate((sys.upper, [0.0]))

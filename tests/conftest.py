@@ -65,3 +65,50 @@ def reference_thomas(sys):
     for i in range(n - 2, -1, -1):
         x[i] -= c[i] * x[i + 1]
     return x
+
+
+def reference_row_sum_reduction(lower, rowsum, upper, rhs):
+    """Cyclic reduction as it ran on copies of a system's bands, with the
+    row sums in an array of their own, kept as the reference for the
+    in-place kernel.  Takes the kernel's layout, the bands of length n with
+    lower[0] and upper[-1] unused, and leaves its arguments unchanged.
+    Every level, the first included, forms its pivots from the row sums."""
+    n = rowsum.size
+    a, s, c, x = lower.copy(), rowsum.copy(), upper.copy(), rhs.copy()
+    a[0] = c[-1] = 0.0
+    buf = np.empty((n + 1) // 2)
+    st = 1
+    while 2 * st <= n:
+        e = slice(st - 1, None, 2 * st)
+        k = slice(2 * st - 1, None, 2 * st)
+        ae, ce, se, xe = a[e], c[e], s[e], x[e]
+        ak, ck, sk, xk = a[k], c[k], s[k], x[k]
+        nk, r = ak.size, ae.size - 1
+        nb = buf[: ae.size]
+        np.subtract(ae, se, out=nb)
+        nb += ce
+        for band in (ae, ce, se, xe):
+            band /= nb
+        t = buf[:nk]
+        for kept, elim in ((sk, se), (xk, xe)):
+            np.multiply(ak, elim[:nk], out=t)
+            kept += t
+            np.multiply(ck[:r], elim[1:], out=t[:r])
+            kept[:r] += t[:r]
+        ak *= ae[:nk]
+        ck[:r] *= ce[1:]
+        st *= 2
+    i = st - 1
+    x[i] /= s[i]
+    while st > 1:
+        st //= 2
+        e = slice(st - 1, None, 2 * st)
+        ae, ce, xe, xk = a[e], c[e], x[e], x[2 * st - 1 :: 2 * st]
+        t = buf[: xe.size - 1]
+        np.multiply(ae[1:], xk[: t.size], out=t)
+        np.subtract(t, xe[1:], out=xe[1:])
+        xe[0] = -xe[0]
+        t = buf[: xk.size]
+        np.multiply(ce[: t.size], xk, out=t)
+        xe[: t.size] += t
+    return x

@@ -20,8 +20,7 @@ from equifd import (
 )
 from equifd.io import read_csv
 from equifd.solver import CR_CUTOFF
-from equifd.tridiag import solve_in_place
-from conftest import random_grid, reference_thomas
+from conftest import random_grid, reference_row_sum_reduction, reference_thomas
 
 
 def test_pure_laplacian_row_pattern(spec10):
@@ -132,7 +131,8 @@ def reference_solve_dirichlet(grid, lam, left_value, right_value):
     """The assembly that solve_dirichlet ran before it assembled into the
     solver's own arrays, kept as its reference: below the cutoff, the
     system with its diagonal and the frozen Thomas loop; from it on, the
-    bands with the scheme's row sums in closed form and cyclic reduction."""
+    bands with the scheme's row sums in closed form and the frozen cyclic
+    reduction."""
     h = grid.steps
     hj = 0.5 * (h[:-1] + h[1:])
     lower = -1.0 / (hj * h[:-1])
@@ -148,7 +148,7 @@ def reference_solve_dirichlet(grid, lam, left_value, right_value):
         rowsum = np.full(rhs.size, lam**2)
         rowsum[0] -= lower[0]
         rowsum[-1] -= upper[-1]
-        solve_in_place(lower, rowsum, upper, rhs)
+        rhs = reference_row_sum_reduction(lower, rowsum, upper, rhs)
     return np.concatenate(([left_value], rhs, [right_value]))
 
 
@@ -163,9 +163,10 @@ def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
     sums its row sums from the rounded diagonal, agrees within the
     dense-LU oracle's 1e-12 at lam = 10.  At lam = 0 those row sums keep
     eps*4/h^2 where the closed form has 0, and the system is too
-    ill-conditioned for an absolute bound (dense LU misses the affine
-    solution by up to 2.6e-10 on the beta = 2 grids): the solution then
-    meets the assembled system's residual bound of tridiag's tests."""
+    ill-conditioned for an absolute bound on solve_tridiagonal (dense LU
+    misses the affine solution by up to 2.6e-10 on the beta = 2 grids):
+    there solve_dirichlet meets the exact affine solution within 1e-12,
+    and solve_tridiagonal the residual bound of tridiag's tests."""
     rng = np.random.default_rng(2048)
     for n in (2, 3, 19, 20, 112, 113, 114, 301,
               CR_CUTOFF, CR_CUTOFF + 1, CR_CUTOFF + 2, 1024, 1025, 2048):
@@ -178,10 +179,12 @@ def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
                 assert np.array_equal(u, reference_solve_dirichlet(g, lam, left, right)), (n, lam)
                 if n - 1 >= CR_CUTOFF:
                     sys = assemble_dirichlet(g, lam, left, right)
-                    x = u[1:-1]
+                    x = solve_tridiagonal(sys)
                     if lam:
-                        assert np.max(np.abs(solve_tridiagonal(sys) - x)) <= 1e-12, n
+                        assert np.max(np.abs(x - u[1:-1])) <= 1e-12, n
                     else:
+                        affine = left + (right - left) * g.nodes / g.ell
+                        assert np.max(np.abs(u - affine)) <= 1e-12, n
                         norm_a = sys.diag - np.append(0.0, sys.lower) - np.append(sys.upper, 0.0)
                         norm_a = np.max(norm_a)  # the off-diagonal bands are < 0
                         bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(sys.rhs)))
@@ -246,8 +249,8 @@ def test_steps_too_small_for_the_coefficients(spec10):
                 call()
     # uniform steps of 1e-154 leave both bands finite, about -1e308, while the
     # diagonal -(lower + upper) + lam**2 overflows; on steps of 1.5e-154 the
-    # bands stay below a third of the largest float and lam**2 = 1.44e308
-    # makes it overflow: a check on the bands alone would let both through
+    # bands, about -4.4e307, overflow it only with lam**2 = 1.44e308: a check
+    # on the bands alone would let both through
     for lam, step in ((10.0, 1e-154), (1.2e154, 1.5e-154)):
         for n in (20, 700):
             spec = ProblemSpec(lam, n * step)

@@ -13,7 +13,7 @@ from equifd import (
     uniform_grid,
 )
 from equifd.solver import CR_CUTOFF
-from conftest import reference_thomas
+from conftest import reference_row_sum_reduction, reference_thomas
 
 # sizes around the solver's cutoff and around powers of two (the
 # reduction's levels change shape there)
@@ -34,52 +34,13 @@ def random_dominant_system(rng, n):
 
 
 def reference_cyclic_reduction(sys):
-    """Cyclic reduction as it ran on copies of a system's bands, with the
-    row sums in an array of their own, kept as the reference for the
-    in-place kernel.  Every level, the first included, forms its pivots
-    from the row sums."""
-    n = sys.n
+    """The reference kernel on the row sums diag + lower + upper, summed as
+    solve_tridiagonal sums them."""
     a = np.concatenate(([0.0], sys.lower))
     c = np.concatenate((sys.upper, [0.0]))
     s = a + sys.diag
     s += c
-    x = sys.rhs.copy()
-    buf = np.empty((n + 1) // 2)
-    st = 1
-    while 2 * st <= n:
-        e = slice(st - 1, None, 2 * st)
-        k = slice(2 * st - 1, None, 2 * st)
-        ae, ce, se, xe = a[e], c[e], s[e], x[e]
-        ak, ck, sk, xk = a[k], c[k], s[k], x[k]
-        nk, r = ak.size, ae.size - 1
-        nb = buf[: ae.size]
-        np.subtract(ae, se, out=nb)
-        nb += ce
-        for band in (ae, ce, se, xe):
-            band /= nb
-        t = buf[:nk]
-        for kept, elim in ((sk, se), (xk, xe)):
-            np.multiply(ak, elim[:nk], out=t)
-            kept += t
-            np.multiply(ck[:r], elim[1:], out=t[:r])
-            kept[:r] += t[:r]
-        ak *= ae[:nk]
-        ck[:r] *= ce[1:]
-        st *= 2
-    i = st - 1
-    x[i] /= s[i]
-    while st > 1:
-        st //= 2
-        e = slice(st - 1, None, 2 * st)
-        ae, ce, xe, xk = a[e], c[e], x[e], x[2 * st - 1 :: 2 * st]
-        t = buf[: xe.size - 1]
-        np.multiply(ae[1:], xk[: t.size], out=t)
-        np.subtract(t, xe[1:], out=xe[1:])
-        xe[0] = -xe[0]
-        t = buf[: xk.size]
-        np.multiply(ce[: t.size], xk, out=t)
-        xe[: t.size] += t
-    return x
+    return reference_row_sum_reduction(a, s, c, sys.rhs)
 
 
 def test_identity_system():
@@ -164,6 +125,17 @@ def test_row_sums_that_overflow_are_rejected():
     sys = TridiagonalSystem(lower=[1e308], diag=[1.5e308, 1.5e308], upper=[1e308], rhs=[1, 1])
     with pytest.raises(ValueError, match=r"row sums diag \+ lower \+ upper overflow"):
         solve_tridiagonal(sys)
+
+
+def test_row_sums_lose_a_dwarfed_diagonal():
+    """The kernel recovers each pivot as rowsum - lower - upper, so a
+    system far from diagonally dominant can lose its diagonal to
+    cancellation: here 1 + 1e17 - 1e17 leaves a first pivot of 0, where
+    the dense solve gives [1e-17, 1e-17]."""
+    sys = TridiagonalSystem(lower=[1e17], diag=[1.0, 1.0], upper=[1e17], rhs=[1.0, 1.0])
+    with pytest.raises(PivotError) as err:
+        solve_tridiagonal(sys)
+    assert (err.value.index, err.value.pivot) == (0, 0.0)
 
 
 def test_band_length_validation():
