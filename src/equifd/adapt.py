@@ -18,9 +18,10 @@ iteration proceeds.
 
 adaptive_solve_many runs the loops of many configs in lockstep, one row
 of a stack of grids per config, so that each numpy call of an outer step
-serves every row: the rows' solution errors come from one np.exp, the
-monitors of all rows with one beta from one power, and one stacked sweep
-loop (equidist.sweep_rows) equidistributes them all.  Each row keeps its
+serves every row: the rows' solution errors come from one np.exp, one
+monitor.DiscreteGradientMonitor on the whole stack gives every row's
+weights (one power per beta), and one stacked sweep loop
+(equidist.sweep_rows) equidistributes them all.  Each row keeps its
 own damping, best iterate, cycle check, sweep count and tolerances, and
 leaves the stack when it stops, so the others go on as if alone; each
 row's solve is solver._solve_short on the row as a list.  Every result
@@ -35,10 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equidist import DAMPING_FLOOR, _checked, sweep_rows
+from .equidist import DAMPING_FLOOR, sweep_rows
 from .grid import Grid, uniform_grid
-from .monitor import gradient_weights
-from .problem import ProblemSpec, per_row, require, row_largest, smallest
+from .monitor import DiscreteGradientMonitor
+from .problem import ProblemSpec, per_row, require, require_count, row_largest, smallest
 from .solver import DiscreteSolution, solve_stack
 
 # not called here; kept because perfbench/tracer.py wraps these names in this module
@@ -67,8 +68,8 @@ class AdaptiveConfig:
         require("beta", self.beta, 0.0)
         require("eps", self.eps, 0.0, strict=True)
         require("inner_tol", self.inner_tol, 0.0, strict=True)
-        require("max_outer", self.max_outer, 1)
-        require("inner_max_iter", self.inner_max_iter, 1)
+        require_count("max_outer", self.max_outer, 1)
+        require_count("inner_max_iter", self.inner_max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -103,14 +104,12 @@ class AdaptiveResult:
 class _Run:
     """One config's place in the lockstep loop and what it has done so far."""
 
-    __slots__ = ("index", "config", "alpha", "beta", "relax", "error", "change", "prev_change",
-                 "history", "stalls")
+    __slots__ = ("index", "config", "relax", "error", "change", "prev_change", "history",
+                 "stalls")
 
     def __init__(self, index: int, config: AdaptiveConfig):
         self.index = index  # the config's place in the caller's list
         self.config = config
-        self.alpha = float(config.alpha)
-        self.beta = float(config.beta)
         self.relax = 1.0
         self.error = self.change = None  # of the current outer step
         self.prev_change = None
@@ -123,38 +122,10 @@ class _Run:
                               self.stalls)
 
 
-def _lookup(x: np.ndarray, breaks: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The gradient monitors' weights at the midpoints of the stacked
-    iterates x: each row looks its midpoints up in its own breakpoints.
-
-    As in DiscreteGradientMonitor.interval_values, a row's monitor is
-    piecewise constant over the grid it was built on.  One searchsorted a
-    row keeps each lookup exact; adding row offsets to the floats to
-    search them all at once would round them and move lookups.
-    """
-    mid = 0.5 * (x[:, :-1] + x[:, 1:])
-    if len(x) == 1:  # the same lookup, without stacking a list of rows
-        return _checked(table.take(breaks[0].searchsorted(mid[0], "right")[None]))
-    return _checked(np.array([w[b.searchsorted(m, "right")]
-                              for w, b, m in zip(table, breaks, mid)]))
-
-
-def _monitor_table(runs: list, x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Each row's interval weights, with one gradient_weights call per run
-    of rows that share beta (the rows are sorted by beta)."""
-    starts = [0] + [i for i in range(1, len(runs)) if runs[i].beta != runs[i - 1].beta]
-    tables = []
-    for start, stop in zip(starts, starts[1:] + [len(runs)]):
-        alpha = per_row([run.alpha for run in runs[start:stop]])
-        tables.append(gradient_weights(alpha, runs[start].beta, x[start:stop],
-                                       values[start:stop]))
-    return tables[0] if len(tables) == 1 else np.concatenate(tables)
-
-
 def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[AdaptiveResult]:
     """Run the solve-remesh loop of each config from the uniform grid, all
     in lockstep; returns one result per config, in their order."""
-    runs = sorted((_Run(i, cfg) for i, cfg in enumerate(configs)), key=lambda run: run.beta)
+    runs = sorted((_Run(i, cfg) for i, cfg in enumerate(configs)), key=lambda run: run.config.beta)
     results = [None] * len(runs)
     x = np.repeat(uniform_grid(spec, n_cells).nodes[None], len(runs), axis=0)
     prev_values = None
@@ -185,8 +156,9 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
             runs = [runs[i] for i in keep]
             x, values = x[keep], values[keep]
 
-        inner = sweep_rows(_lookup, x, (x[:, 1:-1], _monitor_table(runs, x, values)),
-                           [run.config.inner_tol for run in runs],
+        monitor = DiscreteGradientMonitor([run.config.alpha for run in runs],
+                                          [run.config.beta for run in runs], x, values)
+        inner = sweep_rows(monitor, x, [run.config.inner_tol for run in runs],
                            [run.config.inner_max_iter for run in runs])
         target = np.array([nodes for nodes, _, _, _ in inner])
         # exact at the ends: 0 + r*(0 - 0) == 0 and ell + r*(ell - ell) == ell

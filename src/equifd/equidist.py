@@ -27,7 +27,11 @@ has already been swept in full.
 The sweep loop, sweep_rows, runs on a stack of grids with one grid per
 row, each with its own weights, tolerance, cap, damping, best iterate
 and cycle check; a row leaves the stack when it stops.  equidistribute
-is its one-row case, and the adaptive loop runs many rows at once.
+is its one-row case, and the adaptive loop runs many rows at once.  The
+loop asks its monitor for the weights of the whole stack, or of the one
+grid while one row is left, and for monitor.rows(keep) when rows leave:
+a stacked monitor.DiscreteGradientMonitor serves the adaptive loop, and
+any one-grid monitor serves equidistribute.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ import numpy as np
 
 from .grid import Grid, uniform_grid
 from .monitor import MonitorFunction
-from .problem import ProblemSpec, largest, per_row, require, row_largest, smallest
+from .problem import (ProblemSpec, largest, per_row, require, require_count, row_largest,
+                      smallest)
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 DAMPING_FLOOR = 0.25
@@ -68,19 +73,17 @@ class EquidistResult:
     final_update: float
 
 
-def _checked(w: np.ndarray) -> np.ndarray:
-    """w, once every weight is finite and strictly positive."""
+def _interval_weights(monitor: MonitorFunction, nodes: np.ndarray) -> np.ndarray:
+    """monitor's weights on nodes, one grid or a stack of them, once each
+    weight is finite and strictly positive."""
+    w = np.asarray(monitor.interval_values(nodes), dtype=float)
+    shape = nodes.shape[:-1] + (nodes.shape[-1] - 1,)
+    if w.shape != shape:
+        raise ValueError(f"monitor returned {w.shape}, expected {shape}")
     # NaN fails both comparisons (smallest and largest propagate it), so it is rejected too
     if not (smallest(w) > 0.0 and largest(w) < np.inf):
         raise ValueError("monitor values must be finite and strictly positive")
     return w
-
-
-def _interval_weights(monitor: MonitorFunction, nodes: np.ndarray) -> np.ndarray:
-    w = np.asarray(monitor.interval_values(nodes), dtype=float)
-    if w.shape != (len(nodes) - 1,):
-        raise ValueError(f"monitor returned {w.shape}, expected ({len(nodes) - 1},)")
-    return _checked(w)
 
 
 def _sweep(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -129,18 +132,19 @@ def _damping(rows: list):
     return per_row([row.relax for row in rows]) if any(row.relax != 1.0 for row in rows) else None
 
 
-def sweep_rows(weights, x: np.ndarray, data: tuple, tol: list, max_iter: list) -> list:
+def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: list) -> list:
     """Run the damped sweep iteration on every row of the stack x at once.
 
     Row i starts from the grid x[i] and stops on its own tol[i] and
     max_iter[i]; a row that stops leaves the stack, and the rest go on.
-    weights(x, *data) returns the checked interval weights of the stacked
-    iterates x, where each array in data has one row per row of x and
-    leaves with it.  Returns one (nodes, sweeps, update, message) per row:
-    message is None where the row converged, with nodes its last iterate,
-    and otherwise says why it stalled, with nodes its best iterate and
-    update that iterate's.  Raises MonotonicityError as soon as an
-    iterate loses node ordering.
+    monitor weighs the stacked iterates, and monitor.rows(keep) serves the
+    rows that remain; while one row is left it is queried with that row
+    as one grid, so any one-grid monitor serves a stack of one.  Returns
+    one (nodes, sweeps, update, message) per row: message is None where
+    the row converged, with nodes its last iterate, and otherwise says
+    why it stalled, with nodes its best iterate and update that
+    iterate's.  Raises MonotonicityError as soon as an iterate loses node
+    ordering.
     """
     rows = [_Row(i, t, m, xi) for i, (t, m, xi) in enumerate(zip(tol, max_iter, x))]
     out = [None] * len(rows)
@@ -149,7 +153,8 @@ def sweep_rows(weights, x: np.ndarray, data: tuple, tol: list, max_iter: list) -
     it = 0
     while rows:
         it += 1
-        step = _sweep(x, weights(x, *data)) - x
+        w = _interval_weights(monitor, x) if len(x) > 1 else _interval_weights(monitor, x[0])[None]
+        step = _sweep(x, w) - x
         stopped = []
         damped = False
         for i, (row, update) in enumerate(zip(rows, row_largest(abs(step)))):
@@ -183,7 +188,7 @@ def sweep_rows(weights, x: np.ndarray, data: tuple, tol: list, max_iter: list) -
             keep = [i for i in range(len(rows)) if i not in stopped]
             rows = [rows[i] for i in keep]
             x, step = x[keep], step[keep]
-            data = tuple(d[keep] for d in data)
+            monitor = monitor.rows(keep)
             cap = min(row.max_iter for row in rows)
             damped = True  # the factors lose rows too
         if damped:
@@ -203,7 +208,7 @@ def sweep_rows(weights, x: np.ndarray, data: tuple, tol: list, max_iter: list) -
                     out[row.index] = (row.best_x, it, row.best, message)
             rows = [rows[i] for i in keep]
             x = x[keep]
-            data = tuple(d[keep] for d in data)
+            monitor = monitor.rows(keep)
             factor = _damping(rows)
             cap = min((row.max_iter for row in rows), default=0)
     return out
@@ -234,16 +239,13 @@ def equidistribute(
     MonotonicityError if an iterate loses node ordering.
     """
     require("tol", tol, 0.0, strict=True)  # NaN never stops the sweeps, inf stops them at once
-    require("max_iter", max_iter, 1)
+    require_count("max_iter", max_iter, 1)
+    require_count("n_cells", n_cells, 2)  # also where an initial grid is given
     if initial is None:
         initial = uniform_grid(spec, n_cells)
     if initial.n_cells != n_cells or initial.ell != spec.ell:
         raise ValueError("initial grid does not match n_cells and ell")
-
-    def weights(x):
-        return _interval_weights(monitor, x[0])[None]
-
-    (nodes, sweeps, update, message), = sweep_rows(weights, initial.nodes[None], (), [tol],
+    (nodes, sweeps, update, message), = sweep_rows(monitor, initial.nodes[None], [tol],
                                                    [max_iter])
     grid = Grid(nodes, spec.ell)
     if message is None:

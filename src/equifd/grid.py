@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec, require, smallest
+from .problem import ProblemSpec, require, require_count, smallest
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class GridMapping:
 
 def uniform_grid(spec: ProblemSpec, n_cells: int) -> Grid:
     """Equally spaced grid x_j = j*ell/N."""
-    require("n_cells", n_cells, 2)
+    require_count("n_cells", n_cells, 2)
     nodes = np.arange(n_cells + 1, dtype=float)
     nodes /= n_cells
     nodes *= spec.ell
@@ -176,7 +176,7 @@ def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
     """Grid x_j = x(j/N) from the closed-form mapping, endpoints pinned."""
     if mapping.beta == 0.0:  # x(q) = q*ell, bit for bit
         return uniform_grid(mapping.spec, n_cells)
-    require("n_cells", n_cells, 2)
+    require_count("n_cells", n_cells, 2)
     mapping.check_layer_width()
     q = np.arange(n_cells + 1, dtype=float)
     q /= n_cells

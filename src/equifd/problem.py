@@ -9,12 +9,15 @@ node distribution matter.
 Every scalar parameter of the package (lam and ell here, N, the monitor
 constants alpha and beta, tolerances, iteration caps, and the command
 line's flags for them) is checked by the one rule in require: finite
-and above a lower bound, with NaN failing the comparison.
+and above a lower bound, with NaN failing the comparison.  Counts (N,
+iteration caps, a derivative's order) go through require_count, which
+applies that rule and requires an integer too.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +37,15 @@ def require(name: str, value, low: float, strict: bool = False, high: float = ma
         rule = f"{'>' if strict else '>='} {low:g}"
         rule = f"finite and {rule}" if high == math.inf else f"{rule} and < {high:g}"
         raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
+
+
+def require_count(name: str, value, low: int, high: float = math.inf):
+    """require for a count: value must also be an integer (an int or a
+    numpy integer, not a float such as 20.0 or 20.5)."""
+    require(name, value, low, high=high)
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -125,7 +137,7 @@ def exact_solution(spec: ProblemSpec, x):
 
 def exact_derivative(spec: ProblemSpec, x, order: int = 1):
     """Derivative d^k u / dx^k = lam^k * exp(lam*(x - ell)), 1 <= k <= 5."""
-    require("order", order, 1, high=MAX_DERIVATIVE_ORDER + 1)
+    require_count("order", order, 1, high=MAX_DERIVATIVE_ORDER + 1)
     xv = check_domain(spec, x)
     try:
         scale = float(spec.lam) ** order  # a Python float raises here, numpy would warn

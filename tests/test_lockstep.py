@@ -13,10 +13,10 @@ import random
 import numpy as np
 import pytest
 
-from equifd import (AdaptiveConfig, AdaptiveResult, ConstantMonitor, EquidistributionError,
-                    ExactPowerMonitor, Grid, MonitorFunction, ProblemSpec, adaptive_solve,
-                    adaptive_solve_many, equidistribute, max_error, solve_bvp, uniform_grid)
-from equifd.adapt import _lookup
+from equifd import (AdaptiveConfig, AdaptiveResult, ConstantMonitor, DiscreteGradientMonitor,
+                    EquidistributionError, ExactPowerMonitor, Grid, MonitorFunction, ProblemSpec,
+                    adaptive_solve, adaptive_solve_many, equidistribute, max_error, solve_bvp,
+                    uniform_grid)
 from equifd.equidist import DAMPING_FLOOR, EquidistResult
 from equifd.experiments import TABLE2_ALPHAS, TABLE2_BETAS
 from equifd.problem import largest, smallest
@@ -179,10 +179,11 @@ def table2_reference(spec10):
 
 
 def test_lookup_is_exact_at_one_ulp():
-    """Each row looks its midpoints up in its own breakpoints, exactly as
-    the one-row monitor does, also where a breakpoint lies one ulp from a
-    midpoint or on it.  (Shifting each row by an offset to search all rows
-    at once would round such pairs together.)"""
+    """A monitor on a stack looks each row's midpoints up in that row's
+    breakpoints, exactly as the one-grid reference does, also where a
+    breakpoint lies one ulp from a midpoint or on it.  (Shifting each row
+    by an offset to search all rows at once would round such pairs
+    together.)"""
     rng = np.random.default_rng(5)
     x = np.sort(rng.random((4, 21)), axis=1)
     x[:, 0], x[:, -1] = 0.0, 1.0
@@ -192,14 +193,15 @@ def test_lookup_is_exact_at_one_ulp():
         for j, shift in ((3, -np.inf), (9, np.inf), (15, None)):
             breaks[row, j] = mid[row, j] if shift is None else np.nextafter(mid[row, j], shift)
         breaks[row].sort()
-    table = rng.random((4, 20)) + 0.5
-    expected = [_reference_lookup(w, b, xr) for w, b, xr in zip(table, breaks, x)]
-    assert np.array_equal(_lookup(x, breaks, table), expected)
+    nodes = np.hstack([np.zeros((4, 1)), breaks, np.ones((4, 1))])
+    values = rng.random((4, 21))
+    alphas, betas = [1.0, 2.0, 0.5, 3.0], [1.0, 1.0, 0.25, 2.0]
+    expected = [_ReferenceGradientMonitor(a, b, n, v).interval_values(xr)
+                for a, b, n, v, xr in zip(alphas, betas, nodes, values, x)]
+    monitor = DiscreteGradientMonitor(alphas, betas, nodes, values)
+    assert np.array_equal(monitor.interval_values(x), expected)
     for row in range(4):
-        assert np.array_equal(_lookup(x[row:row + 1], breaks[row:row + 1], table[row:row + 1]),
-                              [expected[row]])
-
-
+        assert np.array_equal(monitor.rows([row]).interval_values(x[row]), expected[row])
 
 
 def test_table2_cells_in_shuffled_order(spec10, table2_reference):

@@ -14,6 +14,8 @@ from equifd import (
     solve_bvp,
     uniform_grid,
 )
+from equifd.experiments import TABLE2_ALPHAS, TABLE2_BETAS
+from conftest import random_grid
 
 ORACLE_BETAS = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
 ORACLE_LAMS = (1e-3, 1.0, 10.0, 1e3)
@@ -181,7 +183,8 @@ def test_discrete_gradient_lookup_matches_clipped_search():
         query = np.sort(np.concatenate([rng.uniform(-1.0, 3.0, 200), nodes]))
         mid = 0.5 * (query[:-1] + query[1:])
         k = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, n - 1)
-        assert np.array_equal(mon.interval_values(query), mon._weights[k])
+        own = mon.interval_values(nodes)  # the weights on the monitor's own grid
+        assert np.array_equal(mon.interval_values(query), own[k])
 
 
 def test_discrete_gradient_positive(spec10):
@@ -220,3 +223,95 @@ def test_parameter_validation(spec10):
         ConstantMonitor(np.inf)
     with pytest.raises(ValueError, match="factor"):
         ConstantMonitor().scaled(np.inf)
+
+
+def test_gradient_monitor_rejects_unequal_shapes():
+    # nodes [0, .5, 1] and values [0, 1] used to broadcast to weights [3, 3]
+    with pytest.raises(ValueError, match="nodes and values"):
+        DiscreteGradientMonitor(1.0, 1.0, [0.0, 0.5, 1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="nodes and values"):
+        DiscreteGradientMonitor([1.0], [1.0], [[0.0, 0.5, 1.0]], [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="nodes and values"):
+        DiscreteGradientMonitor(1.0, 1.0, [0.0], [0.0])
+
+
+@pytest.mark.parametrize("nodes", [[0.0, 1.0, 0.5], [0.0, 0.5, 0.5], [0.0, np.nan, 1.0]])
+def test_gradient_monitor_rejects_nodes_not_strictly_increasing(nodes):
+    # decreasing nodes used to give weight -1, a repeated one inf and a RuntimeWarning
+    with pytest.raises(ValueError, match="nodes must be strictly increasing"):
+        DiscreteGradientMonitor(1.0, 1.0, nodes, [0.0, 1.0, 1.5])
+    with pytest.raises(ValueError, match="nodes must be strictly increasing"):
+        DiscreteGradientMonitor([1.0, 1.0], [1.0, 1.0], [[0.0, 0.5, 1.0], nodes],
+                                np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gradient_monitor_rejects_values_not_finite(bad):
+    # with beta = 0 a non-finite slope would give the finite weight 1 + alpha;
+    # two equal infinities are rejected before their difference warns
+    for beta in (0.0, 1.0):
+        for values in ([0.0, bad, 1.0], [bad, bad, 1.0]):
+            with pytest.raises(ValueError, match="values must be finite"):
+                DiscreteGradientMonitor(1.0, beta, [0.0, 0.5, 1.0], values)
+
+
+def test_gradient_monitor_needs_one_parameter_per_row():
+    nodes, values = np.tile([0.0, 0.5, 1.0], (3, 1)), np.zeros((3, 3))
+    for alpha, beta in (([1.0, 1.0], [1.0, 1.0, 1.0]), ([1.0] * 3, [1.0] * 4)):
+        with pytest.raises(ValueError, match="one value per grid"):
+            DiscreteGradientMonitor(alpha, beta, nodes, values)
+    with pytest.raises(TypeError):  # a number for a stack
+        DiscreteGradientMonitor([1.0] * 3, 2.0, nodes, values)
+    with pytest.raises(ValueError, match="alpha"):
+        DiscreteGradientMonitor([1.0, -1.0, 1.0], [1.0, 1.0, 1.0], nodes, values)
+
+
+def _stack(rng, rows, n_cells):
+    nodes = np.array([random_grid(rng, n_cells).nodes for _ in range(rows)])
+    return nodes, rng.random((rows, n_cells + 1))
+
+
+def test_stacked_monitor_rows_match_one_grid_monitors_bit_for_bit():
+    """Every table2 beta in an unsorted stack, so equal betas fall in
+    several runs; each row weighs both grids as its own one-grid monitor."""
+    rng = np.random.default_rng(17)
+    betas = [beta for _ in range(2) for beta in TABLE2_BETAS]
+    rng.shuffle(betas)
+    alphas = list(rng.choice(TABLE2_ALPHAS, len(betas)))
+    nodes, values = _stack(rng, len(betas), 20)
+    query = _stack(rng, len(betas), 20)[0]
+    stacked = DiscreteGradientMonitor(alphas, betas, nodes, values)
+    for q in (nodes, query):
+        got = stacked.interval_values(q)
+        for row, (a, b) in enumerate(zip(alphas, betas)):
+            one = DiscreteGradientMonitor(a, b, nodes[row], values[row])
+            assert got[row].tobytes() == one.interval_values(q[row]).tobytes()
+
+
+def test_stacked_monitor_rows_keeps_the_rows_given():
+    rng = np.random.default_rng(19)
+    nodes, values = _stack(rng, 5, 12)
+    query = _stack(rng, 5, 12)[0]
+    monitor = DiscreteGradientMonitor([1.0, 2.0, 3.0, 4.0, 5.0], [0.5] * 5, nodes, values)
+    full = monitor.interval_values(query)
+    for keep in ([0, 2, 4], [3], [4, 1]):
+        assert np.array_equal(monitor.rows(keep).interval_values(query[keep]), full[keep])
+    assert np.array_equal(monitor.rows([1, 3]).rows([1]).interval_values(query[3]), full[3])
+    assert np.array_equal(monitor.scaled(2.0).rows([4, 1]).interval_values(query[[4, 1]]),
+                          2.0 * full[[4, 1]])
+    assert ConstantMonitor().rows([0]) == ConstantMonitor()
+
+
+def test_one_row_monitor_answers_a_one_grid_query():
+    rng = np.random.default_rng(23)
+    nodes, values = _stack(rng, 1, 15)
+    query = random_grid(rng, 9).nodes
+    one = DiscreteGradientMonitor(2.0, 0.25, nodes[0], values[0])
+    stacked = DiscreteGradientMonitor([2.0], [0.25], nodes, values)
+    assert np.array_equal(stacked.interval_values(query), one.interval_values(query))
+    assert np.array_equal(stacked.interval_values(query[None]), [one.interval_values(query)])
+    two = DiscreteGradientMonitor([2.0, 2.0], [0.25, 0.25], np.vstack([nodes, nodes]),
+                                  np.vstack([values, values]))
+    for wrong in (query, query[None]):  # a monitor on two grids takes two
+        with pytest.raises(ValueError, match="holds 2 grids, got 1"):
+            two.interval_values(wrong)

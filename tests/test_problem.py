@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from equifd import ExactPowerMonitor, ProblemSpec, exact_derivative, exact_solution
+from equifd import (AdaptiveConfig, ExactPowerMonitor, ProblemSpec, equidistribute,
+                    exact_derivative, exact_solution, uniform_grid)
 from equifd.problem import largest, smallest
 
 mpmath.mp.dps = 50
@@ -140,6 +141,28 @@ def test_domain_errors(spec10, x):
 def test_derivative_order_bounds(spec10, order):
     with pytest.raises(ValueError):
         exact_derivative(spec10, 0.5, order)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0)])
+def test_counts_must_be_integers(spec10, value):
+    """A count that is no integer is rejected by name, whatever the value;
+    a fractional one used to be taken, with silent or endless results."""
+    calls = [
+        ("n_cells", lambda v: uniform_grid(spec10, 10 * v)),
+        ("n_cells", lambda v: equidistribute(ExactPowerMonitor(spec10, 0.25), spec10, 10 * v,
+                                             initial=uniform_grid(spec10, int(10 * v)))),
+        ("max_iter", lambda v: equidistribute(ExactPowerMonitor(spec10, 0.25), spec10, 20,
+                                              tol=1e-300, max_iter=v)),
+        ("max_outer", lambda v: AdaptiveConfig(2.0, 2.0, max_outer=v)),
+        ("inner_max_iter", lambda v: AdaptiveConfig(2.0, 2.0, inner_max_iter=v)),
+        ("order", lambda v: exact_derivative(spec10, 0.5, v)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(value)
+    # numpy integers are integers
+    assert exact_derivative(spec10, 1.0, np.int64(2)) == 100.0
+    assert uniform_grid(spec10, np.int32(4)).n_cells == 4
 
 
 @pytest.mark.parametrize("lam,ell", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
