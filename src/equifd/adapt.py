@@ -125,6 +125,7 @@ class _Run:
 def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[AdaptiveResult]:
     """Run the solve-remesh loop of each config from the uniform grid, all
     in lockstep; returns one result per config, in their order."""
+    # rows of equal beta side by side: the monitor takes one power per run of them
     runs = sorted((_Run(i, cfg) for i, cfg in enumerate(configs)), key=lambda run: run.config.beta)
     results = [None] * len(runs)
     x = np.repeat(uniform_grid(spec, n_cells).nodes[None], len(runs), axis=0)

@@ -95,12 +95,9 @@ class DiscreteGradientMonitor(MonitorFunction):
     The slope on each interval of the solution's own grid is the
     difference quotient |u_{k+1} - u_k| / h_{k+1/2}; as a function of x
     the monitor is piecewise constant, so querying any node set looks up
-    the containing interval.  This is the package's one such lookup: the
-    adaptive loop builds one monitor on its whole stack of grids.
-
-    nodes and values are one grid and its solution, with alpha and beta
-    numbers, or stacks of them with one grid per row, with alpha and beta
-    one per row.
+    the containing interval.  nodes and values are one grid and its
+    solution, with alpha and beta numbers, or stacks of them with one grid
+    per row, with alpha and beta one per row.
     """
 
     def __init__(self, alpha, beta, nodes, values):

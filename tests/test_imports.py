@@ -7,22 +7,18 @@ TRACE_POINTS rebinds that name in that module; the tracer file is only read.
 """
 
 import ast
-import importlib.util
 from pathlib import Path
 
 import pytest
 
 import equifd
+from test_trace_points import tracer
 
 MODULES = sorted(Path(equifd.__file__).parent.glob("*.py"))
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def traced_names() -> dict:
     """For each module file name, the module-level names TRACE_POINTS rebinds in it."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
     traced = {}
     for module_name, class_name, attr in (point[:3] for point in tracer.TRACE_POINTS):
         if not class_name:
