@@ -31,7 +31,7 @@ from .monitor import (
     MonitorFunction,
     ScaledMonitor,
 )
-from .problem import ProblemSpec, exact_derivative, exact_solution
+from .problem import ParameterError, ProblemSpec, exact_derivative, exact_solution
 from .solver import (
     DiscreteSolution,
     assemble_dirichlet,
@@ -58,6 +58,7 @@ __all__ = [
     "GridMapping",
     "MonitorFunction",
     "MonotonicityError",
+    "ParameterError",
     "PivotError",
     "ProblemSpec",
     "ScaledMonitor",

@@ -7,7 +7,7 @@ flags are never abbreviated, on the command line either), and each line
 is parsed as `--key=value`, so its value is checked exactly like the
 flag's (type and choices). Flags given on the command line always win,
 required ones included. Every usage error exits 2 with a message and no
-traceback.
+traceback, as does a ParameterError from the run, naming the flags to fix.
 The default output directory honors EQUIFD_OUTDIR.
 """
 
@@ -29,9 +29,8 @@ from .experiments import (
     run_table2,
     solve_single,
 )
-from .grid import GridMapping, analytic_mapped_grid
 from .io import default_output_dir
-from .problem import LAM_MAX, ProblemSpec, require
+from .problem import LAM_MAX, ParameterError, ProblemSpec, require
 
 
 class ConfigError(ValueError):
@@ -169,14 +168,12 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _grid_sizes(args) -> tuple:
-    """The flag that sets the command's grid sizes N (None for table1's
-    fixed ladder), and those sizes."""
-    if args.command == "convergence":
-        return "--n-ladder", args.n_ladder
-    if args.command == "table1":
-        return None, LADDER
-    return "--n", [args.n]
+# (parameter, attribute of args, flag): the flag that sets each parameter a
+# ParameterError may blame, where the command has it; n_cells is --n, or the
+# --n-ladder entry that failed
+_FLAGS = (("lam", "lam", "--lambda"), ("ell", "ell", "--ell"), ("alpha", "alpha", "--alpha"),
+          ("beta", "beta", "--beta"), ("n_cells", "n", "--n"),
+          ("n_cells", "n_ladder", "--n-ladder"))
 
 
 def _out_path(args, default_name: str) -> Path:
@@ -194,31 +191,8 @@ def main(argv=None) -> int:
     except SystemExit as exit_:  # argparse usage error (2) or --help (0)
         return exit_.code
 
-    try:  # each flag was checked by its rule, but not their product
+    try:
         spec = ProblemSpec(lam=args.lam, ell=args.ell)
-    except ValueError as err:
-        print(f"error: --lambda {args.lam:g} and --ell {args.ell:g}: {err}", file=sys.stderr)
-        return 2
-    # nor the grid each N starts from: uniform, or for --grid analytic mapped
-    # with the layer width 1/(beta*lam), checked against ell, then against each N
-    if getattr(args, "grid", None) == "analytic":
-        mapping = GridMapping(spec, args.beta)
-        lam_ell = f"--lambda {args.lam:g}, --ell {args.ell:g}"
-        flags = f"{lam_ell} and --beta {args.beta:g}"
-        grid_flags = f"{lam_ell}, --beta {args.beta:g}"
-    else:
-        mapping = GridMapping(spec)
-        flags = grid_flags = f"--ell {args.ell:g}"
-    n_flag, n_values = _grid_sizes(args)
-    try:
-        mapping.check_layer_width()  # before a grid's underflow warning; beta = 0 passes
-        for n in n_values:
-            flags = f"{grid_flags} and {n_flag} {n}" if n_flag else grid_flags
-            analytic_mapped_grid(mapping, n)
-    except ValueError as err:
-        print(f"error: {flags}: {err}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "solve":
             sol, converged = solve_single(
                 spec, args.n, args.grid, beta=args.beta, alpha=args.alpha,
@@ -276,6 +250,13 @@ def main(argv=None) -> int:
             return 0
     except OSError as err:  # an output path that cannot be written
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except ParameterError as err:  # each flag passed its own rule, but not this check
+        named = [f"{flag} {format(err.params[param], 'g' if param != 'n_cells' else '')}"
+                 for param, dest, flag in _FLAGS if param in err.params and hasattr(args, dest)]
+        named[-2:] = [" and ".join(named[-2:])]  # "--lambda 1e-300, --ell 1 and --n 80", or ""
+        flags = ", ".join(named)
+        print(f"error: {flags}: {err}" if flags else f"error: {err}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec, require, require_count, smallest
+from .problem import ParameterError, ProblemSpec, require, require_count, smallest
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,15 @@ class GridMapping:
         require("beta", self.beta, 0.0)
 
     def check_layer_width(self) -> None:
-        """Raise ValueError if the layer width 1/(beta*lam) is below one ulp
+        """Raise ParameterError if the layer width 1/(beta*lam) is below one ulp
         of ell: the mapping then rounds every node but x(0) to ell, so no
         grid it generates has distinct nodes."""
         spec = self.spec
         # width < ulp(ell), written without the division, which can overflow
         if self.beta * spec.lam * math.ulp(spec.ell) > 1.0:
-            raise ValueError(
-                f"the layer width 1/(beta*lam) is below one ulp of ell, so the mapped nodes "
-                f"collapse onto ell (lam={spec.lam}, ell={spec.ell}, beta={self.beta})")
+            raise ParameterError("the layer width 1/(beta*lam) is below one ulp of ell, so the "
+                                 "mapped nodes collapse onto ell",
+                                 lam=spec.lam, ell=spec.ell, beta=self.beta)
 
     def _decay(self) -> float:
         """e^{-beta*lam*ell}; warns if it underflows to zero."""
@@ -167,8 +167,8 @@ def uniform_grid(spec: ProblemSpec, n_cells: int) -> Grid:
     nodes *= spec.ell
     # an ell of a few subnormal steps rounds neighbours together
     if not smallest(nodes[1:] > nodes[:-1]):
-        raise ValueError(f"ell is too small for {n_cells} distinct steps, so uniform nodes "
-                         f"collide (ell={spec.ell}, n_cells={n_cells})")
+        raise ParameterError(f"ell is too small for {n_cells} distinct steps, so uniform nodes "
+                             "collide", ell=spec.ell, n_cells=n_cells)
     return Grid._adopt(nodes, spec.ell)
 
 
@@ -194,6 +194,6 @@ def analytic_mapped_grid(mapping: GridMapping, n_cells: int) -> Grid:
         cause = (f"beta*lam*ell = {arg!r} is too small for the mapping to resolve "
                  f"{n_cells} cells" if arg < 1.0 else
                  f"the layer width 1/(beta*lam) spans too few ulps of ell for {n_cells} cells")
-        raise ValueError(f"{cause}, so mapped nodes collide (lam={spec.lam}, ell={spec.ell}, "
-                         f"beta={mapping.beta}, n_cells={n_cells})")
+        raise ParameterError(f"{cause}, so mapped nodes collide", lam=spec.lam, ell=spec.ell,
+                             beta=mapping.beta, n_cells=n_cells)
     return Grid._adopt(nodes, spec.ell)

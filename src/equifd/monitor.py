@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemSpec, check_domain, per_row, require, smallest
+from .problem import (ParameterError, ProblemSpec, check_domain, largest, per_row, require,
+                      smallest)
 from .problem import exact_derivative  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 
@@ -75,8 +76,9 @@ class ExactPowerMonitor(MonitorFunction):
         # Python floats overflow to inf here without a numpy warning
         rate, shift = beta * lam, beta * math.log(lam)
         if not (math.isfinite(rate) and math.isfinite(shift)):
-            raise ValueError(f"beta*lam and beta*ln(lam) must be finite, "
-                             f"got beta={self.beta}, lam={self.spec.lam}")
+            raise ParameterError(f"beta*lam and beta*ln(lam) must be finite, "
+                                 f"got beta={self.beta}, lam={self.spec.lam}",
+                                 tail=False, beta=self.beta, lam=self.spec.lam)
         object.__setattr__(self, "_rate", rate)
         object.__setattr__(self, "_shift", shift)
 
@@ -119,14 +121,20 @@ class DiscreteGradientMonitor(MonitorFunction):
             raise ValueError("nodes must be strictly increasing")
         if not smallest(np.isfinite(values)):
             raise ValueError("values must be finite")
-        slopes = abs(values[:, 1:] - values[:, :-1]) / steps
         # one power per run of rows with equal beta, which stays one Python
         # float: numpy takes its sqrt and square paths for a scalar 0.5 and 2,
         # whose results differ from those of pow
         starts = [0] + [i for i in range(1, rows) if betas[i] != betas[i - 1]]
-        tables = [1.0 + per_row(alphas[start:stop]) * slopes[start:stop]**betas[start]
-                  for start, stop in zip(starts, starts[1:] + [rows])]
-        self._weights = tables[0] if len(tables) == 1 else np.concatenate(tables)
+        with np.errstate(all="ignore"):  # overflow is checked once, below
+            slopes = abs(values[:, 1:] - values[:, :-1]) / steps
+            tables = [1.0 + per_row(alphas[start:stop]) * slopes[start:stop]**betas[start]
+                      for start, stop in zip(starts, starts[1:] + [rows])]
+        weights = tables[0] if len(tables) == 1 else np.concatenate(tables)
+        if not largest(weights) < math.inf:  # NaN, where alpha = 0 meets |u_x|**beta = inf
+            row = int(np.isfinite(weights).all(axis=1).argmin())
+            raise ParameterError("monitor weights 1 + alpha*|u_x|**beta overflow",
+                                 alpha=alphas[row], beta=betas[row])
+        self._weights = weights
         # interior breakpoints only: a query left of the first node or right
         # of the last one lands in the end interval
         self._breaks = nodes[:, 1:-1]

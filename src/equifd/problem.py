@@ -11,7 +11,8 @@ constants alpha and beta, tolerances, iteration caps, and the command
 line's flags for them) is checked by the one rule in require: finite
 and above a lower bound, with NaN failing the comparison.  Counts (N,
 iteration caps, a derivative's order) go through require_count, which
-applies that rule and requires an integer too.
+applies that rule and requires an integer too.  They, and the checks of
+parameters in combination, raise ParameterError, whose params name them.
 """
 
 from __future__ import annotations
@@ -27,16 +28,28 @@ MAX_DERIVATIVE_ORDER = 5
 LAM_MAX = 2.0**512
 
 
+class ParameterError(ValueError):
+    """A ValueError that blames parameters: params maps each name to its
+    value, in the order the message gives them.  With tail, the message
+    ends in "(name=value, ...)"; without, it names them itself."""
+
+    def __init__(self, message: str, /, tail: bool = True, **params):
+        if tail and params:  # a copy or unpickled error is rebuilt from the full message
+            message += f" ({', '.join(f'{k}={v}' for k, v in params.items())})"
+        super().__init__(message)
+        self.params = params
+
+
 def require(name: str, value, low: float, strict: bool = False, high: float = math.inf):
     """Return value if low < value < high (strict) or low <= value < high.
 
     high defaults to inf, so the value must be finite; NaN fails either
-    comparison.  Otherwise raises ValueError naming the parameter.
+    comparison.  Otherwise raises ParameterError blaming name.
     """
     if not (low < value < high if strict else low <= value < high):
         rule = f"{'>' if strict else '>='} {low:g}"
         rule = f"finite and {rule}" if high == math.inf else f"{rule} and < {high:g}"
-        raise ValueError(f"{name} must be {rule}, got {value}")
+        raise ParameterError(f"{name} must be {rule}, got {value}", tail=False, **{name: value})
     return value
 
 
@@ -45,7 +58,8 @@ def require_count(name: str, value, low: int, high: float = math.inf):
     numpy integer, not a float such as 20.0 or 20.5)."""
     require(name, value, low, high=high)
     if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ParameterError(f"{name} must be an integer, got {value!r}",
+                             tail=False, **{name: value})
     return value
 
 
@@ -105,7 +119,9 @@ class ProblemSpec:
         require("ell", self.ell, 0.0, strict=True)
         # a product that overflows would make left_bc = exp(-inf) = 0 silently;
         # as Python floats it overflows to inf without a numpy warning
-        lam_ell = require("lam*ell", float(self.lam) * float(self.ell), 0.0)
+        if (lam_ell := float(self.lam) * float(self.ell)) == math.inf:
+            raise ParameterError("lam*ell must be finite and >= 0, got inf", tail=False,
+                                 lam=self.lam, ell=self.ell)
         object.__setattr__(self, "left_bc", math.exp(-lam_ell))
         object.__setattr__(self, "right_bc", 1.0)
 

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .problem import LAM_MAX, ProblemSpec, exact_solution, largest, require, smallest
+from .problem import (LAM_MAX, ParameterError, ProblemSpec, exact_solution, largest, require,
+                      smallest)
 from .tridiag import PIVOT_FLOOR, TridiagonalSystem, solve_in_place
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
@@ -132,19 +133,19 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
     diag = _diagonal(lower, upper, lam2, out=hj)
     # diag is >= 0 where finite; written so that NaN fails the check too
     if not largest(diag) < math.inf:
-        raise ValueError(f"grid steps too small: the scheme's coefficients overflow "
-                         f"(ell={grid.ell}, n_cells={grid.n_cells})")
+        raise ParameterError("grid steps too small: the scheme's coefficients overflow",
+                             ell=grid.ell, n_cells=grid.n_cells)
     # a single unknown takes both terms, (0 - left_term) - right_term, as below
     if not (math.isfinite(left_term) and math.isfinite(right_term)
             and (grid.n_cells > 2 or math.isfinite(-left_term - right_term))):
-        raise ValueError(
-            f"Dirichlet data too large for the grid steps: the eliminated boundary terms "
-            f"overflow (left_value={left_value!r}, right_value={right_value!r})")
+        raise ParameterError(
+            "Dirichlet data too large for the grid steps: the eliminated boundary terms "
+            "overflow", left_value=left_value, right_value=right_value)
     d = smallest(diag)
     if d < PIVOT_FLOOR:
-        raise ValueError(
+        raise ParameterError(
             f"scheme row underflows: diagonal {d!r} below {PIVOT_FLOOR} where lam**2 and "
-            f"1/h**2 underflow (lam={lam}, ell={grid.ell}, n_cells={grid.n_cells})")
+            "1/h**2 underflow", lam=lam, ell=grid.ell, n_cells=grid.n_cells)
     rowsum = diag  # the diagonal's buffer, no longer needed
     rowsum.fill(lam2)
     rowsum[0] -= lower[0]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,22 +145,64 @@ def test_uniform_nodes_that_collide_are_a_usage_error(tmp_path, capsys):
 
 
 def test_solve_rejects_steps_too_small_for_the_scheme(tmp_path, capsys):
-    """--ell 1e-320: the 20 nodes are distinct, but 1/h**2 overflows.  No
-    cheap check of the flags sees this, so it is a run-time error (exit 1);
-    its message names ell and n_cells."""
+    """--ell 1e-320: the 20 nodes are distinct, but 1/h**2 overflows.  The
+    assembly blames ell and n_cells, so it is a usage error naming --ell
+    and --n (exit 2)."""
     rc = main(["solve", "--ell", "1e-320", "--n", "20", "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
+    assert rc == 2
     err = capsys.readouterr().err
+    assert err.startswith("error: --ell 9.99989e-321 and --n 20: ") and "Traceback" not in err
     assert "coefficients overflow (ell=1e-320, n_cells=20)" in err
 
 
 def test_solve_rejects_underflowing_scheme(tmp_path, capsys):
-    """lam**2 and 1/h**2 both underflow, so the scheme's rows are zero."""
+    """lam**2 and 1/h**2 both underflow, so the scheme's rows are zero: a
+    usage error naming --lambda, --ell and --n (exit 2)."""
     rc = main(["solve", "--lambda", "1e-310", "--ell", "1e300", "--n", "20",
                "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
+    assert rc == 2
     err = capsys.readouterr().err
+    assert err.startswith("error: --lambda 1e-310, --ell 1e+300 and --n 20: ")
     assert "lam=1e-310, ell=1e+300, n_cells=20" in err and "pivot" not in err
+
+
+@pytest.mark.parametrize("argv,flags", [
+    # the analytic families of table1 and error-profile; the pre-run check built neither
+    (["table1", "--lambda", "1e-300"], "--lambda 1e-300 and --ell 1"),
+    (["error-profile", "--lambda", "1e-300"], "--lambda 1e-300, --ell 1 and --n 80"),
+    # the assembly, at the first N whose steps are too small
+    (["table2", "--ell", "1e-321"], "--ell 9.98013e-322 and --n 20"),
+    (["convergence", "--ell", "1e-318", "--n-ladder", "10,20"],
+     "--ell 9.99999e-319 and --n-ladder 10"),
+    # the monitors: beta*lam overflows, then alpha*|u_x|**beta
+    (["solve", "--grid", "equidistributed", "--beta", "1e300", "--lambda", "1e10"],
+     "--lambda 1e+10 and --beta 1e+300"),
+    (["solve", "--grid", "adaptive", "--lambda", "1e100", "--alpha", "1e308", "--beta", "2"],
+     "--alpha 1e+308 and --beta 2"),
+    (["adapt", "--lambda", "1e100", "--alpha", "1e308", "--beta", "2"],
+     "--alpha 1e+308 and --beta 2"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_checks_during_the_run_are_usage_errors(tmp_path, capsys, argv, flags):
+    """A library check that fires during the run, past any start grid,
+    exits 2 naming the flags that set what it blames: no warning, no
+    traceback and no output file."""
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_start_grid_is_built_once(tmp_path):
+    """The underflow warning of the mapped grid is given once: the CLI
+    builds no grid ahead of the run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["solve", "--grid", "analytic", "--beta", "0.25", "--lambda", "1e3",
+                   "--ell", "1e3", "--out", str(tmp_path / "x.csv")])
+    assert rc == 0
+    assert [type(w.message) for w in caught] == [RuntimeWarning]
+    assert "exp(-beta*lam*ell) underflows" in str(caught[0].message)
 
 
 def test_solve_equidistributed_mode(tmp_path):
