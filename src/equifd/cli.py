@@ -176,6 +176,14 @@ _FLAGS = (("lam", "lam", "--lambda"), ("ell", "ell", "--ell"), ("alpha", "alpha"
           ("n_cells", "n_ladder", "--n-ladder"))
 
 
+def _typed(value: float) -> str:
+    """A flag's value as typed: its :g form where that reads back as value
+    and is no longer than repr, else repr (1e-320, not :g's 9.99989e-321;
+    1e+15, not repr's 1000000000000000.0)."""
+    g, r = format(value, "g"), repr(float(value))
+    return g if float(g) == value and len(g) <= len(r) else r
+
+
 def _out_path(args, default_name: str) -> Path:
     if args.out is not None:
         return Path(args.out)
@@ -252,7 +260,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ParameterError as err:  # each flag passed its own rule, but not this check
-        named = [f"{flag} {format(err.params[param], 'g' if param != 'n_cells' else '')}"
+        named = [f"{flag} {err.params[param] if param == 'n_cells' else _typed(err.params[param])}"
                  for param, dest, flag in _FLAGS if param in err.params and hasattr(args, dest)]
         named[-2:] = [" and ".join(named[-2:])]  # "--lambda 1e-300, --ell 1 and --n 80", or ""
         flags = ", ".join(named)

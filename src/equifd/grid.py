@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,15 +75,6 @@ class Grid:
         """J_{j+1/2} = h_{j+1/2} / h, length N."""
         return self.steps * self.n_cells
 
-    @property
-    def max_step(self) -> float:
-        return float(np.max(self.steps))
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        """Arithmetic interval midpoints, length N."""
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
-
     def write_csv(self, path) -> None:
         """Single-column CSV with header 'x', one node per row."""
         from .io import write_csv
@@ -111,8 +103,10 @@ class GridMapping:
                                  "mapped nodes collapse onto ell",
                                  lam=spec.lam, ell=spec.ell, beta=self.beta)
 
+    @cached_property
     def _decay(self) -> float:
-        """e^{-beta*lam*ell}; warns if it underflows to zero."""
+        """e^{-beta*lam*ell}, formed once per mapping; warns, on first use,
+        if it underflows to zero."""
         arg = self.beta * self.spec.lam * self.spec.ell
         e = np.exp(-arg)
         if e == 0.0:
@@ -129,7 +123,7 @@ class GridMapping:
         spec = self.spec
         if self.beta == 0.0:
             return q * spec.ell
-        e = self._decay()
+        e = self._decay
         # ell + ln(q + (1 - q) e) / (beta lam), built in one array
         x = np.subtract(1.0, q, out=np.empty(q.shape))
         x *= e
@@ -146,7 +140,7 @@ class GridMapping:
         spec = self.spec
         if self.beta == 0.0:
             return np.full_like(q, spec.ell)
-        e = self._decay()
+        e = self._decay
         return (1.0 - e) / (self.beta * spec.lam * (q + (1.0 - q) * e))
 
     def second_derivative(self, q):
@@ -155,7 +149,7 @@ class GridMapping:
         spec = self.spec
         if self.beta == 0.0:
             return np.zeros_like(q)
-        e = self._decay()
+        e = self._decay
         return -((1.0 - e) ** 2) / (self.beta * spec.lam * (q + (1.0 - q) * e) ** 2)
 
 

@@ -37,9 +37,6 @@ class MonitorFunction:
         """The monitor for the rows keep of the stack it serves."""
         return self
 
-    def scaled(self, factor: float) -> "ScaledMonitor":
-        return ScaledMonitor(self, factor)
-
 
 @dataclass(frozen=True)
 class ConstantMonitor(MonitorFunction):
@@ -138,10 +135,6 @@ class DiscreteGradientMonitor(MonitorFunction):
         # interior breakpoints only: a query left of the first node or right
         # of the last one lands in the end interval
         self._breaks = nodes[:, 1:-1]
-
-    @classmethod
-    def from_solution(cls, alpha: float, beta: float, solution) -> "DiscreteGradientMonitor":
-        return cls(alpha, beta, solution.grid.nodes, solution.values)
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         """Weights of one grid's intervals, for a monitor on one grid, or

@@ -158,6 +158,7 @@ def exact_derivative(spec: ProblemSpec, x, order: int = 1):
     try:
         scale = float(spec.lam) ** order  # a Python float raises here, numpy would warn
     except OverflowError:
-        raise ValueError(f"lam**order overflows: lam={spec.lam}, order={order}") from None
+        raise ParameterError(f"lam**order overflows: lam={spec.lam}, order={order}",
+                             tail=False, lam=spec.lam, order=order) from None
     out = scale * np.exp(spec.lam * (xv - spec.ell))
     return float(out) if np.ndim(x) == 0 else out

@@ -15,8 +15,9 @@ the number of unknowns n = N - 1:
   floats, forming each row's coefficients and taking the Thomas forward
   step on it, then back-substitutes.  At table2's N = 20 this takes
   6.2 us against 12.5 us for _assemble plus a Thomas loop over Python
-  floats, ~9 us of which are _assemble's numpy calls; from ~110 unknowns
-  on it is slower, by up to a quarter.
+  floats, ~9 us of which are _assemble's numpy calls.  Below CR_CUTOFF,
+  near its crossover with _assemble plus cyclic reduction, it is the
+  faster of the two.
 * n >= CR_CUTOFF: _assemble, then cyclic reduction by
   tridiag.solve_in_place.
 
@@ -90,7 +91,8 @@ def _checked_lam2(lam: float, left_value: float, right_value: float):
     require("|lam|", abs(lam), 0.0, high=LAM_MAX)  # so that lam**2 is finite
     for name, value in (("left_value", left_value), ("right_value", right_value)):
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise ParameterError(f"{name} must be finite, got {value}", tail=False,
+                                 **{name: value})
     return lam**2
 
 

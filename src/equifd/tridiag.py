@@ -133,34 +133,27 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
 def solve_in_place(lower: np.ndarray, rowsum: np.ndarray, upper: np.ndarray,
                    rhs: np.ndarray) -> None:
     """Solve the system with bands lower[1:], upper[:-1] and row sums
-    rowsum; overwrites all four.
+    rowsum, by cyclic reduction in place; overwrites all four.
 
     The four arrays have length n; lower[0] and upper[-1] are not part of
-    the system and are set to 0.  Row i's diagonal is rowsum[i] - lower[i]
-    - upper[i].  On return rhs holds the solution and the others hold what
-    elimination left in them.
-    """
-    lower[0] = 0.0
-    upper[-1] = 0.0
-    _reduce(lower, rowsum, upper, rhs)
-
-
-def _reduce(a: np.ndarray, s: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:
-    """Cyclic reduction with row sums, in place, with a[0] = c[-1] = 0.
+    the system and are set to 0.  On return rhs holds the solution and the
+    others hold what elimination left in them.
 
     Row i reads a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i], and is given
-    by a, c and its row sum s[i] = a[i] + b[i] + c[i]; its pivot is
-    s - a - c at every level, the first included.  At stride st the rows
-    left are st-1, 2st-1, ... (n // st of them).  The first, third, ... of
-    these are eliminated: each is divided by minus its pivot, which leaves
-    -a/b, -c/b, -s/b and -d/b in its own slots for the back substitution,
-    and is added into its neighbours, which are the rows left at stride
-    2st.  The right side becomes the solution, so besides the four arrays
-    the only storage is one buffer of n/2.  (Negated slots need no
-    negation of the kept rows' a and c, and np.negative is avoided: in
-    numpy 2.4.6 it writes wrong values into an output view with a stride
-    of 8 elements.)
+    by a = lower, c = upper and its row sum s[i] = a[i] + b[i] + c[i]; its
+    pivot is s - a - c at every level, the first included.  At stride st
+    the rows left are st-1, 2st-1, ... (n // st of them).  The first,
+    third, ... of these are eliminated: each is divided by minus its
+    pivot, which leaves -a/b, -c/b, -s/b and -d/b in its own slots for the
+    back substitution, and is added into its neighbours, which are the
+    rows left at stride 2st.  The right side x = rhs becomes the solution,
+    so besides the four arrays the only storage is one buffer of n/2.
+    (Negated slots need no negation of the kept rows' a and c, and
+    np.negative is avoided: in numpy 2.4.6 it writes wrong values into an
+    output view with a stride of 8 elements.)
     """
+    a, s, c, x = lower, rowsum, upper, rhs
+    a[0] = c[-1] = 0.0
     n = s.size
     buf = np.empty((n + 1) // 2)
     st = 1

@@ -13,6 +13,7 @@ from equifd import (
     ExactPowerMonitor,
     GridMapping,
     MonitorFunction,
+    ScaledMonitor,
     TridiagonalSystem,
     analytic_mapped_grid,
     consistency_error,
@@ -280,7 +281,7 @@ def test_criterion_8_property_suites(spec10):
     tol = 1e-12
     base = ExactPowerMonitor(spec10, 0.5)
     r1 = equidistribute(base, spec10, 20, tol=tol)
-    r2 = equidistribute(base.scaled(250.0), spec10, 20, tol=tol)
+    r2 = equidistribute(ScaledMonitor(base, 250.0), spec10, 20, tol=tol)
     if np.max(np.abs(r1.grid.nodes - r2.grid.nodes)) > 10 * tol:
         failures.append("scaling invariance failed")
 

@@ -68,7 +68,7 @@ def test_inner_stall_is_survivable(spec10):
     from equifd import DiscreteGradientMonitor, EquidistributionError, equidistribute, solve_bvp
 
     sol = solve_bvp(uniform_grid(spec10, 20), spec10)
-    monitor = DiscreteGradientMonitor.from_solution(10.0, 1.0, sol)
+    monitor = DiscreteGradientMonitor(10.0, 1.0, sol.grid.nodes, sol.values)
     with pytest.raises(EquidistributionError) as err:
         equidistribute(monitor, spec10, 20, tol=1e-12, max_iter=300)
     assert np.all(np.diff(err.value.grid.nodes) > 0)

@@ -1,15 +1,18 @@
 """Every check that rejects a parameter, or a combination of parameters,
 raises ParameterError blaming them, and the CLI turns that into exit 2
-naming the flags.  The property test draws the inputs of a solve sweep
+naming the flags.  One property test draws the inputs of a solve sweep
 over lam and ell in three of the four grid modes; equidistributed mode
 is left out while its monitor values can still underflow (a numerical
-failure, exit 1)."""
+failure, exit 1).  Another draws lam, a derivative's order and Dirichlet
+data, non-finite ones included, for exact_derivative and solve_dirichlet."""
 
 import contextlib
 import io
+import math
 import pickle
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,9 @@ from equifd import (
     ProblemSpec,
     adaptive_solve,
     analytic_mapped_grid,
+    exact_derivative,
     solve_bvp,
+    solve_dirichlet,
     uniform_grid,
 )
 from equifd.cli import main
@@ -67,13 +72,18 @@ RAISE_SITES = [
     (lambda: adaptive_solve(ProblemSpec(1e100, 1.0), 20, AdaptiveConfig(alpha=1e308, beta=2.0)),
      "monitor weights 1 + alpha*|u_x|**beta overflow (alpha=1e+308, beta=2.0)",
      {"alpha": 1e308, "beta": 2.0}),
+    (lambda: exact_derivative(ProblemSpec(1e100, 1.0), 0.5, 4),
+     "lam**order overflows: lam=1e+100, order=4", {"lam": 1e100, "order": 4}),
+    (lambda: solve_dirichlet(uniform_grid(ProblemSpec(1.0, 1.0), 4), 1.0, math.inf, 1.0),
+     "left_value must be finite, got inf", {"left_value": math.inf}),
 ]
 
 
 @pytest.mark.parametrize("call,message,params", RAISE_SITES,
                          ids=["require", "require_count", "lam_ell", "uniform_grid",
                               "layer_width", "mapped_nodes", "steps_too_small",
-                              "row_underflow", "exact_power", "gradient_weights"])
+                              "row_underflow", "exact_power", "gradient_weights",
+                              "derivative_power", "dirichlet_value"])
 def test_each_check_blames_its_parameters(call, message, params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning ahead of the error
@@ -131,3 +141,30 @@ def test_solve_exits_0_or_2_and_the_library_blames_only_parameters(tmp_path_fact
             assert set(err.params) <= {"lam", "ell", "beta", "alpha", "n_cells"}
         else:
             assert rc == 0
+
+
+# lam over ProblemSpec's range, with subnormals and the values next to LAM_MAX
+EDGE_LAMS = (5e-324, 1e-310, 2.0**511, math.nextafter(LAM_MAX, 0.0))
+ANY_LAM = st.sampled_from(EDGE_LAMS) | st.floats(0.0, LAM_MAX, exclude_min=True, exclude_max=True)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(lam=ANY_LAM, order=st.integers(1, 5), q=st.floats(0.0, 1.0), left=st.floats(),
+       right=st.floats())
+def test_library_returns_finite_values_or_blames_its_parameters(lam, order, q, left, right):
+    """exact_derivative and solve_dirichlet on a small uniform grid return
+    finite values with no warning, or raise ParameterError blaming only
+    their own parameters; Dirichlet data is any float, inf and NaN too."""
+    spec = ProblemSpec(lam, 1.0)
+    calls = [(lambda: exact_derivative(spec, q * spec.ell, order), {"lam", "order"}),
+             (lambda: solve_dirichlet(uniform_grid(spec, 4), lam, left, right),
+              {"lam", "left_value", "right_value"})]
+    for call, params in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = call()
+            except ParameterError as err:
+                assert set(err.params) <= params
+            else:
+                assert np.isfinite(values).all()

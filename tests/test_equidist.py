@@ -11,6 +11,7 @@ from equifd import (
     MonitorFunction,
     MonotonicityError,
     ProblemSpec,
+    ScaledMonitor,
     analytic_mapped_grid,
     equidist_defect,
     equidistribute,
@@ -134,7 +135,7 @@ def test_scaling_invariance(spec10):
     tol = 1e-12
     base = ExactPowerMonitor(spec10, 0.25)
     res1 = equidistribute(base, spec10, 20, tol=tol)
-    res2 = equidistribute(base.scaled(37.0), spec10, 20, tol=tol)
+    res2 = equidistribute(ScaledMonitor(base, 37.0), spec10, 20, tol=tol)
     assert np.max(np.abs(res1.grid.nodes - res2.grid.nodes)) <= 10 * tol
 
 
@@ -173,7 +174,7 @@ def test_cycle_at_damping_floor_stops_with_capped_result(spec10):
     """A rough monitor cycles exactly at the damping floor; the early stop
     returns bit for bit the best iterate of a run to the full sweep cap."""
     sol = solve_bvp(uniform_grid(spec10, 20), spec10)
-    monitor = DiscreteGradientMonitor.from_solution(10.0, 1.0, sol)
+    monitor = DiscreteGradientMonitor(10.0, 1.0, sol.grid.nodes, sol.values)
 
     # oracle: the sweep loop without cycle detection, run to the cap
     x = uniform_grid(spec10, 20).nodes.copy()

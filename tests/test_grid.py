@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from equifd import Grid, GridMapping, ProblemSpec, analytic_mapped_grid, uniform_grid
+from equifd import (Grid, GridMapping, ProblemSpec, analytic_mapped_grid,
+                    fourth_order_residual, uniform_grid)
 from equifd.io import read_csv
 
 mpmath.mp.dps = 50
@@ -80,7 +82,7 @@ def test_jacobian_bound_uniform_in_n(spec10):
     j_max = float(np.max(mapping.derivative(np.linspace(0, 1, 2001))))
     for n in [10, 20, 40, 80, 160, 320, 640]:
         g = analytic_mapped_grid(mapping, n)
-        assert g.max_step * n <= j_max * (1 + 1e-12)
+        assert float(np.max(g.steps)) * n <= j_max * (1 + 1e-12)
 
 
 def test_underflow_warning():
@@ -89,6 +91,16 @@ def test_underflow_warning():
         g = analytic_mapped_grid(GridMapping(spec, 1.0), 8)
     assert g.nodes[0] == 0.0
     assert np.all(np.diff(g.nodes) > 0)
+
+
+def test_underflow_warning_once_per_mapping():
+    """e^{-beta*lam*ell} is formed, and its underflow reported, once per
+    mapping, not once for each of x, x_q and x_qq."""
+    mapping = GridMapping(ProblemSpec(1e4, 1.0), 0.25)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fourth_order_residual(mapping, 0.5)
+    assert [w.category for w in caught] == [RuntimeWarning]
 
 
 def test_grid_validation():

@@ -11,6 +11,7 @@ from equifd import (
     DiscreteGradientMonitor,
     ExactPowerMonitor,
     ProblemSpec,
+    ScaledMonitor,
     solve_bvp,
     uniform_grid,
 )
@@ -68,7 +69,7 @@ def test_constant_must_be_positive():
 def test_exact_power_midpoint_sampling(spec10):
     g = uniform_grid(spec10, 4)
     vals = ExactPowerMonitor(spec10, 0.25).interval_values(g.nodes)
-    expected = np.exp(0.25 * 10.0 * (g.midpoints - 1.0) + 0.25 * math.log(10.0))
+    expected = np.exp(0.25 * 10.0 * (midpoints(g.nodes) - 1.0) + 0.25 * math.log(10.0))
     assert np.array_equal(vals, expected)
 
 
@@ -159,7 +160,7 @@ def test_exact_power_beta_zero_is_constant(spec10):
 
 def test_discrete_gradient_on_own_grid(spec10):
     sol = solve_bvp(uniform_grid(spec10, 10), spec10)
-    mon = DiscreteGradientMonitor.from_solution(2.0, 0.5, sol)
+    mon = DiscreteGradientMonitor(2.0, 0.5, sol.grid.nodes, sol.values)
     slopes = np.abs(np.diff(sol.values)) / np.diff(sol.grid.nodes)
     assert np.array_equal(mon.interval_values(sol.grid.nodes), 1.0 + 2.0 * slopes**0.5)
 
@@ -189,7 +190,7 @@ def test_discrete_gradient_lookup_matches_clipped_search():
 
 def test_discrete_gradient_positive(spec10):
     sol = solve_bvp(uniform_grid(spec10, 20), spec10)
-    mon = DiscreteGradientMonitor.from_solution(1e4, 2.0, sol)
+    mon = DiscreteGradientMonitor(1e4, 2.0, sol.grid.nodes, sol.values)
     vals = mon.interval_values(sol.grid.nodes)
     assert np.all(vals >= 1.0)
     assert np.all(np.isfinite(vals))
@@ -198,10 +199,10 @@ def test_discrete_gradient_positive(spec10):
 def test_scaled_monitor(spec10):
     g = uniform_grid(spec10, 5)
     base = ExactPowerMonitor(spec10, 0.25)
-    assert np.array_equal(base.scaled(3.5).interval_values(g.nodes),
+    assert np.array_equal(ScaledMonitor(base, 3.5).interval_values(g.nodes),
                           3.5 * base.interval_values(g.nodes))
     with pytest.raises(ValueError):
-        base.scaled(0.0)
+        ScaledMonitor(base, 0.0)
 
 
 def test_parameter_validation(spec10):
@@ -222,7 +223,7 @@ def test_parameter_validation(spec10):
     with pytest.raises(ValueError, match="value"):
         ConstantMonitor(np.inf)
     with pytest.raises(ValueError, match="factor"):
-        ConstantMonitor().scaled(np.inf)
+        ScaledMonitor(ConstantMonitor(), np.inf)
 
 
 def test_gradient_monitor_rejects_unequal_shapes():
@@ -297,7 +298,7 @@ def test_stacked_monitor_rows_keeps_the_rows_given():
     for keep in ([0, 2, 4], [3], [4, 1]):
         assert np.array_equal(monitor.rows(keep).interval_values(query[keep]), full[keep])
     assert np.array_equal(monitor.rows([1, 3]).rows([1]).interval_values(query[3]), full[3])
-    assert np.array_equal(monitor.scaled(2.0).rows([4, 1]).interval_values(query[[4, 1]]),
+    assert np.array_equal(ScaledMonitor(monitor, 2.0).rows([4, 1]).interval_values(query[[4, 1]]),
                           2.0 * full[[4, 1]])
     assert ConstantMonitor().rows([0]) == ConstantMonitor()
 
