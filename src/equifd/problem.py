@@ -134,11 +134,14 @@ class ProblemSpec:
 
 
 def check_domain(spec: ProblemSpec, x) -> np.ndarray:
-    """x as a float array; ValueError unless every entry lies in [0, ell]."""
+    """x as a float array, unless an entry lies outside [0, ell]: then
+    ParameterError blaming x, with x's least or greatest entry (or a NaN)."""
     x = np.asarray(x, dtype=float)
-    # smallest and largest return the first NaN, which fails both comparisons
-    if x.size and not (0.0 <= smallest(x) and largest(x) <= spec.ell):
-        raise ValueError(f"x must lie in [0, {spec.ell}]")
+    if x.size:
+        # smallest and largest return the first NaN, which fails the check
+        for end in (smallest(x), largest(x)):
+            if not 0.0 <= end <= spec.ell:
+                raise ParameterError(f"x must lie in [0, {spec.ell}]", tail=False, x=end)
     return x
 
 

@@ -33,16 +33,21 @@ the diagonal only to check it.  Summed back from a diagonal rounded at
 ~4/h^2, a row sum would keep an error of eps*4/h^2 against lam^2, which
 floors the error of long solves (README, numerical notes).
 
-On the numpy path solve_dirichlet owns the arrays it assembles the bands
-and row sums into, and the right-hand side goes into the interior of the
-nodal vector it returns; tridiag.solve_in_place overwrites them all,
-leaving the solution there.  A long solve thus holds 4.5n doubles: two
-bands, the row sums, the nodal vector and the kernel's buffer of n/2.
+On the numpy path solve_dirichlet assembles the bands and row sums into
+a workspace of its thread, and the right-hand side into the interior of
+the nodal vector it returns; tridiag.solve_in_place overwrites them all,
+leaving the solution there.  The workspace holds 3.5n doubles: the step
+sums that become the row sums, two bands and the kernel's buffer of n/2.
+Each thread keeps its own, grown to the largest n it has solved and
+reused by every later long solve, which so allocates only its fresh
+nodal vector.  Fresh temporaries that large would be pages the allocator
+takes from the OS and hands back at every solve, each faulted in afresh.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +59,18 @@ from .tridiag import PIVOT_FLOOR, TridiagonalSystem, solve_in_place
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 # unknowns from which solve_dirichlet assembles and solves by cyclic
-# reduction: near its crossover with _solve_short, which on a uniform grid
-# takes 324 us against 348 at 500 unknowns and 379 against 393 at 576
-# (best of 5, 2-vCPU Xeon, numpy 2.4.6)
+# reduction.  Against _solve_short on a uniform grid, with the workspace
+# kept from earlier solves: 174 us against 159 at 420 unknowns, 166
+# against 172 at 450 and 197 against 229 at 575 (best of 7 runs of 3 x 200
+# solves, 2-vCPU Xeon, numpy 2.4.6).  With fresh temporaries the numpy
+# path reads the same, since blocks this small come back from the heap
+# with no page faults.  An earlier, slower run of that host read 348
+# against 324 at 500 and 393 against 379 at 576: the crossover moves with
+# the host between about 450 and 576, where the paths are within 15%.
 CR_CUTOFF = 576
+
+# each thread's long-solve workspace (_workspace)
+_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -105,28 +118,44 @@ def _diagonal(lower: np.ndarray, upper: np.ndarray, lam2: float, out=None) -> np
     return diag
 
 
-def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
-    """Bands and row sums of the scheme, and the nodal vector holding its
-    right-hand side.
+def _workspace(n: int) -> np.ndarray:
+    """This thread's workspace for a long solve of n unknowns: at least
+    3.5n doubles, kept and reused, and grown to the largest n so far."""
+    work = getattr(_local, "work", None)
+    size = 3 * n + (n + 1) // 2
+    if work is None or work.size < size:
+        _local.work = None  # freed before its successor is allocated
+        work = _local.work = np.empty(size)
+    return work
 
-    Returns lower, rowsum, upper (length N-1) and u (length N+1).  lower[0]
-    and upper[-1] couple the first and last rows to the boundary nodes:
-    their terms are eliminated into the right-hand side, which fills the
-    interior of u, and u's ends hold the Dirichlet values.  The row sums
-    are in closed form: lam**2 in every row, less lower[0] in the first
-    and upper[-1] in the last, whose couplings left the matrix.  The
-    diagonal -(lower + upper) + lam**2 is formed only to be checked for
-    overflow and for a row below PIVOT_FLOOR, in the buffer the row sums
-    then fill.
+
+def _assemble(grid: Grid, lam: float, left_value: float, right_value: float,
+              work: np.ndarray):
+    """Bands and row sums of the scheme, in work, and the nodal vector
+    holding its right-hand side.
+
+    Returns lower, rowsum, upper (length n = N-1), the first 3n doubles of
+    work, and u (length N+1), a fresh array.  lower[0] and upper[-1]
+    couple the first and last rows to the boundary nodes: their terms are
+    eliminated into the right-hand side, which fills the interior of u,
+    and u's ends hold the Dirichlet values.  The row sums are in closed
+    form: lam**2 in every row, less lower[0] in the first and upper[-1] in
+    the last, whose couplings left the matrix.  The diagonal -(lower +
+    upper) + lam**2 is formed only to be checked for overflow and for a
+    row below PIVOT_FLOOR, in the buffer the row sums then fill.  The
+    steps sit in u until the right-hand side goes in.
     """
     lam2 = _checked_lam2(lam, left_value, right_value)
-    h = grid.steps
+    n = grid.n_cells - 1
+    x = grid.nodes
+    u = np.empty(n + 2)
+    h = np.subtract(x[1:], x[:-1], out=u[1:])
+    hj, lower, upper = work[:n], work[n : 2 * n], work[2 * n : 3 * n]
     with np.errstate(all="ignore"):  # overflow is checked once, below
-        hj = h[:-1] + h[1:]
+        np.add(h[:-1], h[1:], out=hj)
         hj *= 0.5
-        lower = hj * h[:-1]
-        upper = hj * h[1:]
-        del h  # freed before u is allocated
+        np.multiply(hj, h[:-1], out=lower)
+        np.multiply(hj, h[1:], out=upper)
         np.divide(-1.0, lower, out=lower)
         np.divide(-1.0, upper, out=upper)
         # as Python floats, whose sums overflow to inf without a numpy warning
@@ -152,7 +181,7 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float):
     rowsum.fill(lam2)
     rowsum[0] -= lower[0]
     rowsum[-1] -= upper[-1]
-    u = np.zeros(grid.n_cells + 1)
+    u.fill(0.0)
     u[0] = left_value
     u[-1] = right_value
     u[1] -= left_term
@@ -166,21 +195,25 @@ def assemble_dirichlet(grid: Grid, lam: float, left_value: float, right_value: f
     lam = 0 is allowed here (pure second-difference operator, exact for
     affine functions); the ProblemSpec-facing wrappers require lam > 0.
     """
-    lower, _, upper, u = _assemble(grid, lam, left_value, right_value)
-    return TridiagonalSystem(lower=lower[1:], diag=_diagonal(lower, upper, lam**2),
+    # in a fresh array: the system keeps views of its bands
+    lower, diag, upper, u = _assemble(grid, lam, left_value, right_value,
+                                      np.empty(3 * (grid.n_cells - 1)))
+    return TridiagonalSystem(lower=lower[1:], diag=_diagonal(lower, upper, lam**2, out=diag),
                              upper=upper[:-1], rhs=u[1:-1])
 
 
 def solve_dirichlet(grid: Grid, lam: float, left_value: float, right_value: float) -> np.ndarray:
     """Nodal values (boundary rows included) for arbitrary Dirichlet data."""
-    if grid.n_cells - 1 < CR_CUTOFF:
+    n = grid.n_cells - 1
+    if n < CR_CUTOFF:
         lam2 = _checked_lam2(lam, left_value, right_value)
         # as Python floats: numpy scalars would be slower and warn on overflow
         u = _solve_short(grid.nodes.tolist(), float(lam2), float(left_value), float(right_value))
         if u is not None:
             return np.array(u)
-    lower, rowsum, upper, u = _assemble(grid, lam, left_value, right_value)
-    solve_in_place(lower, rowsum, upper, u[1:-1])
+    work = _workspace(n)
+    lower, rowsum, upper, u = _assemble(grid, lam, left_value, right_value, work)
+    solve_in_place(lower, rowsum, upper, u[1:-1], work[3 * n :])
     return u
 
 

@@ -9,13 +9,14 @@ pivoting is stable.
 solve_in_place owns nothing: the caller hands it four arrays of length n,
 the lower band with its first slot unused, the row sums, the upper band
 with its last slot unused, and the right-hand side, and it overwrites all
-four, leaving the solution in the right-hand side.  The kernel takes row
+four, leaving the solution in the right-hand side; a fifth array, of at
+least (n + 1) // 2 doubles, is its scratch.  The kernel takes row
 sums in place of the diagonal: solver.solve_dirichlet knows the scheme's
 in closed form and assembles the bands and those row sums straight into
 such arrays, so a long solve makes no copy of its bands and sums no row
 sums from a rounded diagonal.  solve_tridiagonal(sys), the one place
 where a diagonal is turned into row sums, does so in fresh arrays of
-that layout and leaves the system unchanged.
+that layout, with a fresh buffer, and leaves the system unchanged.
 
 The kernel is odd-even cyclic reduction (Hockney, J. ACM 12, 1965), at
 every n.  Each of its log2(n) levels eliminates every other remaining row
@@ -126,14 +127,15 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     if not np.isfinite(s).all():
         raise ValueError("the row sums diag + lower + upper overflow")
     rhs = sys.rhs.copy()
-    solve_in_place(a, s, c, rhs)
+    solve_in_place(a, s, c, rhs, np.empty((sys.n + 1) // 2))
     return rhs
 
 
 def solve_in_place(lower: np.ndarray, rowsum: np.ndarray, upper: np.ndarray,
-                   rhs: np.ndarray) -> None:
+                   rhs: np.ndarray, buf: np.ndarray) -> None:
     """Solve the system with bands lower[1:], upper[:-1] and row sums
-    rowsum, by cyclic reduction in place; overwrites all four.
+    rowsum, by cyclic reduction in place; overwrites all four, and uses
+    buf, of at least (n + 1) // 2 doubles, as scratch.
 
     The four arrays have length n; lower[0] and upper[-1] are not part of
     the system and are set to 0.  On return rhs holds the solution and the
@@ -147,7 +149,8 @@ def solve_in_place(lower: np.ndarray, rowsum: np.ndarray, upper: np.ndarray,
     pivot, which leaves -a/b, -c/b, -s/b and -d/b in its own slots for the
     back substitution, and is added into its neighbours, which are the
     rows left at stride 2st.  The right side x = rhs becomes the solution,
-    so besides the four arrays the only storage is one buffer of n/2.
+    so besides the four arrays the only storage is buf, which the caller
+    provides and may reuse.
     (Negated slots need no negation of the kept rows' a and c, and
     np.negative is avoided: in numpy 2.4.6 it writes wrong values into an
     output view with a stride of 8 elements.)
@@ -155,7 +158,6 @@ def solve_in_place(lower: np.ndarray, rowsum: np.ndarray, upper: np.ndarray,
     a, s, c, x = lower, rowsum, upper, rhs
     a[0] = c[-1] = 0.0
     n = s.size
-    buf = np.empty((n + 1) // 2)
     st = 1
     while 2 * st <= n:
         e = slice(st - 1, None, 2 * st)

@@ -3,8 +3,9 @@ raises ParameterError blaming them, and the CLI turns that into exit 2
 naming the flags.  One property test draws the inputs of a solve sweep
 over lam and ell in three of the four grid modes; equidistributed mode
 is left out while its monitor values can still underflow (a numerical
-failure, exit 1).  Another draws lam, a derivative's order and Dirichlet
-data, non-finite ones included, for exact_derivative and solve_dirichlet."""
+failure, exit 1).  Another draws lam, a derivative's order, x and
+Dirichlet data, non-finite ones included, for exact_derivative and
+solve_dirichlet."""
 
 import contextlib
 import io
@@ -27,6 +28,7 @@ from equifd import (
     adaptive_solve,
     analytic_mapped_grid,
     exact_derivative,
+    exact_solution,
     solve_bvp,
     solve_dirichlet,
     uniform_grid,
@@ -76,6 +78,8 @@ RAISE_SITES = [
      "lam**order overflows: lam=1e+100, order=4", {"lam": 1e100, "order": 4}),
     (lambda: solve_dirichlet(uniform_grid(ProblemSpec(1.0, 1.0), 4), 1.0, math.inf, 1.0),
      "left_value must be finite, got inf", {"left_value": math.inf}),
+    (lambda: exact_solution(ProblemSpec(10.0, 1.0), [0.5, 1.5, -0.5]),
+     "x must lie in [0, 1.0]", {"x": -0.5}),
 ]
 
 
@@ -83,7 +87,7 @@ RAISE_SITES = [
                          ids=["require", "require_count", "lam_ell", "uniform_grid",
                               "layer_width", "mapped_nodes", "steps_too_small",
                               "row_underflow", "exact_power", "gradient_weights",
-                              "derivative_power", "dirichlet_value"])
+                              "derivative_power", "dirichlet_value", "domain"])
 def test_each_check_blames_its_parameters(call, message, params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning ahead of the error
@@ -148,15 +152,20 @@ EDGE_LAMS = (5e-324, 1e-310, 2.0**511, math.nextafter(LAM_MAX, 0.0))
 ANY_LAM = st.sampled_from(EDGE_LAMS) | st.floats(0.0, LAM_MAX, exclude_min=True, exclude_max=True)
 
 
+# x in [0, ell] = [0, 1], next to it outside, and any float
+ANY_X = (st.floats(0.0, 1.0) | st.sampled_from((-5e-324, math.nextafter(1.0, 2.0), math.nan))
+         | st.floats())
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(lam=ANY_LAM, order=st.integers(1, 5), q=st.floats(0.0, 1.0), left=st.floats(),
-       right=st.floats())
-def test_library_returns_finite_values_or_blames_its_parameters(lam, order, q, left, right):
+@given(lam=ANY_LAM, order=st.integers(1, 5), x=ANY_X, left=st.floats(), right=st.floats())
+def test_library_returns_finite_values_or_blames_its_parameters(lam, order, x, left, right):
     """exact_derivative and solve_dirichlet on a small uniform grid return
     finite values with no warning, or raise ParameterError blaming only
-    their own parameters; Dirichlet data is any float, inf and NaN too."""
+    their own parameters; x, and the Dirichlet data, is any float, inf and
+    NaN too."""
     spec = ProblemSpec(lam, 1.0)
-    calls = [(lambda: exact_derivative(spec, q * spec.ell, order), {"lam", "order"}),
+    calls = [(lambda: exact_derivative(spec, x, order), {"lam", "order", "x"}),
              (lambda: solve_dirichlet(uniform_grid(spec, 4), lam, left, right),
               {"lam", "left_value", "right_value"})]
     for call, params in calls:

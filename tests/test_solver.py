@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -311,14 +313,72 @@ def test_long_ladder_keeps_its_orders(spec10):
 
 
 def test_long_solve_working_set(spec10):
-    """A long solve holds three bands, the nodal vector and the reduction's
-    buffer of n/2, 4.5n doubles; a copy of the bands would pass 6n."""
+    """A thread's first long solve allocates its workspace, 3.5n doubles,
+    and the nodal vector; a copy of the bands would pass 6n.  A later one
+    at the same n, or at a smaller n, allocates only the nodal vector."""
     n = 8192
-    grid = uniform_grid(spec10, n)
-    tracemalloc.start()
+    peaks = []
+
+    def run():  # in a fresh thread, whose workspace starts empty
+        for n_cells in (n, n, n // 2):
+            grid = uniform_grid(spec10, n_cells)
+            tracemalloc.start()
+            try:
+                solve_bvp(grid, spec10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(peaks) == 3
+    assert peaks[0] <= 6 * 8 * n
+    # n_cells + 1 nodes, plus slack for small Python objects, well below
+    # the kernel's buffer of n/2 doubles
+    for n_cells, peak in zip((n, n // 2), peaks[1:]):
+        assert peak <= 8 * (n_cells + 1) + 8192, n_cells
+
+
+def test_assembled_system_outlives_later_long_solves(spec10):
+    """assemble_dirichlet's bands are the system's own, not the workspace
+    that later long solves overwrite."""
+    grid = uniform_grid(spec10, 2 * CR_CUTOFF)
+    system = assemble_scheme(grid, spec10)
+    saved = [band.copy() for band in (system.lower, system.diag, system.upper, system.rhs)]
+    solve_bvp(analytic_mapped_grid(GridMapping(spec10, 0.25), 2 * CR_CUTOFF), spec10)
+    solve_bvp(uniform_grid(spec10, 4 * CR_CUTOFF), spec10)
+    for band, copy in zip((system.lower, system.diag, system.upper, system.rhs), saved):
+        assert np.array_equal(band, copy)
+
+
+def test_long_solves_in_two_threads_match_one_after_the_other(spec10):
+    """Each thread has its own workspace: long solves at different n in
+    two threads at once equal the same solves run in turn, bit for bit."""
+    mapping = GridMapping(spec10, 0.25)
+    grids = [[uniform_grid(spec10, 3000), analytic_mapped_grid(mapping, 5000)],
+             [analytic_mapped_grid(mapping, 4000), uniform_grid(spec10, 7000)]]
+    expected = [[solve_bvp(g, spec10).values for g in row] for row in grids]
+    results = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        start.wait()
+        for _ in range(20):
+            results[i].extend(solve_bvp(g, spec10).values for g in grids[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        solve_bvp(grid, spec10)
-        peak = tracemalloc.get_traced_memory()[1]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
-        tracemalloc.stop()
-    assert peak <= 6 * 8 * n
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for row, want in zip(results, expected):
+        assert len(row) == 20 * len(want)
+        for k, values in enumerate(row):
+            assert np.array_equal(values, want[k % len(want)])
