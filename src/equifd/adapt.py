@@ -20,14 +20,20 @@ adaptive_solve_many runs the loops of many configs in lockstep, one row
 of a stack of grids per config, so that each numpy call of an outer step
 serves every row: the rows' solution errors come from one np.exp, one
 monitor.DiscreteGradientMonitor on the whole stack gives every row's
-weights (one power per beta), and one stacked sweep loop
-(equidist.sweep_rows) equidistributes them all.  Each row keeps its
-own damping, best iterate, cycle check, sweep count and tolerances, and
-leaves the stack when it stops, so the others go on as if alone; each
-row's solve is solver._solve_short on the row as a list.  Every result
-is bit for bit that of running its config on its own: the arithmetic of
-every row is the one-config loop's, in the same order.  adaptive_solve
-is the one-config case.
+weights (one power per beta, one lookup for the stack), and one stacked
+sweep loop (equidist.sweep_rows) equidistributes them all.  Each row
+keeps its own damping, best iterate, cycle check, sweep count and
+tolerances, and leaves the stack when it stops, so the others go on as if
+alone; each row's solve is solver._solve_short on the row as a list.
+Every result is bit for bit that of running its config on its own: the
+arithmetic of every row is the one-config loop's, in the same order.
+adaptive_solve is the one-config case.
+
+The loop builds its monitor without the constructor's input checks,
+which it has made: AdaptiveConfig checks alpha and beta, the solver
+gives finite values, and each new grid's node order is checked at the
+end of the step that made it.  The monitor checks its weights once,
+when it is built, and the sweeps take them unchecked.
 """
 
 from __future__ import annotations
@@ -128,6 +134,10 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
     # rows of equal beta side by side: the monitor takes one power per run of them
     runs = sorted((_Run(i, cfg) for i, cfg in enumerate(configs)), key=lambda run: run.config.beta)
     results = [None] * len(runs)
+    # the rows' alpha and beta, as the Python floats the monitor takes, and their
+    # inner_tol and inner_max_iter, filtered as runs is
+    params = [[float(run.config.alpha) for run in runs], [float(run.config.beta) for run in runs],
+              [run.config.inner_tol for run in runs], [run.config.inner_max_iter for run in runs]]
     x = np.repeat(uniform_grid(spec, n_cells).nodes[None], len(runs), axis=0)
     prev_values = None
     n = 0
@@ -155,12 +165,12 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
             if not keep:
                 break
             runs = [runs[i] for i in keep]
+            params = [[column[i] for i in keep] for column in params]
             x, values = x[keep], values[keep]
 
-        monitor = DiscreteGradientMonitor([run.config.alpha for run in runs],
-                                          [run.config.beta for run in runs], x, values)
-        inner = sweep_rows(monitor, x, [run.config.inner_tol for run in runs],
-                           [run.config.inner_max_iter for run in runs])
+        alphas, betas, tols, caps = params
+        inner = sweep_rows(DiscreteGradientMonitor._trusted(alphas, betas, x, values), x, tols,
+                           caps)
         target = np.array([nodes for nodes, _, _, _ in inner])
         # exact at the ends: 0 + r*(0 - 0) == 0 and ell + r*(ell - ell) == ell
         new = x + per_row([run.relax for run in runs]) * (target - x)
@@ -187,6 +197,7 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
         x, prev_values = new, values
         if len(keep) < len(runs):
             runs = [runs[i] for i in keep]
+            params = [[column[i] for i in keep] for column in params]
             x, prev_values = new[keep], values[keep]
     return results
 

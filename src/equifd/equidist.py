@@ -31,7 +31,10 @@ is its one-row case, and the adaptive loop runs many rows at once.  The
 loop asks its monitor for the weights of the whole stack, or of the one
 grid while one row is left, and for monitor.rows(keep) when rows leave:
 a stacked monitor.DiscreteGradientMonitor serves the adaptive loop, and
-any one-grid monitor serves equidistribute.
+any one-grid monitor serves equidistribute.  The weights are checked
+(finite, strictly positive, of the shape asked for) at every sweep, but
+for a DiscreteGradientMonitor, whose weights are entries of a table it
+checked when it was built.
 """
 
 from __future__ import annotations
@@ -150,10 +153,14 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: lis
     out = [None] * len(rows)
     cap = min(max_iter, default=0)  # the first sweep at which a row reaches its max_iter
     factor = None  # the rows' damping factors (_damping), None while all are 1
+    checked = monitor._weights_checked  # rows(keep) keeps it
     it = 0
     while rows:
         it += 1
-        w = _interval_weights(monitor, x) if len(x) > 1 else _interval_weights(monitor, x[0])[None]
+        query = x if len(x) > 1 else x[0]  # one row is asked as one grid
+        w = monitor.interval_values(query) if checked else _interval_weights(monitor, query)
+        if len(x) == 1:
+            w = w[None]
         step = _sweep(x, w) - x
         stopped = []
         damped = False

@@ -11,12 +11,19 @@ monitor built on a stack of grids, one per row (DiscreteGradientMonitor,
 the package's one lookup of a discrete monitor), also maps a stack of
 (rows, N+1) nodes to (rows, N) weights, and rows(keep) gives the monitor
 of the rows that remain; a monitor whose weights do not depend on the row
-returns itself.
+returns itself.  A stack is looked up in one searchsorted over complex
+keys, row + 1j*x: numpy orders complex numbers lexicographically, so the
+row never rounds into x and each lookup is that of the row on its own.
+
+Midpoints are 0.5*(a + b), which overflows once a + b passes the largest
+double; a monitor whose span reaches past half of it halves each node
+first instead.  The choice is made once, when the monitor is built.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +32,26 @@ from .problem import (ParameterError, ProblemSpec, check_domain, largest, per_ro
                       smallest)
 from .problem import exact_derivative  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
+# past this the sum a + b of two nodes can overflow
+_HALF_MAX = sys.float_info.max / 2
+
+
+def _midpoints(nodes: np.ndarray, wide: bool) -> np.ndarray:
+    """Interval midpoints of one grid or of each row of a stack; wide for
+    nodes past _HALF_MAX, where halving first keeps them finite (it is not
+    the default, as it rounds subnormal nodes)."""
+    if wide:
+        return 0.5 * nodes[..., :-1] + 0.5 * nodes[..., 1:]
+    return 0.5 * (nodes[..., :-1] + nodes[..., 1:])
+
 
 class MonitorFunction:
     """Base class: a positive weight attached to grid intervals."""
+
+    # True where interval_values returns entries of a table checked finite
+    # and >= 1 when the monitor was built, in the shape asked for: the sweep
+    # loop then takes them as they are
+    _weights_checked = False
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         """Weights for the N intervals of the given node array."""
@@ -66,6 +90,7 @@ class ExactPowerMonitor(MonitorFunction):
     beta: float
     _rate: float = field(init=False, repr=False, compare=False)  # beta*lam
     _shift: float = field(init=False, repr=False, compare=False)  # beta*ln(lam)
+    _wide: bool = field(init=False, repr=False, compare=False)  # see _midpoints
 
     def __post_init__(self):
         beta = float(require("beta", self.beta, 0.0))
@@ -78,9 +103,10 @@ class ExactPowerMonitor(MonitorFunction):
                                  tail=False, beta=self.beta, lam=self.spec.lam)
         object.__setattr__(self, "_rate", rate)
         object.__setattr__(self, "_shift", shift)
+        object.__setattr__(self, "_wide", self.spec.ell > _HALF_MAX)
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
-        y = check_domain(self.spec, 0.5 * (nodes[:-1] + nodes[1:]))
+        y = check_domain(self.spec, _midpoints(nodes, self._wide))
         # the midpoints become the exponent in place: no temporary per step
         y -= self.spec.ell
         y *= self._rate
@@ -96,8 +122,11 @@ class DiscreteGradientMonitor(MonitorFunction):
     the monitor is piecewise constant, so querying any node set looks up
     the containing interval.  nodes and values are one grid and its
     solution, with alpha and beta numbers, or stacks of them with one grid
-    per row, with alpha and beta one per row.
+    per row, with alpha and beta one per row.  Every input is checked
+    here, and the weights once: finite, and >= 1 by their form.
     """
+
+    _weights_checked = True
 
     def __init__(self, alpha, beta, nodes, values):
         nodes = np.asarray(nodes, dtype=float)
@@ -108,22 +137,36 @@ class DiscreteGradientMonitor(MonitorFunction):
                              f"shape, got {nodes.shape} and {values.shape}")
         if nodes.ndim == 1:
             nodes, values, alpha, beta = nodes[None], values[None], [alpha], [beta]
-        rows = len(nodes)
         alphas = [float(require("alpha", a, 0.0)) for a in alpha]
         betas = [float(require("beta", b, 0.0)) for b in beta]
-        if len(alphas) != rows or len(betas) != rows:
-            raise ValueError(f"alpha and beta must give one value per grid ({rows})")
-        steps = nodes[:, 1:] - nodes[:, :-1]
-        if not smallest(steps > 0.0):  # a NaN node fails the comparison too
+        if len(alphas) != len(nodes) or len(betas) != len(nodes):
+            raise ValueError(f"alpha and beta must give one value per grid ({len(nodes)})")
+        if not smallest(nodes[:, 1:] > nodes[:, :-1]):  # a NaN node fails the comparison too
             raise ValueError("nodes must be strictly increasing")
         if not smallest(np.isfinite(values)):
             raise ValueError("values must be finite")
+        self._build(alphas, betas, nodes, values,
+                    max(-smallest(nodes[:, 0]), largest(nodes[:, -1])) > _HALF_MAX)
+
+    @classmethod
+    def _trusted(cls, alphas: list, betas: list, nodes: np.ndarray,
+                 values: np.ndarray) -> "DiscreteGradientMonitor":
+        """The monitor of a stack of grids on one [0, ell], built without
+        __init__'s input checks: the adaptive loop has checked its nodes'
+        order and its alphas and betas (Python floats), and its solver gives
+        finite values.  The weights are still checked."""
+        monitor = object.__new__(cls)
+        monitor._build(alphas, betas, nodes, values, nodes.item(-1) > _HALF_MAX)
+        return monitor
+
+    def _build(self, alphas, betas, nodes, values, wide):
+        rows = len(nodes)
         # one power per run of rows with equal beta, which stays one Python
         # float: numpy takes its sqrt and square paths for a scalar 0.5 and 2,
         # whose results differ from those of pow
         starts = [0] + [i for i in range(1, rows) if betas[i] != betas[i - 1]]
         with np.errstate(all="ignore"):  # overflow is checked once, below
-            slopes = abs(values[:, 1:] - values[:, :-1]) / steps
+            slopes = abs(values[:, 1:] - values[:, :-1]) / (nodes[:, 1:] - nodes[:, :-1])
             tables = [1.0 + per_row(alphas[start:stop]) * slopes[start:stop]**betas[start]
                       for start, stop in zip(starts, starts[1:] + [rows])]
         weights = tables[0] if len(tables) == 1 else np.concatenate(tables)
@@ -132,27 +175,48 @@ class DiscreteGradientMonitor(MonitorFunction):
             raise ParameterError("monitor weights 1 + alpha*|u_x|**beta overflow",
                                  alpha=alphas[row], beta=betas[row])
         self._weights = weights
+        self._wide = wide
         # interior breakpoints only: a query left of the first node or right
         # of the last one lands in the end interval
-        self._breaks = nodes[:, 1:-1]
+        self._index(nodes[:, 1:-1])
+
+    def _index(self, breaks: np.ndarray) -> None:
+        """Take breaks, the rows' interior breakpoints, and for a stack the
+        keys of its lookup: row r's are r + 1j*b for its breakpoints b, then
+        the fence r + 0.5, so that a search for r + 1j*m counts each earlier
+        row's keys and row r's breakpoints <= m, which is the flat index of
+        the weight of m in row r."""
+        self._breaks = breaks
+        self._keys = self._labels = None
+        if len(breaks) > 1:
+            labels = np.arange(len(breaks), dtype=float)[:, None]
+            keys = np.empty((len(breaks), breaks.shape[1] + 1), dtype=complex)
+            keys.real = labels
+            keys.real[:, -1] += 0.5
+            keys.imag[:, :-1] = breaks
+            keys.imag[:, -1] = 0.0
+            self._keys, self._labels = keys.reshape(-1), labels
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         """Weights of one grid's intervals, for a monitor on one grid, or
-        of a stack's, each row looked up in the same row of the monitor."""
-        mid = 0.5 * (nodes[..., :-1] + nodes[..., 1:])
+        of a stack's, each row looked up in the same row of the monitor.
+        A NaN node in a stack's query has no place in the key order: its
+        lookup raises IndexError."""
+        mid = _midpoints(nodes, self._wide)
         rows = len(mid) if mid.ndim == 2 else 1
         if rows != len(self._weights):
             raise ValueError(f"the monitor holds {len(self._weights)} grids, got {rows}")
-        if mid.ndim == 1:
+        if self._keys is None:  # one grid: a real search is the cheaper one
             return self._weights[0][self._breaks[0].searchsorted(mid, "right")]
-        # one searchsorted a row keeps each lookup exact; adding row offsets to
-        # the floats to search them all at once would round them and move lookups
-        return np.array([w[b.searchsorted(m, "right")]
-                         for w, b, m in zip(self._weights, self._breaks, mid)])
+        keys = np.empty(mid.shape, dtype=complex)
+        keys.real = self._labels
+        keys.imag = mid
+        return self._weights.take(self._keys.searchsorted(keys, "right"))
 
     def rows(self, keep) -> "DiscreteGradientMonitor":
         monitor = object.__new__(DiscreteGradientMonitor)
-        monitor._weights, monitor._breaks = self._weights[keep], self._breaks[keep]
+        monitor._weights, monitor._wide = self._weights[keep], self._wide
+        monitor._index(self._breaks[keep])
         return monitor
 
 

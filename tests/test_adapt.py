@@ -3,8 +3,9 @@ import sys
 import numpy as np
 import pytest
 
-from equifd import (AdaptiveConfig, ProblemSpec, adaptive_solve, max_error, solver, tridiag,
-                    uniform_grid)
+from equifd import (AdaptiveConfig, DiscreteGradientMonitor, ParameterError, ProblemSpec,
+                    adaptive_solve, adaptive_solve_many, max_error, monitor, problem, solver,
+                    tridiag, uniform_grid)
 from equifd.equidist import DAMPING_FLOOR
 from equifd.io import read_csv
 
@@ -145,6 +146,9 @@ def test_history_and_trace(tmp_path, spec10):
 
 
 def test_config_validation():
+    cfg = AdaptiveConfig(alpha=1.0, beta=0.5)
+    assert (cfg.eps, cfg.max_outer, cfg.inner_tol, cfg.inner_max_iter) == \
+        (1e-10, 1000, 1e-12, 10000)
     with pytest.raises(ValueError):
         AdaptiveConfig(alpha=-1.0, beta=0.5)
     with pytest.raises(ValueError):
@@ -208,3 +212,39 @@ def test_adaptive_loop_solves_on_the_fused_path(monkeypatch):
         res = adaptive_solve(ProblemSpec(10, 1), n_cells, AdaptiveConfig(2.0, 0.25))
         assert counts == {"_solve_short": res.outer_iterations, "_assemble": 0,
                           "solve_in_place": 0}, n_cells
+
+
+def test_outer_steps_build_the_monitor_unchecked():
+    """The loop builds its monitor without the constructor's input checks,
+    which it has made: at no outer step does the monitor call
+    problem.require, as the public constructor does."""
+    spec = ProblemSpec(10, 1)
+
+    def monitor_checks(run):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is problem.require.__code__ \
+                    and frame.f_back.f_code.co_filename == monitor.__file__:
+                calls.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            result = run()
+        finally:
+            sys.setprofile(None)
+        return calls, result
+
+    configs = [AdaptiveConfig(2.0, 0.25), AdaptiveConfig(10.0, 1.0)]
+    calls, results = monitor_checks(lambda: adaptive_solve_many(spec, 20, configs))
+    assert calls == [] and min(res.outer_iterations for res in results) > 5
+    grid = uniform_grid(spec, 20)
+    calls, _ = monitor_checks(lambda: DiscreteGradientMonitor(2.0, 0.25, grid.nodes, grid.nodes))
+    assert len(calls) == 2  # alpha, then beta
+
+
+def test_weight_overflow_in_the_loop_blames_alpha_and_beta():
+    configs = [AdaptiveConfig(1.0, 0.25), AdaptiveConfig(1e308, 2.0)]
+    with pytest.raises(ParameterError, match="monitor weights") as err:
+        adaptive_solve_many(ProblemSpec(1e100, 1.0), 20, configs)
+    assert err.value.params == {"alpha": 1e308, "beta": 2.0}

@@ -193,6 +193,23 @@ def test_checks_during_the_run_are_usage_errors(tmp_path, capsys, argv, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,rc,err", [
+    # the midpoints overflowed to inf and failed the domain check (exit 2,
+    # naming no flag); now the samples of (u_x)^beta underflow to 0, the
+    # open equidistributed-mode failure (ROADMAP item 8)
+    (["solve", "--grid", "equidistributed", "--lambda", "1e-300", "--beta", "0.25"], 1,
+     "error: monitor values must be finite and strictly positive"),
+    (["solve", "--grid", "adaptive", "--lambda", "1e-3", "--beta", "0.25", "--alpha", "1"], 0, ""),
+], ids=["equidistributed", "adaptive"])
+def test_midpoints_past_half_the_double_range_warn_of_nothing(tmp_path, capsys, argv, rc, err):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--ell", "1.5e308", "--n", "20",
+                     "--out", str(tmp_path / "x.csv")]) == rc
+    assert caught == []
+    assert capsys.readouterr().err.startswith(err)
+
+
 def test_start_grid_is_built_once(tmp_path):
     """The underflow warning of the mapped grid is given once: the CLI
     builds no grid ahead of the run."""

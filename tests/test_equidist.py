@@ -195,7 +195,10 @@ def test_cycle_at_damping_floor_stops_with_capped_result(spec10):
     assert err.value.iterations <= 300
     assert np.array_equal(err.value.grid.nodes, best[1])
     assert err.value.final_update == best[0]
-    assert "period" in str(err.value)
+    # Brent's schedule saves the iterates of sweeps 1, 2, 4, ..., 256, so this
+    # 13-cycle is first seen repeating the one of sweep 256
+    assert str(err.value).startswith("the iterate of sweep 269 repeats that of sweep 256 at "
+                                     "the damping floor (period 13; ")
 
 
 def test_bad_monitor_rejected(spec10):
@@ -298,3 +301,29 @@ def test_checks_reject_exactly_as_reference(spec10, monkeypatch, special):
         x1 = x0 + 1.0 * (target - x0)
         expected = MonotonicityError if _reference_unordered(x1) else EquidistributionError
         assert _raised(equidistribute, ConstantMonitor(), spec10, n, None, 1e-12, 1) is expected
+
+
+def test_gradient_weights_are_checked_when_built_not_per_sweep(spec10, monkeypatch):
+    """The sweeps take a DiscreteGradientMonitor's weights unchecked (it
+    checked its table when built), and check any other monitor's at every
+    sweep."""
+    calls = []
+    check = equidist._interval_weights
+    monkeypatch.setattr(equidist, "_interval_weights",
+                        lambda monitor, nodes: calls.append(monitor) or check(monitor, nodes))
+    sol = solve_bvp(uniform_grid(spec10, 20), spec10)
+    res = equidistribute(DiscreteGradientMonitor(2.0, 0.25, sol.grid.nodes, sol.values), spec10, 20)
+    assert res.iterations > 1 and calls == []
+    res = equidistribute(ExactPowerMonitor(spec10, 0.25), spec10, 20)
+    assert len(calls) == res.iterations
+
+
+def test_span_past_half_the_double_range():
+    """Past ell = max/2 the midpoints halve each node first, so they stay
+    finite (0.5*(a + b) overflowed, with a RuntimeWarning, and failed the
+    domain check): ell = 1.5e308 equidistributes as ell = 1.5 does at the
+    same lam*ell."""
+    wide, unit = ProblemSpec(1e-308, 1.5e308), ProblemSpec(1.0, 1.5)
+    got = equidistribute(ExactPowerMonitor(wide, 0.25), wide, 20)
+    ref = equidistribute(ExactPowerMonitor(unit, 0.25), unit, 20)
+    assert np.max(np.abs(got.grid.nodes / 1e308 - ref.grid.nodes)) < 1e-12

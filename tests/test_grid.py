@@ -104,6 +104,8 @@ def test_underflow_warning_once_per_mapping():
 
 
 def test_grid_validation():
+    with pytest.raises(ValueError, match="at least 3 nodes"):  # one cell has no interior node
+        Grid(np.array([0.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
         Grid(np.array([0.0, 0.5, 0.4, 1.0]), 1.0)
     with pytest.raises(ValueError):

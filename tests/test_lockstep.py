@@ -181,9 +181,10 @@ def table2_reference(spec10):
 def test_lookup_is_exact_at_one_ulp():
     """A monitor on a stack looks each row's midpoints up in that row's
     breakpoints, exactly as the one-grid reference does, also where a
-    breakpoint lies one ulp from a midpoint or on it.  (Shifting each row
-    by an offset to search all rows at once would round such pairs
-    together.)"""
+    breakpoint lies one ulp from a midpoint or on it, and so does the
+    monitor of rows(keep).  (Shifting each row by an offset to search all
+    rows at once would round such pairs together; the complex keys
+    row + 1j*x are compared lexicographically, with no rounding.)"""
     rng = np.random.default_rng(5)
     x = np.sort(rng.random((4, 21)), axis=1)
     x[:, 0], x[:, -1] = 0.0, 1.0
@@ -202,6 +203,11 @@ def test_lookup_is_exact_at_one_ulp():
     assert np.array_equal(monitor.interval_values(x), expected)
     for row in range(4):
         assert np.array_equal(monitor.rows([row]).interval_values(x[row]), expected[row])
+    for keep in ([0, 2, 3], [3, 1]):
+        assert np.array_equal(monitor.rows(keep).interval_values(x[keep]),
+                              [expected[row] for row in keep])
+    assert np.array_equal(monitor.rows([0, 2, 3]).rows([0, 2]).interval_values(x[[0, 3]]),
+                          [expected[0], expected[3]])
 
 
 def test_table2_cells_in_shuffled_order(spec10, table2_reference):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from equifd import (
     solve_bvp,
     uniform_grid,
 )
+from equifd.equidist import sweep_rows
 from equifd.experiments import TABLE2_ALPHAS, TABLE2_BETAS
 from conftest import random_grid
 
@@ -303,6 +305,41 @@ def test_stacked_monitor_rows_keeps_the_rows_given():
     assert ConstantMonitor().rows([0]) == ConstantMonitor()
 
 
+@pytest.mark.parametrize("rows", [1, 2, 9])
+def test_each_stacked_sweep_makes_one_searchsorted(rows):
+    """The monitor looks a stack up in one searchsorted, whatever its row
+    count, where it made one per row."""
+    nodes, values = _stack(np.random.default_rng(rows), rows, 20)
+    monitor = DiscreteGradientMonitor([2.0] * rows, [0.25] * rows, nodes, values)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "searchsorted":
+            calls.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        out = sweep_rows(monitor, nodes, [0.0] * rows, [6] * rows)
+    finally:
+        sys.setprofile(None)
+    assert [sweeps for _, sweeps, _, _ in out] == [6] * rows
+    assert len(calls) == 6
+
+
+def test_stacked_query_at_infinite_and_nan_nodes():
+    """Infinite midpoints land in the end intervals, as on one grid; a NaN
+    midpoint has no place in the stack's key order, and raises."""
+    rng = np.random.default_rng(29)
+    nodes, values = _stack(rng, 3, 6)
+    monitor = DiscreteGradientMonitor([1.0] * 3, [0.5] * 3, nodes, values)
+    query = nodes.copy()
+    query[:, 0], query[:, -1] = -np.inf, np.inf
+    assert np.array_equal(monitor.interval_values(query), monitor.interval_values(nodes))
+    query[1, 3] = np.nan
+    with pytest.raises(IndexError):
+        monitor.interval_values(query)
+
+
 def test_one_row_monitor_answers_a_one_grid_query():
     rng = np.random.default_rng(23)
     nodes, values = _stack(rng, 1, 15)
@@ -316,3 +353,17 @@ def test_one_row_monitor_answers_a_one_grid_query():
     for wrong in (query, query[None]):  # a monitor on two grids takes two
         with pytest.raises(ValueError, match="holds 2 grids, got 1"):
             two.interval_values(wrong)
+
+
+def test_gradient_monitor_midpoints_past_half_the_double_range():
+    """Midpoints of nodes past max/2 are halved first, so they stay finite
+    and land in their own interval: 0.5*(1e308 + 1.5e308) overflowed to inf
+    and looked up the last interval."""
+    nodes = np.array([[0.0, 1.4e308, 1.5e308], [0.0, 0.5e308, 1.5e308]])
+    values = np.array([[0.0, 1.4e308, 1.6e308], [0.0, 1.5e308, 1.6e308]])
+    stacked = DiscreteGradientMonitor([1.0, 1.0], [1.0, 1.0], nodes, values)
+    query = np.array([[0.0, 1e308, 1.5e308]] * 2)
+    one = [DiscreteGradientMonitor(1.0, 1.0, n, v).interval_values(q)
+           for n, v, q in zip(nodes, values, query)]
+    assert np.array_equal(one[0], [2.0, 2.0])  # slopes 1 and 2; both midpoints in the first
+    assert np.array_equal(stacked.interval_values(query), one)

@@ -1,0 +1,82 @@
+"""Compare the table CSVs of two versions of equifd byte for byte.
+
+    python3 tools/cmp_tables.py BASE [OTHER]
+
+BASE and OTHER are git revisions of this repository; without OTHER the
+working tree is compared against BASE.  Each revision is exported with
+`git archive` into a temporary directory, and each tree writes, through
+its own command line (`python3 -m equifd.cli`), the CSVs of table1,
+table2, error-profile and the 14-rung convergence ladder (N = 10 to
+81920) of each of the four table1 grids.  The script prints one line per
+file, `same` or `DIFFERS`, and exits 1 if any file differs.  It needs
+only the standard library and the package's own dependencies.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LADDER = ",".join(str(10 * 2**k) for k in range(14))
+# file name -> CLI arguments; the four grids are those of table1
+RUNS = {
+    "table1.csv": ["table1"],
+    "table2.csv": ["table2"],
+    "error_profile.csv": ["error-profile"],
+    "ladder_uniform.csv": ["convergence", "--grid", "uniform", "--n-ladder", LADDER],
+    **{f"ladder_beta_{beta}.csv": ["convergence", "--grid", "analytic", "--beta", beta,
+                                   "--n-ladder", LADDER]
+       for beta in ("0.25", "0.5", "2")},
+}
+
+
+def export(revision: str, into: Path) -> Path:
+    """The tree of revision, unpacked from `git archive` under into."""
+    archive = into / "tree.tar"
+    with archive.open("wb") as out:
+        subprocess.run(["git", "-C", str(ROOT), "archive", revision], stdout=out, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(into / "tree", filter="data")
+    archive.unlink()
+    return into / "tree"
+
+
+def write_tables(tree: Path, out: Path) -> None:
+    """Each CSV of RUNS, written by the command line of the tree at tree."""
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for name, args in RUNS.items():
+        subprocess.run([sys.executable, "-m", "equifd.cli", *args, "--out", str(out / name)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="git revision to compare against")
+    parser.add_argument("other", nargs="?", help="git revision (default: the working tree)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="cmp_tables_") as tmp:
+        tmp = Path(tmp)
+        trees = []
+        for side, revision in (("base", args.base), ("other", args.other)):
+            where = tmp / side
+            where.mkdir()
+            tree = ROOT if revision is None else export(revision, where)
+            write_tables(tree, where / "csv")
+            trees.append(where / "csv")
+        differ = [name for name in RUNS
+                  if not filecmp.cmp(trees[0] / name, trees[1] / name, shallow=False)]
+    for name in RUNS:
+        print(f"{'DIFFERS' if name in differ else 'same':8s}{name}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
