@@ -34,13 +34,11 @@ from .monitor import (
 from .problem import ParameterError, ProblemSpec, exact_derivative, exact_solution
 from .solver import (
     DiscreteSolution,
-    assemble_dirichlet,
-    assemble_scheme,
     scheme_residual,
     solve_bvp,
     solve_dirichlet,
 )
-from .tridiag import PivotError, TridiagonalSystem, solve_tridiagonal
+from .tridiag import PivotError, solve_tridiagonal
 
 __version__ = "0.1.0"
 
@@ -62,12 +60,9 @@ __all__ = [
     "PivotError",
     "ProblemSpec",
     "ScaledMonitor",
-    "TridiagonalSystem",
     "adaptive_solve",
     "adaptive_solve_many",
     "analytic_mapped_grid",
-    "assemble_dirichlet",
-    "assemble_scheme",
     "consistency_error",
     "convergence_order",
     "equidist_defect",

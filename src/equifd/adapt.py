@@ -143,7 +143,7 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
     n = 0
     while runs:
         n += 1
-        values = solve_stack(x, spec.ell, spec.lam, spec.left_bc, spec.right_bc)
+        values = solve_stack(x, spec)
         errors = row_largest(abs(values - np.exp(spec.lam * (x - spec.ell))))
         if prev_values is None:
             changes = [np.nan] * len(runs)

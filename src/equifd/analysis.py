@@ -61,7 +61,11 @@ def fourth_order_residual(mapping: GridMapping, q, normalized: bool = True):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Refinement ladder: rows of (N, max error, estimated order)."""
+    """Refinement ladder: rows of (N, max error, estimated order).
+
+    The order is None in the first row, and where either error of the
+    pair is 0 (an exact solve on either grid leaves it undefined).
+    """
 
     rows: list
     label: str = ""
@@ -70,7 +74,8 @@ class ConvergenceReport:
     def from_errors(cls, n_values, errors, label: str = "") -> "ConvergenceReport":
         rows = []
         for k, (n, e) in enumerate(zip(n_values, errors)):
-            p = convergence_order(errors[k - 1], e) if k > 0 else None
+            pair = errors[k - 1], e
+            p = convergence_order(*pair) if k > 0 and 0.0 not in pair else None
             rows.append((int(n), float(e), p))
         return cls(rows, label)
 

@@ -13,11 +13,10 @@ the number of unknowns n = N - 1:
 
 * n < CR_CUTOFF: _solve_short makes one pass over the nodes as Python
   floats, forming each row's coefficients and taking the Thomas forward
-  step on it, then back-substitutes.  At table2's N = 20 this takes
-  6.2 us against 12.5 us for _assemble plus a Thomas loop over Python
-  floats, ~9 us of which are _assemble's numpy calls.  Below CR_CUTOFF,
-  near its crossover with _assemble plus cyclic reduction, it is the
-  faster of the two.
+  step on it, then back-substitutes.  It makes none of _assemble's
+  numpy calls, whose fixed cost dominates a short solve, so below
+  CR_CUTOFF, near its crossover with _assemble plus cyclic reduction, it
+  is the faster of the two.
 * n >= CR_CUTOFF: _assemble, then cyclic reduction by
   tridiag.solve_in_place.
 
@@ -55,7 +54,7 @@ import numpy as np
 from .grid import Grid
 from .problem import (LAM_MAX, ParameterError, ProblemSpec, exact_solution, largest, require,
                       smallest)
-from .tridiag import PIVOT_FLOOR, TridiagonalSystem, solve_in_place
+from .tridiag import PIVOT_FLOOR, solve_in_place
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 # unknowns from which solve_dirichlet assembles and solves by cyclic
@@ -99,25 +98,6 @@ class DiscreteSolution:
         )
 
 
-def _checked_lam2(lam: float, left_value: float, right_value: float):
-    """lam**2, once lam and the Dirichlet values are checked."""
-    require("|lam|", abs(lam), 0.0, high=LAM_MAX)  # so that lam**2 is finite
-    for name, value in (("left_value", left_value), ("right_value", right_value)):
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value}", tail=False,
-                                 **{name: value})
-    return lam**2
-
-
-def _diagonal(lower: np.ndarray, upper: np.ndarray, lam2: float, out=None) -> np.ndarray:
-    """The scheme's diagonal -(lower + upper) + lam2, in out if given."""
-    with np.errstate(all="ignore"):  # the caller checks for overflow
-        diag = np.add(lower, upper, out=out)
-        diag *= -1.0
-        diag += lam2
-    return diag
-
-
 def _workspace(n: int) -> np.ndarray:
     """This thread's workspace for a long solve of n unknowns: at least
     3.5n doubles, kept and reused, and grown to the largest n so far."""
@@ -143,9 +123,10 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float,
     the last, whose couplings left the matrix.  The diagonal -(lower +
     upper) + lam**2 is formed only to be checked for overflow and for a
     row below PIVOT_FLOOR, in the buffer the row sums then fill.  The
-    steps sit in u until the right-hand side goes in.
+    steps sit in u until the right-hand side goes in.  lam and the
+    Dirichlet values are checked by the caller.
     """
-    lam2 = _checked_lam2(lam, left_value, right_value)
+    lam2 = lam**2
     n = grid.n_cells - 1
     x = grid.nodes
     u = np.empty(n + 2)
@@ -161,7 +142,9 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float,
         # as Python floats, whose sums overflow to inf without a numpy warning
         left_term = float(lower[0] * left_value)
         right_term = float(upper[-1] * right_value)
-    diag = _diagonal(lower, upper, lam2, out=hj)
+        diag = np.add(lower, upper, out=hj)
+        diag *= -1.0
+        diag += lam2
     # diag is >= 0 where finite; written so that NaN fails the check too
     if not largest(diag) < math.inf:
         raise ParameterError("grid steps too small: the scheme's coefficients overflow",
@@ -189,26 +172,22 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float,
     return lower, rowsum, upper, u
 
 
-def assemble_dirichlet(grid: Grid, lam: float, left_value: float, right_value: float) -> TridiagonalSystem:
-    """Scheme for -u'' + lam^2 u = 0 with arbitrary Dirichlet data.
+def solve_dirichlet(grid: Grid, lam: float, left_value: float, right_value: float) -> np.ndarray:
+    """Nodal values (boundary rows included) for arbitrary Dirichlet data.
 
     lam = 0 is allowed here (pure second-difference operator, exact for
-    affine functions); the ProblemSpec-facing wrappers require lam > 0.
+    affine functions); the ProblemSpec-facing solve_bvp requires lam > 0.
     """
-    # in a fresh array: the system keeps views of its bands
-    lower, diag, upper, u = _assemble(grid, lam, left_value, right_value,
-                                      np.empty(3 * (grid.n_cells - 1)))
-    return TridiagonalSystem(lower=lower[1:], diag=_diagonal(lower, upper, lam**2, out=diag),
-                             upper=upper[:-1], rhs=u[1:-1])
-
-
-def solve_dirichlet(grid: Grid, lam: float, left_value: float, right_value: float) -> np.ndarray:
-    """Nodal values (boundary rows included) for arbitrary Dirichlet data."""
+    require("|lam|", abs(lam), 0.0, high=LAM_MAX)  # so that lam**2 is finite
+    for name, value in (("left_value", left_value), ("right_value", right_value)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}", tail=False,
+                                 **{name: value})
     n = grid.n_cells - 1
     if n < CR_CUTOFF:
-        lam2 = _checked_lam2(lam, left_value, right_value)
         # as Python floats: numpy scalars would be slower and warn on overflow
-        u = _solve_short(grid.nodes.tolist(), float(lam2), float(left_value), float(right_value))
+        u = _solve_short(grid.nodes.tolist(), float(lam**2), float(left_value),
+                         float(right_value))
         if u is not None:
             return np.array(u)
     work = _workspace(n)
@@ -217,27 +196,27 @@ def solve_dirichlet(grid: Grid, lam: float, left_value: float, right_value: floa
     return u
 
 
-def solve_stack(nodes: np.ndarray, ell: float, lam: float, left_value: float,
-                right_value: float) -> np.ndarray:
-    """solve_dirichlet on each row of nodes, a stack of grids on [0, ell],
-    as one stack of nodal values.
+def solve_stack(nodes: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """solve_bvp's nodal values on each row of nodes, a stack of grids on
+    [0, spec.ell], as one stack.
 
-    Short rows run _solve_short as lists, with no Grid built.  Long rows,
-    or all rows where one returns None, go through solve_dirichlet.
+    Short rows run _solve_short as lists, with no Grid built and no
+    re-check of what ProblemSpec has checked.  Long rows, or all rows
+    where one returns None, go through solve_dirichlet.
     """
     if nodes.shape[1] - 2 < CR_CUTOFF:
-        lam2 = float(_checked_lam2(lam, left_value, right_value))
-        left, right = float(left_value), float(right_value)
-        rows = [_solve_short(x, lam2, left, right) for x in nodes.tolist()]
+        lam2 = float(spec.lam**2)
+        rows = [_solve_short(x, lam2, spec.left_bc, spec.right_bc) for x in nodes.tolist()]
         if None not in rows:
             return np.array(rows)
-    return np.array([solve_dirichlet(Grid(x, ell), lam, left_value, right_value) for x in nodes])
+    return np.array([solve_dirichlet(Grid(x, spec.ell), spec.lam, spec.left_bc, spec.right_bc)
+                     for x in nodes])
 
 
 def _solve_short(x: list, lam2: float, left_value: float, right_value: float):
     """solve_dirichlet's nodal values as a list, by one loop over the nodes x.
 
-    Each pass forms one row's coefficients as assemble_dirichlet does,
+    Each pass forms one row's coefficients as _assemble does,
     with the same IEEE operations in the same order, diagonal included,
     and takes the Thomas algorithm's forward step on it.  The first row's
     lower coefficient multiplies left_value into its right side, which is
@@ -293,11 +272,6 @@ def scheme_residual(grid: Grid, values: np.ndarray, lam: float) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     flux = np.diff(values) / grid.steps
     return -np.diff(flux) / grid.node_steps + lam**2 * values[1:-1]
-
-
-def assemble_scheme(grid: Grid, spec: ProblemSpec) -> TridiagonalSystem:
-    """Tridiagonal system for the layer problem on the given grid."""
-    return assemble_dirichlet(grid, spec.lam, spec.left_bc, spec.right_bc)
 
 
 def solve_bvp(grid: Grid, spec: ProblemSpec) -> DiscreteSolution:

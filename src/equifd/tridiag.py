@@ -1,4 +1,4 @@
-"""Tridiagonal systems and their direct solve by cyclic reduction.
+"""The direct solve of tridiagonal systems by cyclic reduction.
 
 The finite-difference scheme's solves of solver.CR_CUTOFF or more
 unknowns go through solve_in_place; solver.solve_dirichlet eliminates
@@ -14,9 +14,11 @@ least (n + 1) // 2 doubles, is its scratch.  The kernel takes row
 sums in place of the diagonal: solver.solve_dirichlet knows the scheme's
 in closed form and assembles the bands and those row sums straight into
 such arrays, so a long solve makes no copy of its bands and sums no row
-sums from a rounded diagonal.  solve_tridiagonal(sys), the one place
-where a diagonal is turned into row sums, does so in fresh arrays of
-that layout, with a fresh buffer, and leaves the system unchanged.
+sums from a rounded diagonal.  solve_tridiagonal, which takes the
+bands and right-hand side of any diagonally dominant system, is the one
+place where a diagonal is turned into row sums: it does so in fresh
+arrays of that layout, with a fresh buffer, and leaves its inputs
+unchanged.
 
 The kernel is odd-even cyclic reduction (Hockney, J. ACM 12, 1965), at
 every n.  Each of its log2(n) levels eliminates every other remaining row
@@ -39,8 +41,6 @@ diagonal (see solver).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 PIVOT_FLOOR = 1e-300
@@ -60,58 +60,15 @@ class PivotError(ArithmeticError):
         super().__init__(f"pivot {pivot!r} below {PIVOT_FLOOR} at elimination index {index}")
 
 
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """Bands and right-hand side of an n-by-n tridiagonal system.
+def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve the n-by-n system with diagonal diag, sub- and superdiagonals
+    lower and upper (length n-1) and right-hand side rhs (length n); the
+    inputs are not mutated.
 
-    lower and upper have length n-1, diag and rhs length n.
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        for name in ("lower", "diag", "upper", "rhs"):
-            band = np.asarray(getattr(self, name), dtype=float)
-            if not np.isfinite(band).all():
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, band)
-        n = self.diag.size
-        if n < 1:
-            raise ValueError("system must have at least one unknown")
-        if self.rhs.size != n or self.lower.size != n - 1 or self.upper.size != n - 1:
-            raise ValueError(
-                f"inconsistent band lengths: diag {n}, rhs {self.rhs.size}, "
-                f"lower {self.lower.size}, upper {self.upper.size}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x, used by tests to verify residuals."""
-        y = self.diag * x
-        y[:-1] += self.upper * x[1:]
-        y[1:] += self.lower * x[:-1]
-        return y
-
-    def dense(self) -> np.ndarray:
-        """Dense matrix copy, for oracle comparisons."""
-        a = np.diag(self.diag)
-        a += np.diag(self.lower, -1)
-        a += np.diag(self.upper, 1)
-        return a
-
-
-def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
-    """Solve the system; the input is not mutated.
-
+    Raises ValueError where a band is not finite, where n < 1, where the
+    lengths do not fit, and where a row sum of the finite bands overflows.
     The diagonal is turned into row sums diag + lower + upper, in fresh
-    arrays of the layout solve_in_place overwrites.  Raises ValueError
-    where a row sum of the finite bands overflows.
+    arrays of the layout solve_in_place overwrites.
 
     The system must be diagonally dominant.  The kernel recovers every
     pivot, the first level's included, as rowsum - lower - upper, and
@@ -119,16 +76,29 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     diagonal to cancellation: lower = upper = [1e17] with diag = [1, 1]
     recovers a first pivot of 0 and raises PivotError.
     """
-    a = np.concatenate(([0.0], sys.lower))
-    c = np.concatenate((sys.upper, [0.0]))
+    bands = lower, diag, upper, rhs = [np.asarray(band, dtype=float)
+                                       for band in (lower, diag, upper, rhs)]
+    for name, band in zip(("lower", "diag", "upper", "rhs"), bands):
+        if not np.isfinite(band).all():
+            raise ValueError(f"{name} must be finite")
+    n = diag.size
+    if n < 1:
+        raise ValueError("system must have at least one unknown")
+    if rhs.size != n or lower.size != n - 1 or upper.size != n - 1:
+        raise ValueError(
+            f"inconsistent band lengths: diag {n}, rhs {rhs.size}, "
+            f"lower {lower.size}, upper {upper.size}"
+        )
+    a = np.concatenate(([0.0], lower))
+    c = np.concatenate((upper, [0.0]))
     with np.errstate(over="ignore"):
-        s = sys.diag + a
+        s = diag + a
         s += c
     if not np.isfinite(s).all():
         raise ValueError("the row sums diag + lower + upper overflow")
-    rhs = sys.rhs.copy()
-    solve_in_place(a, s, c, rhs, np.empty((sys.n + 1) // 2))
-    return rhs
+    x = rhs.copy()
+    solve_in_place(a, s, c, x, np.empty((n + 1) // 2))
+    return x
 
 
 def solve_in_place(lower: np.ndarray, rowsum: np.ndarray, upper: np.ndarray,

@@ -41,26 +41,64 @@ def table2_cells():
     return run_table2()
 
 
-def reference_thomas(sys):
+def dense(lower, diag, upper):
+    """Dense matrix of the tridiagonal bands, for oracle comparisons."""
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
+def matvec(lower, diag, upper, x):
+    """A @ x for the tridiagonal bands, to verify residuals."""
+    y = diag * x
+    y[:-1] += upper * x[1:]
+    y[1:] += lower * x[:-1]
+    return y
+
+
+def scheme_bands(nodes, lam, left, right):
+    """Bands and right-hand side of the centred scheme on nodes, from its
+    formula and not from the library's assembly.  Row j of the interior
+    unknowns reads
+
+        -2/(x[j+1] - x[j-1]) * [(u[j+1] - u[j])/(x[j+1] - x[j])
+                                - (u[j] - u[j-1])/(x[j] - x[j-1])] + lam^2 u[j] = 0,
+
+    with u[0] = left and u[-1] = right moved to the right-hand side."""
+    x = np.asarray(nodes, dtype=float)
+    span = x[2:] - x[:-2]  # twice the control volume h_j
+    w_left = 2.0 / (span * (x[1:-1] - x[:-2]))
+    w_right = 2.0 / (span * (x[2:] - x[1:-1]))
+    rhs = np.zeros(x.size - 2)
+    rhs[0] += w_left[0] * left
+    rhs[-1] += w_right[-1] * right
+    return -w_left[1:], w_left + w_right + lam**2, -w_right[:-1], rhs
+
+
+def scheme_matrix(nodes, lam, left, right):
+    """The scheme_bands system as a dense matrix and its right-hand side."""
+    lower, diag, upper, rhs = scheme_bands(nodes, lam, left, right)
+    return dense(lower, diag, upper), rhs
+
+
+def reference_thomas(lower, diag, upper, rhs):
     """The Thomas loop over numpy arrays that solve_tridiagonal ran before
     it had cyclic reduction, kept unchanged as the reference for the
-    solver's fused loop."""
-    n = sys.n
+    solver's fused loop.  Takes solve_tridiagonal's bands."""
+    n = diag.size
     c = np.empty(n - 1) if n > 1 else np.empty(0)
     d = np.empty(n)
-    piv = sys.diag[0]
+    piv = diag[0]
     if abs(piv) < PIVOT_FLOOR:
         raise PivotError(0, piv)
     if n > 1:
-        c[0] = sys.upper[0] / piv
-    d[0] = sys.rhs[0] / piv
+        c[0] = upper[0] / piv
+    d[0] = rhs[0] / piv
     for i in range(1, n):
-        piv = sys.diag[i] - sys.lower[i - 1] * c[i - 1]
+        piv = diag[i] - lower[i - 1] * c[i - 1]
         if abs(piv) < PIVOT_FLOOR:
             raise PivotError(i, piv)
         if i < n - 1:
-            c[i] = sys.upper[i] / piv
-        d[i] = (sys.rhs[i] - sys.lower[i - 1] * d[i - 1]) / piv
+            c[i] = upper[i] / piv
+        d[i] = (rhs[i] - lower[i - 1] * d[i - 1]) / piv
     x = d
     for i in range(n - 2, -1, -1):
         x[i] -= c[i] * x[i + 1]

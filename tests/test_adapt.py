@@ -216,16 +216,18 @@ def test_adaptive_loop_solves_on_the_fused_path(monkeypatch):
 
 def test_outer_steps_build_the_monitor_unchecked():
     """The loop builds its monitor without the constructor's input checks,
-    which it has made: at no outer step does the monitor call
-    problem.require, as the public constructor does."""
+    which it has made, and solves without re-checking lam and the
+    Dirichlet values, which ProblemSpec has checked: at no outer step does
+    the monitor or the solver call problem.require, as the public
+    constructor and solve_dirichlet do."""
     spec = ProblemSpec(10, 1)
 
-    def monitor_checks(run):
+    def checks(run):
         calls = []
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code is problem.require.__code__ \
-                    and frame.f_back.f_code.co_filename == monitor.__file__:
+                    and frame.f_back.f_code.co_filename in (monitor.__file__, solver.__file__):
                 calls.append(frame.f_back.f_code.co_name)
 
         sys.setprofile(profile)
@@ -236,11 +238,13 @@ def test_outer_steps_build_the_monitor_unchecked():
         return calls, result
 
     configs = [AdaptiveConfig(2.0, 0.25), AdaptiveConfig(10.0, 1.0)]
-    calls, results = monitor_checks(lambda: adaptive_solve_many(spec, 20, configs))
+    calls, results = checks(lambda: adaptive_solve_many(spec, 20, configs))
     assert calls == [] and min(res.outer_iterations for res in results) > 5
     grid = uniform_grid(spec, 20)
-    calls, _ = monitor_checks(lambda: DiscreteGradientMonitor(2.0, 0.25, grid.nodes, grid.nodes))
+    calls, _ = checks(lambda: DiscreteGradientMonitor(2.0, 0.25, grid.nodes, grid.nodes))
     assert len(calls) == 2  # alpha, then beta
+    calls, _ = checks(lambda: solver.solve_dirichlet(grid, spec.lam, spec.left_bc, 1.0))
+    assert calls == ["solve_dirichlet"]
 
 
 def test_weight_overflow_in_the_loop_blames_alpha_and_beta():

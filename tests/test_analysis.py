@@ -168,3 +168,13 @@ def test_report_from_errors_and_csv(tmp_path):
     assert data["p"][1] == pytest.approx(2.0)
     text = rep.format_table()
     assert "demo" in text and "---" in text
+
+
+def test_report_order_is_undefined_at_a_zero_error():
+    """An exact solve on either grid of a pair leaves its order undefined:
+    None, where convergence_order itself still rejects a 0."""
+    rep = ConvergenceReport.from_errors([4, 8, 16, 32], [2.2e-16, 0.0, 1e-16, 2.5e-17])
+    assert rep.orders == [None, None, None, pytest.approx(2.0)]
+    assert rep.format_table().count("---") == 3
+    with pytest.raises(ValueError, match="error_fine"):
+        convergence_order(2.2e-16, 0.0)

@@ -5,7 +5,8 @@ over lam and ell in three of the four grid modes; equidistributed mode
 is left out while its monitor values can still underflow (a numerical
 failure, exit 1).  Another draws lam, a derivative's order, x and
 Dirichlet data, non-finite ones included, for exact_derivative and
-solve_dirichlet."""
+solve_dirichlet.  A third draws bands that solve_tridiagonal must
+reject."""
 
 import contextlib
 import io
@@ -31,6 +32,7 @@ from equifd import (
     exact_solution,
     solve_bvp,
     solve_dirichlet,
+    solve_tridiagonal,
     uniform_grid,
 )
 from equifd.cli import main
@@ -177,3 +179,52 @@ def test_library_returns_finite_values_or_blames_its_parameters(lam, order, x, l
                 assert set(err.params) <= params
             else:
                 assert np.isfinite(values).all()
+
+
+BANDS = ("lower", "diag", "upper", "rhs")
+
+
+@st.composite
+def rejected_systems(draw):
+    """Bands of a system solve_tridiagonal rejects, and the message it must
+    raise: mismatched lengths, no unknown, a NaN or inf entry, or finite
+    bands whose row sums overflow."""
+    kind = draw(st.sampled_from(["lengths", "empty", "nonfinite", "overflow"]))
+    n = draw(st.integers(2 if kind == "overflow" else 1, 6))
+    sizes = {"lower": n - 1, "diag": n, "upper": n - 1, "rhs": n}
+    entries = st.floats(-1e3, 1e3)
+    if kind == "empty":
+        sizes = dict.fromkeys(BANDS, 0)
+        message = "system must have at least one unknown"
+    elif kind == "lengths":
+        name = draw(st.sampled_from(BANDS))
+        least = 1 if name == "diag" else 0  # no diag at all is the empty case
+        sizes[name] = draw(st.integers(least, n + 2).filter(lambda k: k != sizes[name]))
+        message = "inconsistent band lengths: diag "
+    elif kind == "overflow":
+        entries = st.floats(9e307, 1.7976931348623157e308)
+        message = "the row sums diag + lower + upper overflow"
+    bands = {name: draw(st.lists(entries, min_size=size, max_size=size))
+             for name, size in sizes.items()}
+    if kind == "overflow":
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        bands = {name: [sign * v for v in values] for name, values in bands.items()}
+    elif kind == "nonfinite":
+        name = draw(st.sampled_from(BANDS if n > 1 else ("diag", "rhs")))
+        index = draw(st.integers(0, sizes[name] - 1))
+        bands[name][index] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        message = f"{name} must be finite"
+    return bands, message
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(case=rejected_systems())
+def test_solve_tridiagonal_rejects_bad_bands_by_name(case):
+    """Each rejected system raises a ValueError that names the band, the
+    lengths or the row sums, with no numpy warning ahead of it."""
+    bands, message = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            solve_tridiagonal(**bands)
+    assert str(info.value).startswith(message)

@@ -254,6 +254,21 @@ def test_convergence_command(tmp_path, capsys):
     assert "beta=0.25" in capsys.readouterr().out
 
 
+def test_convergence_with_an_exact_rung_exits_0(tmp_path, capsys):
+    """lam = 1e-200, ell = 1e-100 makes u = 1 within an ulp: the N = 8
+    solve is exact, and its order prints as --- and nan, not as a usage
+    error."""
+    out = tmp_path / "conv.csv"
+    rc = main(["convergence", "--lambda", "1e-200", "--ell", "1e-100", "--n-ladder", "4,8",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    data = read_csv(out)
+    assert data["error"][-1] == 0.0
+    assert np.isnan(data["p"]).all()
+    assert captured.out.splitlines()[2].split() == ["8", "0", "---"]
+
+
 def test_convergence_rejects_bad_ladder(tmp_path, capsys):
     for ladder in ("20,10", "10,30", "10,x", "1,2"):
         rc = main(["convergence", "--n-ladder", ladder, "--out", str(tmp_path / "c.csv")])

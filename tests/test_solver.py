@@ -10,10 +10,7 @@ from equifd import (
     GridMapping,
     PivotError,
     ProblemSpec,
-    TridiagonalSystem,
     analytic_mapped_grid,
-    assemble_dirichlet,
-    assemble_scheme,
     max_error,
     solve_bvp,
     solve_dirichlet,
@@ -22,48 +19,67 @@ from equifd import (
 )
 from equifd.io import read_csv
 from equifd.solver import CR_CUTOFF
-from conftest import random_grid, reference_row_sum_reduction, reference_thomas
+from conftest import (dense, matvec, random_grid, reference_row_sum_reduction,
+                      reference_thomas, scheme_bands, scheme_matrix)
 
 
 def test_pure_laplacian_row_pattern(spec10):
+    """With lam = 0 on four equal cells the rows are 16 * [-1, 2, -1], and
+    the solution is the affine interpolant of the Dirichlet data."""
     g = uniform_grid(spec10, 4)
-    sys = assemble_dirichlet(g, 0.0, 1.0, 2.0)
-    assert np.array_equal(sys.diag, [32.0, 32.0, 32.0])
-    assert np.array_equal(sys.lower, [-16.0, -16.0])
-    assert np.array_equal(sys.upper, [-16.0, -16.0])
+    a, rhs = scheme_matrix(g.nodes, 0.0, 1.0, 2.0)
+    assert np.array_equal(a, dense([-16.0, -16.0], [32.0, 32.0, 32.0], [-16.0, -16.0]))
+    assert np.array_equal(rhs, [16.0, 0.0, 32.0])
+    assert solve_dirichlet(g, 0.0, 1.0, 2.0) == pytest.approx([1.0, 1.25, 1.5, 1.75, 2.0],
+                                                              rel=1e-15)
 
 
 def test_uniform_reduction_matches_classic_stencil(spec10):
-    """On equal steps the scheme is the standard three-point formula."""
+    """On equal steps the scheme is the standard three-point formula: the
+    oracle's matrix is that stencil, and solve_bvp solves it."""
     g = uniform_grid(spec10, 4)
     dx = 0.25
-    sys = assemble_scheme(g, spec10)
-    assert np.array_equal(sys.diag, 2.0 / dx**2 + spec10.lam**2 * np.ones(3))
-    assert np.array_equal(sys.lower, -np.ones(2) / dx**2)
-    assert np.array_equal(sys.upper, -np.ones(2) / dx**2)
+    a, rhs = scheme_matrix(g.nodes, spec10.lam, spec10.left_bc, spec10.right_bc)
+    classic = dense(-np.ones(2) / dx**2, 2.0 / dx**2 + spec10.lam**2 * np.ones(3),
+                    -np.ones(2) / dx**2)
+    assert np.array_equal(a, classic)
     # boundary elimination into the right-hand side
-    assert sys.rhs[0] == spec10.left_bc / dx**2
-    assert sys.rhs[-1] == spec10.right_bc / dx**2
+    assert np.array_equal(rhs, [spec10.left_bc / dx**2, 0.0, spec10.right_bc / dx**2])
+    u = solve_bvp(g, spec10).values
+    assert np.max(np.abs(u[1:-1] - np.linalg.solve(classic, rhs))) <= 1e-15
 
 
 def test_three_node_hand_coefficients():
-    spec = ProblemSpec(lam=1.0, ell=1.0)
-    g = Grid(np.array([0.0, 0.25, 1.0]), 1.0)
-    sys = assemble_scheme(g, spec)
-    assert sys.n == 1
-    assert sys.diag[0] == pytest.approx(1 / (0.5 * 0.75) + 1 / (0.5 * 0.25) + 1.0, rel=1e-15)
+    """One unknown at x = 1/4 of [0, 1]: control volume 1/2, couplings
+    1/(0.5*0.25) = 8 to the left and 1/(0.5*0.75) = 8/3 to the right."""
+    nodes = np.array([0.0, 0.25, 1.0])
+    left, right = 0.5, 2.0
+    diag = 8.0 + 8.0 / 3.0 + 1.0
+    a, rhs = scheme_matrix(nodes, 1.0, left, right)
+    assert a.shape == (1, 1)
+    assert a[0, 0] == pytest.approx(diag, rel=1e-15)
+    assert rhs[0] == pytest.approx(8.0 * left + 8.0 / 3.0 * right, rel=1e-15)
+    u = solve_dirichlet(Grid(nodes, 1.0), 1.0, left, right)
+    assert u[1] == pytest.approx((8.0 * left + 8.0 / 3.0 * right) / diag, rel=1e-15)
+    assert (u[0], u[2]) == (left, right)
 
 
 def test_strict_diagonal_dominance(spec10):
+    """The scheme's matrix on a random grid is an M-matrix with strictly
+    dominant rows, so solve_tridiagonal and solve_bvp, which eliminate it
+    without pivoting, agree with a dense LU solve."""
     rng = np.random.default_rng(5)
     g = random_grid(rng, 17)
-    sys = assemble_scheme(g, spec10)
-    row_off = np.zeros(sys.n)
-    row_off[1:] += np.abs(sys.lower)
-    row_off[:-1] += np.abs(sys.upper)
-    assert np.all(np.abs(sys.diag) > row_off)
-    assert np.all(sys.diag > 0)
-    assert np.all(sys.lower < 0) and np.all(sys.upper < 0)
+    lower, diag, upper, rhs = scheme_bands(g.nodes, spec10.lam, spec10.left_bc, spec10.right_bc)
+    row_off = np.zeros(diag.size)
+    row_off[1:] += np.abs(lower)
+    row_off[:-1] += np.abs(upper)
+    assert np.all(np.abs(diag) > row_off)
+    assert np.all(diag > 0)
+    assert np.all(lower < 0) and np.all(upper < 0)
+    x_dense = np.linalg.solve(dense(lower, diag, upper), rhs)
+    assert np.max(np.abs(solve_tridiagonal(lower, diag, upper, rhs) - x_dense)) <= 1e-12
+    assert np.max(np.abs(solve_bvp(g, spec10).values[1:-1] - x_dense)) <= 1e-12
 
 
 def test_boundary_values_imposed_exactly(spec10):
@@ -144,8 +160,7 @@ def reference_solve_dirichlet(grid, lam, left_value, right_value):
     rhs[-1] -= upper[-1] * right_value
     if rhs.size < CR_CUTOFF:
         diag = -(lower + upper) + lam**2
-        sys = TridiagonalSystem(lower=lower[1:], diag=diag, upper=upper[:-1], rhs=rhs)
-        rhs = reference_thomas(sys)
+        rhs = reference_thomas(lower[1:], diag, upper[:-1], rhs)
     else:
         rowsum = np.full(rhs.size, lam**2)
         rowsum[0] -= lower[0]
@@ -161,36 +176,43 @@ def test_solve_dirichlet_matches_reference_bit_for_bit(spec10):
     113 and 300 unknowns, where the fused loop runs although _assemble
     plus Thomas would be faster; and CR_CUTOFF - 1, its last size.
 
-    From the cutoff on, solve_tridiagonal on the assembled system, which
-    sums its row sums from the rounded diagonal, agrees within the
-    dense-LU oracle's 1e-12 at lam = 10.  At lam = 0 those row sums keep
-    eps*4/h^2 where the closed form has 0, and the system is too
-    ill-conditioned for an absolute bound on solve_tridiagonal (dense LU
-    misses the affine solution by up to 2.6e-10 on the beta = 2 grids):
-    there solve_dirichlet meets the exact affine solution within 1e-12,
-    and solve_tridiagonal the residual bound of tridiag's tests."""
+    At lam = 10 solve_dirichlet also agrees within 1e-12 with the test's
+    own scheme oracle, solved by solve_tridiagonal on the oracle's bands
+    at every n, and by dense LU up to CR_CUTOFF + 1 unknowns (a dense
+    solve of 2047 unknowns takes a quarter second) on the random and
+    beta = 1/4 grids.  On the beta = 2 grids, whose steps shrink by orders
+    of magnitude towards ell, LAPACK's partial pivoting leaves the
+    diagonal and misses a 40-digit solve of the oracle by up to 2.6e-11
+    at these n, where solve_tridiagonal misses it by at most 1.6e-14.
+    At lam = 0 the row sums solve_tridiagonal forms from the diagonal
+    keep eps*4/h^2 where the exact ones are 0, and the system is too
+    ill-conditioned for an absolute bound (dense LU misses the affine
+    solution by up to 2.6e-10 on the beta = 2 grids): there
+    solve_dirichlet meets the exact affine solution within 1e-12, and
+    solve_tridiagonal the residual bound of tridiag's tests."""
     rng = np.random.default_rng(2048)
     for n in (2, 3, 19, 20, 112, 113, 114, 301,
               CR_CUTOFF, CR_CUTOFF + 1, CR_CUTOFF + 2, 1024, 1025, 2048):
         grids = [random_grid(rng, n)] + [analytic_mapped_grid(GridMapping(spec10, beta), n)
                                          for beta in (0.25, 2.0)]
-        for g in grids:
+        for k, g in enumerate(grids):
             for lam in (0.0, 10.0):
                 left, right = rng.uniform(-3, 3, size=2)
                 u = solve_dirichlet(g, lam, left, right)
                 assert np.array_equal(u, reference_solve_dirichlet(g, lam, left, right)), (n, lam)
-                if n - 1 >= CR_CUTOFF:
-                    sys = assemble_dirichlet(g, lam, left, right)
-                    x = solve_tridiagonal(sys)
-                    if lam:
-                        assert np.max(np.abs(x - u[1:-1])) <= 1e-12, n
-                    else:
-                        affine = left + (right - left) * g.nodes / g.ell
-                        assert np.max(np.abs(u - affine)) <= 1e-12, n
-                        norm_a = sys.diag - np.append(0.0, sys.lower) - np.append(sys.upper, 0.0)
-                        norm_a = np.max(norm_a)  # the off-diagonal bands are < 0
-                        bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(sys.rhs)))
-                        assert np.max(np.abs(sys.matvec(x) - sys.rhs)) <= bound, n
+                lower, diag, upper, rhs = scheme_bands(g.nodes, lam, left, right)
+                x = solve_tridiagonal(lower, diag, upper, rhs)
+                if lam:
+                    assert np.max(np.abs(x - u[1:-1])) <= 1e-12, n
+                    if n <= CR_CUTOFF + 2 and k < 2:  # not the beta = 2 grid
+                        x_dense = np.linalg.solve(dense(lower, diag, upper), rhs)
+                        assert np.max(np.abs(x_dense - u[1:-1])) <= 1e-12, n
+                else:
+                    affine = left + (right - left) * g.nodes / g.ell
+                    assert np.max(np.abs(u - affine)) <= 1e-12, n
+                    norm_a = np.max(diag - np.append(0.0, lower) - np.append(upper, 0.0))
+                    bound = 1e-12 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+                    assert np.max(np.abs(matvec(lower, diag, upper, x) - rhs)) <= bound, n
 
 
 # cell counts: short and mid-sized systems, both solved by the fused loop,
@@ -205,14 +227,12 @@ def test_dirichlet_data_must_be_finite():
                            ("lam", (1e200, 0.0, 1.0)), ("lam", (-2.0**512, 0.0, 1.0)),
                            ("left_value", (1.0, -np.inf, 1.0)),
                            ("right_value", (1.0, 0.0, np.nan))):
-            for call in (solve_dirichlet, assemble_dirichlet):
-                with pytest.raises(ValueError, match=name):
-                    call(g, *args)
+            with pytest.raises(ValueError, match=name):
+                solve_dirichlet(g, *args)
         # finite data whose eliminated boundary term overflows
         for args in ((1.0, 1e308, 1.0), (1.0, 0.0, -1e308)):
-            for call in (solve_dirichlet, assemble_dirichlet):
-                with pytest.raises(ValueError, match="overflow"):
-                    call(g, *args)
+            with pytest.raises(ValueError, match="overflow"):
+                solve_dirichlet(g, *args)
 
 
 def test_boundary_terms_overflow_names_the_dirichlet_values():
@@ -221,9 +241,8 @@ def test_boundary_terms_overflow_names_the_dirichlet_values():
     not a numpy overflow warning.  So is a single term that overflows from
     large data on steps of 0.5, on both solve paths."""
     g = Grid([0.0, 1.0, 2.0], 2.0)
-    for call in (solve_dirichlet, assemble_dirichlet):
-        with pytest.raises(ValueError, match=r"left_value=-1e\+308, right_value=-1e\+308"):
-            call(g, -5.0, -1e308, -1e308)
+    with pytest.raises(ValueError, match=r"left_value=-1e\+308, right_value=-1e\+308"):
+        solve_dirichlet(g, -5.0, -1e308, -1e308)
     # each term alone is finite and so is their sum: solved as before
     u = solve_dirichlet(g, -5.0, -1e307, -1e307)
     assert np.all(np.isfinite(u)) and u[1] == -2e307 / 27.0
@@ -231,9 +250,8 @@ def test_boundary_terms_overflow_names_the_dirichlet_values():
         quarter = Grid(np.linspace(0.0, n_cells / 2, n_cells + 1), n_cells / 2)
         for args, named in (((1.0, 1e308, 1.0), r"left_value=1e\+308"),
                             ((1.0, 0.0, -1e308), r"right_value=-1e\+308")):
-            for call in (solve_dirichlet, assemble_dirichlet):
-                with pytest.raises(ValueError, match=named):
-                    call(quarter, *args)
+            with pytest.raises(ValueError, match=named):
+                solve_dirichlet(quarter, *args)
 
 
 def test_steps_too_small_for_the_coefficients(spec10):
@@ -246,9 +264,8 @@ def test_steps_too_small_for_the_coefficients(spec10):
     for nodes in ([0.0, 1e-200, 2e-200, 0.5, 1.0], [0.0, 1e-160, 2e-160, 0.5, 1.0],
                   *(tiny + list(np.linspace(0.0, 1.0, n)[1:]) for n in (122, 1001))):
         g = Grid(nodes, 1.0)
-        for call in (lambda: solve_bvp(g, spec10), lambda: assemble_scheme(g, spec10)):
-            with pytest.raises(ValueError, match="too small"):
-                call()
+        with pytest.raises(ValueError, match="too small"):
+            solve_bvp(g, spec10)
     # uniform steps of 1e-154 leave both bands finite, about -1e308, while the
     # diagonal -(lower + upper) + lam**2 overflows; on steps of 1.5e-154 the
     # bands, about -4.4e307, overflow it only with lam**2 = 1.44e308: a check
@@ -260,15 +277,13 @@ def test_steps_too_small_for_the_coefficients(spec10):
             h = g.steps
             hj = 0.5 * (h[:-1] + h[1:])
             assert np.all(np.isfinite(1.0 / (hj * h[:-1]))) and np.all(np.isfinite(1.0 / (hj * h[1:])))
-            for call in (lambda: solve_bvp(g, spec), lambda: assemble_scheme(g, spec)):
-                with pytest.raises(ValueError, match=r"too small: the scheme's coefficients overflow"):
-                    call()
+            with pytest.raises(ValueError, match=r"too small: the scheme's coefficients overflow"):
+                solve_bvp(g, spec)
     # ell = 1e-320: distinct uniform nodes, whose error names ell and n_cells
     spec = ProblemSpec(10.0, 1e-320)
     g = uniform_grid(spec, 20)
-    for call in (lambda: solve_bvp(g, spec), lambda: assemble_scheme(g, spec)):
-        with pytest.raises(ValueError, match=r"overflow \(ell=1e-320, n_cells=20\)"):
-            call()
+    with pytest.raises(ValueError, match=r"overflow \(ell=1e-320, n_cells=20\)"):
+        solve_bvp(g, spec)
 
 
 def test_scheme_row_underflow_is_rejected():
@@ -279,8 +294,7 @@ def test_scheme_row_underflow_is_rejected():
     for spec in (ProblemSpec(lam=1e-310, ell=1e300), ProblemSpec(lam=1e-152, ell=1e300)):
         for n in (20, *REGIMES):
             g = uniform_grid(spec, n)
-            for call in (lambda: solve_bvp(g, spec), lambda: assemble_scheme(g, spec),
-                         lambda: solve_dirichlet(g, 0.0, 1.0, 2.0)):
+            for call in (lambda: solve_bvp(g, spec), lambda: solve_dirichlet(g, 0.0, 1.0, 2.0)):
                 with pytest.raises(ValueError, match=rf"ell=1e\+300, n_cells={n}\)"):
                     call()
 
@@ -338,18 +352,6 @@ def test_long_solve_working_set(spec10):
     # the kernel's buffer of n/2 doubles
     for n_cells, peak in zip((n, n // 2), peaks[1:]):
         assert peak <= 8 * (n_cells + 1) + 8192, n_cells
-
-
-def test_assembled_system_outlives_later_long_solves(spec10):
-    """assemble_dirichlet's bands are the system's own, not the workspace
-    that later long solves overwrite."""
-    grid = uniform_grid(spec10, 2 * CR_CUTOFF)
-    system = assemble_scheme(grid, spec10)
-    saved = [band.copy() for band in (system.lower, system.diag, system.upper, system.rhs)]
-    solve_bvp(analytic_mapped_grid(GridMapping(spec10, 0.25), 2 * CR_CUTOFF), spec10)
-    solve_bvp(uniform_grid(spec10, 4 * CR_CUTOFF), spec10)
-    for band, copy in zip((system.lower, system.diag, system.upper, system.rhs), saved):
-        assert np.array_equal(band, copy)
 
 
 def test_long_solves_in_two_threads_match_one_after_the_other(spec10):

@@ -6,10 +6,12 @@ BASE and OTHER are git revisions of this repository; without OTHER the
 working tree is compared against BASE.  Each revision is exported with
 `git archive` into a temporary directory, and each tree writes, through
 its own command line (`python3 -m equifd.cli`), the CSVs of table1,
-table2, error-profile and the 14-rung convergence ladder (N = 10 to
-81920) of each of the four table1 grids.  The script prints one line per
-file, `same` or `DIFFERS`, and exits 1 if any file differs.  It needs
-only the standard library and the package's own dependencies.
+table2, error-profile, the 14-rung convergence ladder (N = 10 to 81920)
+of each of the four table1 grids, one single-config adaptive solve with
+its trace, and one equidistributed and one adaptive `solve`.  The script
+prints one line per file, `same` or `DIFFERS`, and exits 1 if any file
+differs.  It needs only the standard library and the package's own
+dependencies.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LADDER = ",".join(str(10 * 2**k) for k in range(14))
-# file name -> CLI arguments; the four grids are those of table1
+# file name -> CLI arguments; the four grids are those of table1.  Each
+# run starts in the output directory, so a second file it writes by a
+# relative path (adapt's --trace) lands there and is compared as well.
 RUNS = {
     "table1.csv": ["table1"],
     "table2.csv": ["table2"],
@@ -34,6 +38,10 @@ RUNS = {
     **{f"ladder_beta_{beta}.csv": ["convergence", "--grid", "analytic", "--beta", beta,
                                    "--n-ladder", LADDER]
        for beta in ("0.25", "0.5", "2")},
+    "adapt.csv": ["adapt", "--alpha", "2", "--beta", "0.25", "--trace", "adapt_trace.csv"],
+    "solve_equidistributed.csv": ["solve", "--grid", "equidistributed", "--beta", "0.5",
+                                  "--n", "640"],
+    "solve_adaptive.csv": ["solve", "--grid", "adaptive", "--alpha", "2", "--beta", "0.5"],
 }
 
 
@@ -53,8 +61,8 @@ def write_tables(tree: Path, out: Path) -> None:
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, args in RUNS.items():
-        subprocess.run([sys.executable, "-m", "equifd.cli", *args, "--out", str(out / name)],
-                       env=env, check=True, stdout=subprocess.DEVNULL)
+        subprocess.run([sys.executable, "-m", "equifd.cli", *args, "--out", name],
+                       cwd=out, env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def main(argv=None) -> int:
@@ -71,9 +79,11 @@ def main(argv=None) -> int:
             tree = ROOT if revision is None else export(revision, where)
             write_tables(tree, where / "csv")
             trees.append(where / "csv")
-        differ = [name for name in RUNS
-                  if not filecmp.cmp(trees[0] / name, trees[1] / name, shallow=False)]
-    for name in RUNS:
+        names = sorted({path.name for csv in trees for path in csv.iterdir()})
+        differ = [name for name in names
+                  if not all((csv / name).exists() for csv in trees)
+                  or not filecmp.cmp(trees[0] / name, trees[1] / name, shallow=False)]
+    for name in names:
         print(f"{'DIFFERS' if name in differ else 'same':8s}{name}")
     return 1 if differ else 0
 
