@@ -33,7 +33,8 @@ The loop builds its monitor without the constructor's input checks,
 which it has made: AdaptiveConfig checks alpha and beta, the solver
 gives finite values, and each new grid's node order is checked at the
 end of the step that made it.  The monitor checks its weights once,
-when it is built, and the sweeps take them unchecked.
+when it is built, and its interval_weights hands them to the sweeps as
+they are; rows(keep) shares its table and lookup keys with it.
 """
 
 from __future__ import annotations

@@ -28,13 +28,10 @@ The sweep loop, sweep_rows, runs on a stack of grids with one grid per
 row, each with its own weights, tolerance, cap, damping, best iterate
 and cycle check; a row leaves the stack when it stops.  equidistribute
 is its one-row case, and the adaptive loop runs many rows at once.  The
-loop asks its monitor for the weights of the whole stack, or of the one
-grid while one row is left, and for monitor.rows(keep) when rows leave:
-a stacked monitor.DiscreteGradientMonitor serves the adaptive loop, and
-any one-grid monitor serves equidistribute.  The weights are checked
-(finite, strictly positive, of the shape asked for) at every sweep, but
-for a DiscreteGradientMonitor, whose weights are entries of a table it
-checked when it was built.
+loop asks its monitor for the checked weights of the whole stack, in one
+monitor.MonitorFunction.interval_weights call per sweep, and for
+monitor.rows(keep) when rows leave: a stacked DiscreteGradientMonitor
+serves the adaptive loop, and any one-grid monitor serves equidistribute.
 """
 
 from __future__ import annotations
@@ -74,19 +71,6 @@ class EquidistResult:
     grid: Grid
     iterations: int
     final_update: float
-
-
-def _interval_weights(monitor: MonitorFunction, nodes: np.ndarray) -> np.ndarray:
-    """monitor's weights on nodes, one grid or a stack of them, once each
-    weight is finite and strictly positive."""
-    w = np.asarray(monitor.interval_values(nodes), dtype=float)
-    shape = nodes.shape[:-1] + (nodes.shape[-1] - 1,)
-    if w.shape != shape:
-        raise ValueError(f"monitor returned {w.shape}, expected {shape}")
-    # NaN fails both comparisons (smallest and largest propagate it), so it is rejected too
-    if not (smallest(w) > 0.0 and largest(w) < np.inf):
-        raise ValueError("monitor values must be finite and strictly positive")
-    return w
 
 
 def _sweep(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -140,9 +124,8 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: lis
 
     Row i starts from the grid x[i] and stops on its own tol[i] and
     max_iter[i]; a row that stops leaves the stack, and the rest go on.
-    monitor weighs the stacked iterates, and monitor.rows(keep) serves the
-    rows that remain; while one row is left it is queried with that row
-    as one grid, so any one-grid monitor serves a stack of one.  Returns
+    monitor.interval_weights gives the stacked iterates' checked weights,
+    and monitor.rows(keep) serves the rows that remain.  Returns
     one (nodes, sweeps, update, message) per row: message is None where
     the row converged, with nodes its last iterate, and otherwise says
     why it stalled, with nodes its best iterate and update that
@@ -153,15 +136,10 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: lis
     out = [None] * len(rows)
     cap = min(max_iter, default=0)  # the first sweep at which a row reaches its max_iter
     factor = None  # the rows' damping factors (_damping), None while all are 1
-    checked = monitor._weights_checked  # rows(keep) keeps it
     it = 0
     while rows:
         it += 1
-        query = x if len(x) > 1 else x[0]  # one row is asked as one grid
-        w = monitor.interval_values(query) if checked else _interval_weights(monitor, query)
-        if len(x) == 1:
-            w = w[None]
-        step = _sweep(x, w) - x
+        step = _sweep(x, monitor.interval_weights(x)) - x
         stopped = []
         damped = False
         for i, (row, update) in enumerate(zip(rows, row_largest(abs(step)))):
@@ -223,8 +201,7 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: lis
 
 def equidist_defect(grid: Grid, monitor: MonitorFunction) -> float:
     """Relative spread of omega_{j+1/2} * J_{j+1/2} around its mean."""
-    w = _interval_weights(monitor, grid.nodes)
-    c = w * grid.midpoint_jacobian
+    c = monitor.interval_weights(grid.nodes) * grid.midpoint_jacobian
     mean = float(np.mean(c))
     return float(np.max(np.abs(c - mean)) / mean)
 

@@ -14,6 +14,8 @@ of the rows that remain; a monitor whose weights do not depend on the row
 returns itself.  A stack is looked up in one searchsorted over complex
 keys, row + 1j*x: numpy orders complex numbers lexicographically, so the
 row never rounds into x and each lookup is that of the row on its own.
+The sweeps ask interval_weights, which checks the weights, but for a
+DiscreteGradientMonitor, which checked its table when it was built.
 
 Midpoints are 0.5*(a + b), which overflows once a + b passes the largest
 double; a monitor whose span reaches past half of it halves each node
@@ -34,6 +36,8 @@ from .problem import exact_derivative  # noqa: F401 -- unused; perfbench/tracer.
 
 # past this the sum a + b of two nodes can overflow
 _HALF_MAX = sys.float_info.max / 2
+# past this exponent exp overflows
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _midpoints(nodes: np.ndarray, wide: bool) -> np.ndarray:
@@ -48,14 +52,24 @@ def _midpoints(nodes: np.ndarray, wide: bool) -> np.ndarray:
 class MonitorFunction:
     """Base class: a positive weight attached to grid intervals."""
 
-    # True where interval_values returns entries of a table checked finite
-    # and >= 1 when the monitor was built, in the shape asked for: the sweep
-    # loop then takes them as they are
-    _weights_checked = False
-
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         """Weights for the N intervals of the given node array."""
         raise NotImplementedError
+
+    def interval_weights(self, nodes: np.ndarray) -> np.ndarray:
+        """interval_values(nodes) for one grid or a stack of them, once each
+        weight is finite and strictly positive and there is one per
+        interval; a stack of one grid is asked as that grid."""
+        one = nodes.ndim == 2 and len(nodes) == 1
+        query = nodes[0] if one else nodes
+        w = np.asarray(self.interval_values(query), dtype=float)
+        shape = query.shape[:-1] + (query.shape[-1] - 1,)
+        if w.shape != shape:
+            raise ValueError(f"monitor returned {w.shape}, expected {shape}")
+        # NaN fails both comparisons (smallest and largest propagate it), so it is rejected too
+        if not (smallest(w) > 0.0 and largest(w) < math.inf):
+            raise ValueError("monitor values must be finite and strictly positive")
+        return w[None] if one else w
 
     def rows(self, keep) -> "MonitorFunction":
         """The monitor for the rows keep of the stack it serves."""
@@ -83,7 +97,8 @@ class ExactPowerMonitor(MonitorFunction):
     (u_x)^beta = e^{beta lam (x - ell) + beta ln lam}: one exp per interval
     and no pow.  Its underflow and overflow limits are those of the exact
     value, so for beta < 1 it stays positive where lam e^{lam(x - ell)}
-    itself underflows to 0.
+    itself underflows to 0.  Past the double range the weights underflow
+    to 0 or overflow to inf, and interval_weights blames lam, ell and beta.
     """
 
     spec: ProblemSpec
@@ -91,6 +106,7 @@ class ExactPowerMonitor(MonitorFunction):
     _rate: float = field(init=False, repr=False, compare=False)  # beta*lam
     _shift: float = field(init=False, repr=False, compare=False)  # beta*ln(lam)
     _wide: bool = field(init=False, repr=False, compare=False)  # see _midpoints
+    _quiet: bool = field(init=False, repr=False, compare=False)  # see interval_values
 
     def __post_init__(self):
         beta = float(require("beta", self.beta, 0.0))
@@ -104,14 +120,37 @@ class ExactPowerMonitor(MonitorFunction):
         object.__setattr__(self, "_rate", rate)
         object.__setattr__(self, "_shift", shift)
         object.__setattr__(self, "_wide", self.spec.ell > _HALF_MAX)
+        # the exponent is at most shift, as x <= ell, and its product term at
+        # least -rate*ell: only where one of them leaves the double range can
+        # numpy overflow, and warn
+        object.__setattr__(self, "_quiet",
+                           shift > _LOG_MAX or rate * float(self.spec.ell) == math.inf)
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         y = check_domain(self.spec, _midpoints(nodes, self._wide))
-        # the midpoints become the exponent in place: no temporary per step
+        if self._quiet:  # the weights become 0 or inf, which interval_weights rejects
+            with np.errstate(over="ignore"):
+                return self._power(y)
+        return self._power(y)
+
+    def _power(self, y: np.ndarray) -> np.ndarray:
+        """The weights at the midpoints y, formed in y: no temporary per step."""
         y -= self.spec.ell
         y *= self._rate
         y += self._shift
         return np.exp(y, out=y)
+
+    def interval_weights(self, nodes: np.ndarray) -> np.ndarray:
+        """MonitorFunction.interval_weights, with weights that are not
+        finite and positive blamed on lam, ell and beta; a node outside
+        [0, ell] still blames x."""
+        try:
+            return super().interval_weights(nodes)
+        except ParameterError:  # check_domain's
+            raise
+        except ValueError as err:
+            raise ParameterError(f"{err}: (u_x)**beta leaves the double range",
+                                 lam=self.spec.lam, ell=self.spec.ell, beta=self.beta) from None
 
 
 class DiscreteGradientMonitor(MonitorFunction):
@@ -125,8 +164,6 @@ class DiscreteGradientMonitor(MonitorFunction):
     per row, with alpha and beta one per row.  Every input is checked
     here, and the weights once: finite, and >= 1 by their form.
     """
-
-    _weights_checked = True
 
     def __init__(self, alpha, beta, nodes, values):
         nodes = np.asarray(nodes, dtype=float)
@@ -174,49 +211,59 @@ class DiscreteGradientMonitor(MonitorFunction):
             row = int(np.isfinite(weights).all(axis=1).argmin())
             raise ParameterError("monitor weights 1 + alpha*|u_x|**beta overflow",
                                  alpha=alphas[row], beta=betas[row])
-        self._weights = weights
-        self._wide = wide
-        # interior breakpoints only: a query left of the first node or right
-        # of the last one lands in the end interval
-        self._index(nodes[:, 1:-1])
-
-    def _index(self, breaks: np.ndarray) -> None:
-        """Take breaks, the rows' interior breakpoints, and for a stack the
-        keys of its lookup: row r's are r + 1j*b for its breakpoints b, then
-        the fence r + 0.5, so that a search for r + 1j*m counts each earlier
-        row's keys and row r's breakpoints <= m, which is the flat index of
-        the weight of m in row r."""
-        self._breaks = breaks
-        self._keys = self._labels = None
-        if len(breaks) > 1:
-            labels = np.arange(len(breaks), dtype=float)[:, None]
-            keys = np.empty((len(breaks), breaks.shape[1] + 1), dtype=complex)
-            keys.real = labels
+        self._weights, self._wide = weights, wide
+        # the interior breakpoints, so that a query left of the first node or
+        # right of the last one lands in an end interval, then a NaN fence:
+        # only a NaN midpoint sorts past it, to an index past the weights
+        self._breaks = np.empty(weights.shape)
+        self._breaks[:, :-1] = nodes[:, 1:-1]
+        self._breaks[:, -1] = math.nan
+        self._labels = np.arange(rows, dtype=float)[:, None]
+        self._one = (self._breaks[0], weights[0]) if rows == 1 else None
+        if rows > 1:
+            # row r's keys are r + 1j*b for its breakpoints b, then the fence
+            # r + 0.5: a search for r + 1j*m counts each earlier row's keys and
+            # row r's breakpoints <= m, the flat index of m's weight in row r
+            keys = np.empty(weights.shape, dtype=complex)
+            keys.real = self._labels
             keys.real[:, -1] += 0.5
-            keys.imag[:, :-1] = breaks
+            keys.imag = self._breaks
             keys.imag[:, -1] = 0.0
-            self._keys, self._labels = keys.reshape(-1), labels
+            self._keys = keys.reshape(-1)
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         """Weights of one grid's intervals, for a monitor on one grid, or
         of a stack's, each row looked up in the same row of the monitor.
-        A NaN node in a stack's query has no place in the key order: its
-        lookup raises IndexError."""
+        A NaN midpoint lies in no interval and raises ValueError."""
         mid = _midpoints(nodes, self._wide)
         rows = len(mid) if mid.ndim == 2 else 1
-        if rows != len(self._weights):
-            raise ValueError(f"the monitor holds {len(self._weights)} grids, got {rows}")
-        if self._keys is None:  # one grid: a real search is the cheaper one
-            return self._weights[0][self._breaks[0].searchsorted(mid, "right")]
-        keys = np.empty(mid.shape, dtype=complex)
-        keys.real = self._labels
-        keys.imag = mid
-        return self._weights.take(self._keys.searchsorted(keys, "right"))
+        if rows != len(self._labels):
+            raise ValueError(f"the monitor holds {len(self._labels)} grids, got {rows}")
+        try:
+            if self._one is not None:  # one grid: a real search is the cheaper one
+                breaks, weights = self._one
+                return weights[breaks.searchsorted(mid, "right")]
+            keys = np.empty(mid.shape, dtype=complex)
+            keys.real = self._labels
+            keys.imag = mid
+            return self._weights.take(self._keys.searchsorted(keys, "right"))
+        except IndexError:  # numpy sorts NaN past every number, and r + 1j*NaN past every key
+            raise ValueError("query nodes give a NaN midpoint, which lies in no interval") from None
+
+    def interval_weights(self, nodes: np.ndarray) -> np.ndarray:
+        """The weights as they are: the table was checked when built."""
+        return self.interval_values(nodes)
 
     def rows(self, keep) -> "DiscreteGradientMonitor":
+        """A copy for the rows keep, sharing the table, breakpoints and keys;
+        one row is looked up by a real search of its own breakpoints."""
         monitor = object.__new__(DiscreteGradientMonitor)
-        monitor._weights, monitor._wide = self._weights[keep], self._wide
-        monitor._index(self._breaks[keep])
+        monitor.__dict__.update(self.__dict__)
+        monitor._labels = labels = self._labels[keep]
+        monitor._one = None
+        if len(labels) == 1:
+            row = int(labels.item())
+            monitor._one = (self._breaks[row], self._weights[row])
         return monitor
 
 

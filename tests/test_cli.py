@@ -181,6 +181,11 @@ def test_solve_rejects_underflowing_scheme(tmp_path, capsys):
      "--alpha 1e+308 and --beta 2"),
     (["adapt", "--lambda", "1e100", "--alpha", "1e308", "--beta", "2"],
      "--alpha 1e+308 and --beta 2"),
+    # the samples of (u_x)^beta underflow to 0, then overflow to inf
+    (["solve", "--grid", "equidistributed", "--beta", "0.25", "--lambda", "1e-200", "--ell",
+      "1e300"], "--lambda 1e-200, --ell 1e+300 and --beta 0.25"),
+    (["solve", "--grid", "equidistributed", "--lambda", "1e100", "--beta", "8", "--n", "20",
+      "--ell", "1e-99"], "--lambda 1e+100, --ell 1e-99 and --beta 8"),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_checks_during_the_run_are_usage_errors(tmp_path, capsys, argv, flags):
     """A library check that fires during the run, past any start grid,
@@ -195,10 +200,11 @@ def test_checks_during_the_run_are_usage_errors(tmp_path, capsys, argv, flags):
 
 @pytest.mark.parametrize("argv,rc,err", [
     # the midpoints overflowed to inf and failed the domain check (exit 2,
-    # naming no flag); now the samples of (u_x)^beta underflow to 0, the
-    # open equidistributed-mode failure (ROADMAP item 8)
-    (["solve", "--grid", "equidistributed", "--lambda", "1e-300", "--beta", "0.25"], 1,
-     "error: monitor values must be finite and strictly positive"),
+    # naming no flag); now the samples of (u_x)^beta underflow to 0, which
+    # blames the monitor's parameters (it exited 1, naming no flag)
+    (["solve", "--grid", "equidistributed", "--lambda", "1e-300", "--beta", "0.25"], 2,
+     "error: --lambda 1e-300, --ell 1.5e+308 and --beta 0.25: monitor values must be finite "
+     "and strictly positive"),
     (["solve", "--grid", "adaptive", "--lambda", "1e-3", "--beta", "0.25", "--alpha", "1"], 0, ""),
 ], ids=["equidistributed", "adaptive"])
 def test_midpoints_past_half_the_double_range_warn_of_nothing(tmp_path, capsys, argv, rc, err):

@@ -20,7 +20,7 @@ from equifd import (
     uniform_grid,
 )
 from equifd import equidist
-from equifd.equidist import DAMPING_FLOOR, _interval_weights, _sweep
+from equifd.equidist import DAMPING_FLOOR, _sweep
 from conftest import random_grid
 
 
@@ -180,7 +180,7 @@ def test_cycle_at_damping_floor_stops_with_capped_result(spec10):
     x = uniform_grid(spec10, 20).nodes.copy()
     relax, prev_update, best = 1.0, None, (np.inf, x)
     for _ in range(10000):
-        target = _sweep(x, _interval_weights(monitor, x))
+        target = _sweep(x, monitor.interval_weights(x))
         update = float(np.max(np.abs(target - x)))
         if update < best[0]:
             best = (update, x)
@@ -287,7 +287,7 @@ def test_checks_reject_exactly_as_reference(spec10, monkeypatch, special):
         w = np.linspace(1.0, 2.0, n)
         w[pos] = special
         expected = ValueError if _reference_bad_weights(w) else None
-        assert _raised(_interval_weights, FixedMonitor(w), x0) is expected
+        assert _raised(FixedMonitor(w).interval_weights, x0) is expected
 
         nodes = x0.copy()
         nodes[pos] = special
@@ -304,18 +304,19 @@ def test_checks_reject_exactly_as_reference(spec10, monkeypatch, special):
 
 
 def test_gradient_weights_are_checked_when_built_not_per_sweep(spec10, monkeypatch):
-    """The sweeps take a DiscreteGradientMonitor's weights unchecked (it
+    """The sweeps take a DiscreteGradientMonitor's weights as they are (it
     checked its table when built), and check any other monitor's at every
-    sweep."""
+    sweep: the gradient monitor overrides the checking interval_weights."""
     calls = []
-    check = equidist._interval_weights
-    monkeypatch.setattr(equidist, "_interval_weights",
+    check = MonitorFunction.interval_weights
+    monkeypatch.setattr(MonitorFunction, "interval_weights",
                         lambda monitor, nodes: calls.append(monitor) or check(monitor, nodes))
     sol = solve_bvp(uniform_grid(spec10, 20), spec10)
     res = equidistribute(DiscreteGradientMonitor(2.0, 0.25, sol.grid.nodes, sol.values), spec10, 20)
     assert res.iterations > 1 and calls == []
-    res = equidistribute(ExactPowerMonitor(spec10, 0.25), spec10, 20)
-    assert len(calls) == res.iterations
+    monitor = ExactPowerMonitor(spec10, 0.25)
+    res = equidistribute(monitor, spec10, 20)
+    assert res.iterations > 1 and calls == [monitor] * res.iterations
 
 
 def test_span_past_half_the_double_range():

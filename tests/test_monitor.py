@@ -11,6 +11,7 @@ from equifd import (
     ConstantMonitor,
     DiscreteGradientMonitor,
     ExactPowerMonitor,
+    MonitorFunction,
     ProblemSpec,
     ScaledMonitor,
     solve_bvp,
@@ -18,6 +19,7 @@ from equifd import (
 )
 from equifd.equidist import sweep_rows
 from equifd.experiments import TABLE2_ALPHAS, TABLE2_BETAS
+from equifd.problem import ParameterError
 from conftest import random_grid
 
 ORACLE_BETAS = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -327,17 +329,28 @@ def test_each_stacked_sweep_makes_one_searchsorted(rows):
 
 
 def test_stacked_query_at_infinite_and_nan_nodes():
-    """Infinite midpoints land in the end intervals, as on one grid; a NaN
-    midpoint has no place in the stack's key order, and raises."""
+    """Infinite midpoints land in the end intervals; a NaN midpoint lies in
+    no interval and raises a ValueError naming the nodes, on one grid (which
+    took the last interval's weight) and on a stack (a bare IndexError)."""
     rng = np.random.default_rng(29)
     nodes, values = _stack(rng, 3, 6)
-    monitor = DiscreteGradientMonitor([1.0] * 3, [0.5] * 3, nodes, values)
+    stacked = DiscreteGradientMonitor([1.0] * 3, [0.5] * 3, nodes, values)
     query = nodes.copy()
     query[:, 0], query[:, -1] = -np.inf, np.inf
-    assert np.array_equal(monitor.interval_values(query), monitor.interval_values(nodes))
+    assert np.array_equal(stacked.interval_values(query), stacked.interval_values(nodes))
+    one = DiscreteGradientMonitor(1.0, 0.5, nodes[1], values[1])
+    assert np.array_equal(one.interval_values(query[1]), one.interval_values(nodes[1]))
     query[1, 3] = np.nan
-    with pytest.raises(IndexError):
-        monitor.interval_values(query)
+    for monitor, q in ((stacked, query), (stacked.rows([2, 1]), query[[2, 1]]),
+                       (one, query[1]), (one, query[1:2]), (stacked.rows([1]), query[1]),
+                       (stacked.rows([0, 1]).rows([1]), query[1:2])):
+        with pytest.raises(ValueError, match="query nodes give a NaN midpoint"):
+            monitor.interval_values(q)
+    x = np.linspace(0.0, 1.0, 5)
+    q = x.copy()
+    q[2] = np.nan  # gave [1.25, 2.75, 2.75, 2.75]
+    with pytest.raises(ValueError, match="query nodes give a NaN midpoint"):
+        DiscreteGradientMonitor(1.0, 1.0, x, x**2).interval_values(q)
 
 
 def test_one_row_monitor_answers_a_one_grid_query():
@@ -367,3 +380,107 @@ def test_gradient_monitor_midpoints_past_half_the_double_range():
            for n, v, q in zip(nodes, values, query)]
     assert np.array_equal(one[0], [2.0, 2.0])  # slopes 1 and 2; both midpoints in the first
     assert np.array_equal(stacked.interval_values(query), one)
+
+
+class _Quadratic(MonitorFunction):
+    """1 + m**2 at the midpoints m of one grid, with bad, if given, at
+    position index, or a wrong count of weights for bad = "length"."""
+
+    def __init__(self, bad=None, index=0):
+        self.bad, self.index = bad, index
+
+    def interval_values(self, nodes):
+        w = 1.0 + midpoints(nodes) ** 2
+        if self.bad == "length":
+            return w[:-1]
+        if self.bad is not None:
+            w[self.index] = self.bad
+        return w
+
+
+def _contract_monitors():
+    """A monitor of every kind, each serving one grid: the gradient monitor
+    built on one grid, on a stack of one, and as one row of a stack."""
+    rng = np.random.default_rng(31)
+    spec = ProblemSpec(10.0, 1.0)
+    nodes, values = _stack(rng, 3, 16)
+    base = [("constant", ConstantMonitor(2.0)), ("power", ExactPowerMonitor(spec, 0.25)),
+            ("gradient", DiscreteGradientMonitor(2.0, 0.5, nodes[0], values[0])),
+            ("gradient-stack-of-one", DiscreteGradientMonitor([2.0], [0.5], nodes[:1],
+                                                              values[:1])),
+            ("gradient-row-of-stack", DiscreteGradientMonitor([1.0, 2.0, 3.0], [0.5, 2.0, 0.25],
+                                                              nodes, values).rows([1])),
+            ("subclass", _Quadratic())]
+    monitors = base + [(f"scaled-{name}", ScaledMonitor(m, 3.0)) for name, m in base]
+    return [pytest.param(m, id=name) for name, m in monitors]
+
+
+@pytest.mark.parametrize("monitor", _contract_monitors())
+def test_interval_weights_are_interval_values_on_one_grid_and_a_stack_of_one(monitor):
+    query = random_grid(np.random.default_rng(37), 12).nodes
+    values = monitor.interval_values(query)
+    got = monitor.interval_weights(query)
+    assert got.shape == (12,) and got.tobytes() == values.tobytes()
+    got = monitor.interval_weights(query[None])
+    assert got.shape == (1, 12) and got.tobytes() == values.tobytes()
+
+
+def test_interval_weights_of_a_stack_are_its_values():
+    rng = np.random.default_rng(41)
+    nodes, values = _stack(rng, 3, 10)
+    query = _stack(rng, 3, 10)[0]
+    stacked = DiscreteGradientMonitor([1.0, 2.0, 3.0], [0.5, 2.0, 0.25], nodes, values)
+    for monitor in (stacked, ScaledMonitor(stacked, 3.0)):
+        assert monitor.interval_weights(query).tobytes() == \
+            monitor.interval_values(query).tobytes()
+
+
+@pytest.mark.parametrize("bad,index,message", [
+    (np.nan, 0, "monitor values must be finite and strictly positive"),
+    (np.nan, 5, "monitor values must be finite and strictly positive"),
+    (0.0, 3, "monitor values must be finite and strictly positive"),
+    (-1.0, 11, "monitor values must be finite and strictly positive"),
+    (np.inf, 11, "monitor values must be finite and strictly positive"),
+    ("length", 0, r"monitor returned \(11,\), expected \(12,\)"),
+], ids=["nan-first", "nan-inside", "zero", "negative", "inf-last", "length"])
+def test_interval_weights_reject_bad_weights(bad, index, message):
+    query = random_grid(np.random.default_rng(43), 12).nodes
+    for monitor in (_Quadratic(bad, index), ScaledMonitor(_Quadratic(bad, index), 2.0)):
+        for q in (query, query[None]):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                monitor.interval_weights(q)
+
+
+@pytest.mark.parametrize("lam,ell,beta", [
+    (1e-200, 1e300, 0.25),  # the samples underflow to 0
+    (1e100, 1e-99, 8.0),  # exp overflows: beta*ln(lam) > ln(max)
+    (0.5, 1e308, 1e10),  # the product beta*lam*(x - ell) overflows to -inf
+])
+def test_exact_power_weights_past_the_double_range_blame_lam_ell_and_beta(lam, ell, beta):
+    """The weights leave the double range without a numpy warning, and the
+    weight check raises a ParameterError naming lam, ell and beta; a node
+    outside [0, ell] still blames x."""
+    spec = ProblemSpec(lam, ell)
+    monitor = ExactPowerMonitor(spec, beta)
+    nodes = uniform_grid(spec, 20).nodes
+    values = monitor.interval_values(nodes)  # warnings are errors in this suite
+    assert not (np.isfinite(values) & (values > 0.0)).all()
+    for q in (nodes, nodes[None]):
+        with pytest.raises(ParameterError, match="leaves the double range") as err:
+            monitor.interval_weights(q)
+        assert err.value.params == {"lam": lam, "ell": ell, "beta": beta}
+    outside = nodes.copy()
+    outside[-1] = 3.0 * ell
+    with pytest.raises(ParameterError, match="x must lie in") as err:
+        monitor.interval_weights(outside)
+    assert list(err.value.params) == ["x"]
+
+
+def test_exact_power_monitor_quiets_numpy_only_past_the_double_range():
+    """The choice is made when the monitor is built: no monitor of the
+    paper's tables or of the smooth sweeps enters an errstate."""
+    for lam in (1e-3, 1.0, 10.0, 1e3):
+        for beta in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0):
+            assert not ExactPowerMonitor(ProblemSpec(lam, 1.0), beta)._quiet
+    assert ExactPowerMonitor(ProblemSpec(1e100, 1e-99), 8.0)._quiet
+    assert ExactPowerMonitor(ProblemSpec(0.5, 1e308), 1e10)._quiet

@@ -8,10 +8,12 @@ working tree is compared against BASE.  Each revision is exported with
 its own command line (`python3 -m equifd.cli`), the CSVs of table1,
 table2, error-profile, the 14-rung convergence ladder (N = 10 to 81920)
 of each of the four table1 grids, one single-config adaptive solve with
-its trace, and one equidistributed and one adaptive `solve`.  The script
-prints one line per file, `same` or `DIFFERS`, and exits 1 if any file
-differs.  It needs only the standard library and the package's own
-dependencies.
+its trace, two equidistributed `solve`s (beta 1/2 at N = 640, beta 1/4
+at N = 5120) and one adaptive `solve`.  The script prints one line per
+file, `same` or `DIFFERS`, and exits 1 if any file differs.  Last it
+prints the net line change of src/equifd/ between the two revisions
+(`git diff --numstat`; for the working tree, its tracked files).  It
+needs only the standard library and the package's own dependencies.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ RUNS = {
     "adapt.csv": ["adapt", "--alpha", "2", "--beta", "0.25", "--trace", "adapt_trace.csv"],
     "solve_equidistributed.csv": ["solve", "--grid", "equidistributed", "--beta", "0.5",
                                   "--n", "640"],
+    "solve_equidistributed_5120.csv": ["solve", "--grid", "equidistributed", "--beta", "0.25",
+                                       "--n", "5120"],
     "solve_adaptive.csv": ["solve", "--grid", "adaptive", "--alpha", "2", "--beta", "0.5"],
 }
 
@@ -65,6 +69,16 @@ def write_tables(tree: Path, out: Path) -> None:
                        cwd=out, env=env, check=True, stdout=subprocess.DEVNULL)
 
 
+def package_lines(base: str, other: str | None) -> tuple[int, int]:
+    """Lines added and deleted in src/equifd/ from base to other."""
+    revisions = [base] if other is None else [base, other]
+    numstat = subprocess.run(["git", "-C", str(ROOT), "diff", "--numstat", *revisions, "--",
+                              "src/equifd"], check=True, capture_output=True, text=True).stdout
+    counts = [line.split("\t")[:2] for line in numstat.splitlines()]
+    return (sum(int(a) for a, _ in counts if a != "-"),
+            sum(int(d) for _, d in counts if d != "-"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision to compare against")
@@ -85,6 +99,8 @@ def main(argv=None) -> int:
                   or not filecmp.cmp(trees[0] / name, trees[1] / name, shallow=False)]
     for name in names:
         print(f"{'DIFFERS' if name in differ else 'same':8s}{name}")
+    added, deleted = package_lines(args.base, args.other)
+    print(f"src/equifd/: +{added} -{deleted} lines, net {added - deleted:+d}")
     return 1 if differ else 0
 
 
