@@ -32,6 +32,8 @@ loop asks its monitor for the checked weights of the whole stack, in one
 monitor.MonitorFunction.interval_weights call per sweep, and for
 monitor.rows(keep) when rows leave: a stacked DiscreteGradientMonitor
 serves the adaptive loop, and any one-grid monitor serves equidistribute.
+A lone row, equidistribute's and the last of a stack, is carried as its
+1-D grid, so that monitor, sweep and checks index no stack of one.
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ def _sweep(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
     new[..., 0] = 0.0
     # the first node is 0, so the span is the last node and adding the
     # first one back would change no bit
-    if w.size == w.shape[-1]:  # one grid: numpy takes a scalar faster than a column
-        np.add.accumulate(smallest(w) / w, axis=-1, out=new[..., 1:])
+    if w.ndim == 1:  # one grid: numpy takes a scalar faster than a column
+        np.divide(smallest(w), w, out=new[1:])
+        np.add.accumulate(new[1:], out=new[1:])
         new *= nodes.item(-1) / new.item(-1)
     else:
         np.add.accumulate(np.minimum.reduce(w, axis=-1, keepdims=True) / w, axis=-1,
@@ -119,16 +122,22 @@ def _damping(rows: list):
     return per_row([row.relax for row in rows]) if any(row.relax != 1.0 for row in rows) else None
 
 
+def _rows(a: np.ndarray, keep: list) -> np.ndarray:
+    """The rows keep of the stack a, a lone row as its 1-D grid."""
+    return a[keep[0]] if len(keep) == 1 else a[keep]
+
+
 def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: list) -> list:
     """Run the damped sweep iteration on every row of the stack x at once.
 
     Row i starts from the grid x[i] and stops on its own tol[i] and
     max_iter[i]; a row that stops leaves the stack, and the rest go on.
     monitor.interval_weights gives the stacked iterates' checked weights,
-    and monitor.rows(keep) serves the rows that remain.  Returns
-    one (nodes, sweeps, update, message) per row: message is None where
-    the row converged, with nodes its last iterate, and otherwise says
-    why it stalled, with nodes its best iterate and update that
+    and monitor.rows(keep) serves the rows that remain.  A lone row, at
+    the start or once the others have left, is swept as its 1-D grid.
+    Returns one (nodes, sweeps, update, message) per row: message is None
+    where the row converged, with nodes its last iterate, and otherwise
+    says why it stalled, with nodes its best iterate and update that
     iterate's.  Raises MonotonicityError as soon as an iterate loses node
     ordering.
     """
@@ -136,25 +145,30 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: lis
     out = [None] * len(rows)
     cap = min(max_iter, default=0)  # the first sweep at which a row reaches its max_iter
     factor = None  # the rows' damping factors (_damping), None while all are 1
+    if len(x) == 1:
+        x = x[0]
     it = 0
     while rows:
         it += 1
-        step = _sweep(x, monitor.interval_weights(x)) - x
+        step = _sweep(x, monitor.interval_weights(x))
+        step -= x
+        # the iterate of each row, and its update
+        xs, updates = ((x,), [largest(abs(step))]) if x.ndim == 1 else (x, row_largest(abs(step)))
         stopped = []
         damped = False
-        for i, (row, update) in enumerate(zip(rows, row_largest(abs(step)))):
+        for i, (row, update) in enumerate(zip(rows, updates)):
             if update < row.best:
-                row.best, row.best_x = update, x[i]
+                row.best, row.best_x = update, xs[i]
             if update < row.tol:
-                out[row.index] = (x[i], it, update, None)
+                out[row.index] = (xs[i], it, update, None)
                 stopped.append(i)
                 continue
             if row.relax == DAMPING_FLOOR:
-                # x[i] came from a floor step and the map x -> x + relax * (sweep(x) - x)
-                # is fixed from here on, so a repeat of x[i] is a cycle; equal iterates
+                # xs[i] came from a floor step and the map x -> x + relax * (sweep(x) - x)
+                # is fixed from here on, so a repeat of xs[i] is a cycle; equal iterates
                 # have equal updates, so the arrays are compared only when those match
                 saved = row.saved
-                if saved is not None and update == saved[1] and np.array_equal(x[i], saved[2]):
+                if saved is not None and update == saved[1] and np.array_equal(xs[i], saved[2]):
                     message = (f"the iterate of sweep {it - 1} repeats that of sweep {saved[0]} "
                                f"at the damping floor (period {it - 1 - saved[0]}; best update "
                                f"{row.best:.3e})")
@@ -162,7 +176,7 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: lis
                     stopped.append(i)
                     continue
                 if (it - 1) & (it - 2) == 0:
-                    row.saved = (it - 1, update, x[i])
+                    row.saved = (it - 1, update, xs[i])
             if row.prev_update is not None and update > row.prev_update:
                 row.relax = max(0.5 * row.relax, DAMPING_FLOOR)
                 damped = True
@@ -172,14 +186,16 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: lis
                 break
             keep = [i for i in range(len(rows)) if i not in stopped]
             rows = [rows[i] for i in keep]
-            x, step = x[keep], step[keep]
+            x, step = _rows(x, keep), _rows(step, keep)
             monitor = monitor.rows(keep)
             cap = min(row.max_iter for row in rows)
             damped = True  # the factors lose rows too
         if damped:
             factor = _damping(rows)
-        x = x + (step if factor is None else factor * step)  # 1.0 * step is step, exactly
-        if largest(x[:, 1:] <= x[:, :-1]):
+        if factor is not None:  # while all factors are 1, step is the undamped step
+            step *= factor
+        x = x + step
+        if largest(x[..., 1:] <= x[..., :-1]):
             raise MonotonicityError(
                 f"node ordering lost after sweep {it}; monitor values may be invalid"
             )
@@ -192,7 +208,7 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: lis
                     message = f"no convergence after {it} sweeps (best update {row.best:.3e})"
                     out[row.index] = (row.best_x, it, row.best, message)
             rows = [rows[i] for i in keep]
-            x = x[keep]
+            x = _rows(x, keep)
             monitor = monitor.rows(keep)
             factor = _damping(rows)
             cap = min((row.max_iter for row in rows), default=0)

@@ -15,7 +15,7 @@ from .adapt import AdaptiveConfig, adaptive_solve, adaptive_solve_many
 from .analysis import ConvergenceReport, refinement_ladder
 from .grid import GridMapping, analytic_mapped_grid
 from .io import write_csv
-from .problem import ProblemSpec, exact_solution
+from .problem import ParameterError, ProblemSpec, exact_solution
 from .solver import solve_bvp
 
 LADDER = (10, 20, 40, 80, 160, 320, 640)
@@ -163,11 +163,18 @@ def solve_single(spec: ProblemSpec, n_cells: int, grid_mode: str, beta: float = 
         mapping = GridMapping(spec, 0.0 if grid_mode == "uniform" else beta)
         return solve_bvp(analytic_mapped_grid(mapping, n_cells), spec), True
     if grid_mode == "equidistributed":
-        from .equidist import equidistribute
+        from .equidist import MonotonicityError, equidistribute
         from .monitor import ExactPowerMonitor
 
-        res = equidistribute(ExactPowerMonitor(spec, beta), spec, n_cells,
-                             tol=tol, max_iter=max_iter)
+        try:
+            res = equidistribute(ExactPowerMonitor(spec, beta), spec, n_cells,
+                                 tol=tol, max_iter=max_iter)
+        except MonotonicityError as err:
+            # (u_x)**beta spans too many decades over the cells: those where it is
+            # largest shrink below an ulp of ell, and neighbouring nodes collide
+            raise ParameterError(f"(u_x)**beta varies too much over the cells to equidistribute "
+                                 f"them: {err}", lam=spec.lam, ell=spec.ell, beta=beta,
+                                 n_cells=n_cells) from None
         return solve_bvp(res.grid, spec), True
     if grid_mode == "adaptive":
         cfg = AdaptiveConfig(alpha=alpha, beta=beta, eps=eps, max_outer=max_outer,

@@ -46,7 +46,9 @@ def _midpoints(nodes: np.ndarray, wide: bool) -> np.ndarray:
     the default, as it rounds subnormal nodes)."""
     if wide:
         return 0.5 * nodes[..., :-1] + 0.5 * nodes[..., 1:]
-    return 0.5 * (nodes[..., :-1] + nodes[..., 1:])
+    mid = np.add(nodes[..., :-1], nodes[..., 1:])
+    mid *= 0.5
+    return mid
 
 
 class MonitorFunction:

@@ -1,12 +1,10 @@
 """Every check that rejects a parameter, or a combination of parameters,
 raises ParameterError blaming them, and the CLI turns that into exit 2
 naming the flags.  One property test draws the inputs of a solve sweep
-over lam and ell in three of the four grid modes; equidistributed mode
-is left out while its monitor values can still underflow (a numerical
-failure, exit 1).  Another draws lam, a derivative's order, x and
-Dirichlet data, non-finite ones included, for exact_derivative and
-solve_dirichlet.  A third draws bands that solve_tridiagonal must
-reject."""
+over lam and ell in all four grid modes.  Another draws lam, a
+derivative's order, x and Dirichlet data, non-finite ones included, for
+exact_derivative and solve_dirichlet.  A third draws bands that
+solve_tridiagonal must reject."""
 
 import contextlib
 import io
@@ -82,6 +80,10 @@ RAISE_SITES = [
      "left_value must be finite, got inf", {"left_value": math.inf}),
     (lambda: exact_solution(ProblemSpec(10.0, 1.0), [0.5, 1.5, -0.5]),
      "x must lie in [0, 1.0]", {"x": -0.5}),
+    (lambda: solve_single(ProblemSpec(160.0, 1.0), 20, "equidistributed", beta=0.25),
+     "(u_x)**beta varies too much over the cells to equidistribute them: node ordering lost "
+     "after sweep 1; monitor values may be invalid (lam=160.0, ell=1.0, beta=0.25, n_cells=20)",
+     {"lam": 160.0, "ell": 1.0, "beta": 0.25, "n_cells": 20}),
 ]
 
 
@@ -89,7 +91,8 @@ RAISE_SITES = [
                          ids=["require", "require_count", "lam_ell", "uniform_grid",
                               "layer_width", "mapped_nodes", "steps_too_small",
                               "row_underflow", "exact_power", "gradient_weights",
-                              "derivative_power", "dirichlet_value", "domain"])
+                              "derivative_power", "dirichlet_value", "domain",
+                              "equidistributed_collapse"])
 def test_each_check_blames_its_parameters(call, message, params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning ahead of the error
@@ -123,7 +126,8 @@ PINNED = "exp(-beta*lam*ell) underflows"
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(lam=LAMS, ell=ELLS, mode=st.sampled_from(["uniform", "analytic", "adaptive"]))
+@given(lam=LAMS, ell=ELLS,
+       mode=st.sampled_from(["uniform", "analytic", "adaptive", "equidistributed"]))
 def test_solve_exits_0_or_2_and_the_library_blames_only_parameters(tmp_path_factory, lam, ell,
                                                                     mode):
     out = tmp_path_factory.getbasetemp() / "boundary.csv"

@@ -186,6 +186,9 @@ def test_solve_rejects_underflowing_scheme(tmp_path, capsys):
       "1e300"], "--lambda 1e-200, --ell 1e+300 and --beta 0.25"),
     (["solve", "--grid", "equidistributed", "--lambda", "1e100", "--beta", "8", "--n", "20",
       "--ell", "1e-99"], "--lambda 1e+100, --ell 1e-99 and --beta 8"),
+    # the first sweep collides nodes where (u_x)^beta is largest
+    (["solve", "--grid", "equidistributed", "--beta", "0.25", "--lambda", "160"],
+     "--lambda 160, --ell 1, --beta 0.25 and --n 20"),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_checks_during_the_run_are_usage_errors(tmp_path, capsys, argv, flags):
     """A library check that fires during the run, past any start grid,

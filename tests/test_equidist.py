@@ -328,3 +328,30 @@ def test_span_past_half_the_double_range():
     got = equidistribute(ExactPowerMonitor(wide, 0.25), wide, 20)
     ref = equidistribute(ExactPowerMonitor(unit, 0.25), unit, 20)
     assert np.max(np.abs(got.grid.nodes / 1e308 - ref.grid.nodes)) < 1e-12
+
+
+def test_a_tie_on_the_best_update_keeps_the_earlier_iterate(spec10):
+    """Of two distinct iterates with the same update, a stall returns the
+    earlier one: the best iterate is replaced only by a strictly smaller
+    update.  Here the middle node goes 0.5 -> 0.75 -> 0.5, two steps of
+    exactly 0.25, and the sweep cap stops the loop after the second."""
+
+    class Seesaw(MonitorFunction):
+        def interval_values(self, nodes):
+            return np.array([1.0, 3.0]) if nodes[1] == 0.5 else np.ones(2)
+
+    with pytest.raises(EquidistributionError) as err:
+        equidistribute(Seesaw(), spec10, 2, max_iter=2)
+    assert err.value.grid.nodes.tolist() == [0.0, 0.5, 1.0]
+    assert (err.value.iterations, err.value.final_update) == (2, 0.25)
+
+
+def test_the_collapse_of_the_first_sweep_stays_a_monotonicity_error():
+    """equidistribute raises MonotonicityError for any monitor, also where
+    the CLI's equidistributed mode blames lam, ell, beta and N for it: at
+    lam = 160, beta = 1/4 the first sweep from the uniform grid collides
+    the nodes next to ell."""
+    spec = ProblemSpec(160.0, 1.0)
+    for n_cells in (20, 200):
+        with pytest.raises(MonotonicityError, match="after sweep 1;"):
+            equidistribute(ExactPowerMonitor(spec, 0.25), spec, n_cells)

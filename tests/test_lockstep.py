@@ -17,7 +17,7 @@ from equifd import (AdaptiveConfig, AdaptiveResult, ConstantMonitor, DiscreteGra
                     EquidistributionError, ExactPowerMonitor, Grid, MonitorFunction, ProblemSpec,
                     adaptive_solve, adaptive_solve_many, equidistribute, max_error, solve_bvp,
                     uniform_grid)
-from equifd.equidist import DAMPING_FLOOR, EquidistResult
+from equifd.equidist import DAMPING_FLOOR, EquidistResult, sweep_rows
 from equifd.experiments import TABLE2_ALPHAS, TABLE2_BETAS
 from equifd.problem import largest, smallest
 from equifd.solver import CR_CUTOFF
@@ -286,3 +286,63 @@ def test_equidistribute_stalls_as_the_reference(spec10):
         assert (got.value.iterations, got.value.final_update) == \
             (ref.value.iterations, ref.value.final_update)
     equidistribute(ConstantMonitor(), spec10, 20)  # the trivial monitor still converges
+
+
+# --- a lone row sweeps as its 1-D grid -----------------------------------------
+
+
+class _Recording(MonitorFunction):
+    """inner's weights, taken as they are; each query's shape goes to shapes."""
+
+    def __init__(self, inner, shapes):
+        self.inner, self.shapes = inner, shapes
+
+    def interval_values(self, nodes):
+        self.shapes.append(nodes.shape)
+        return self.inner.interval_weights(nodes)
+
+    def interval_weights(self, nodes):
+        return self.interval_values(nodes)
+
+    def rows(self, keep):
+        return _Recording(self.inner.rows(keep), self.shapes)
+
+
+def _reference_row(monitor, spec, n_cells, tol, max_iter):
+    """reference_equidistribute from the uniform grid, as one sweep_rows result."""
+    try:
+        res = reference_equidistribute(monitor, spec, n_cells, tol=tol, max_iter=max_iter)
+    except EquidistributionError as err:
+        return err.grid.nodes, err.iterations, err.final_update, str(err)
+    return res.grid.nodes, res.iterations, res.final_update, None
+
+
+def test_equidistribute_asks_its_monitor_for_one_grid(spec10):
+    shapes = []
+    res = equidistribute(_Recording(ExactPowerMonitor(spec10, 0.5), shapes), spec10, 40)
+    assert res.iterations > 1 and shapes == [(41,)] * res.iterations
+
+
+def test_rows_that_stop_leave_a_lone_row_swept_as_one_grid(spec10):
+    """Three rows stop at different sweeps, the middle one at its sweep
+    cap: the monitor is asked for the stack while two or more rows remain
+    and for the 1-D grid of the last one, and every row's result is the
+    reference's bit for bit."""
+    n_cells = 20
+    sol = solve_bvp(uniform_grid(spec10, n_cells), spec10)
+    alphas, betas = [2.0, 10.0, 0.5], [0.25, 1.0, 0.5]
+    tols, caps = [1e-12, 1e-12, 1e-6], [10000, 7, 10000]
+    x = np.repeat(sol.grid.nodes[None], 3, axis=0)
+    shapes = []
+    monitor = DiscreteGradientMonitor(alphas, betas, x, np.repeat(sol.values[None], 3, axis=0))
+    got = sweep_rows(_Recording(monitor, shapes), x, tols, caps)
+    sweeps = [row[1] for row in got]
+    assert len(set(sweeps)) == 3
+    left = [sum(count >= it for count in sweeps) for it in range(1, max(sweeps) + 1)]
+    assert shapes == [(k, n_cells + 1) if k > 1 else (n_cells + 1,) for k in left]
+    assert {1, 2, 3} <= set(left)
+    for alpha, beta, tol, cap, row in zip(alphas, betas, tols, caps, got):
+        ref = _reference_row(_ReferenceGradientMonitor(alpha, beta, sol.grid.nodes, sol.values),
+                             spec10, n_cells, tol, cap)
+        assert row[0].tobytes() == ref[0].tobytes()
+        assert (row[1], _bits(row[2]), row[3]) == (ref[1], _bits(ref[2]), ref[3])

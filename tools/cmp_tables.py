@@ -7,9 +7,11 @@ working tree is compared against BASE.  Each revision is exported with
 `git archive` into a temporary directory, and each tree writes, through
 its own command line (`python3 -m equifd.cli`), the CSVs of table1,
 table2, error-profile, the 14-rung convergence ladder (N = 10 to 81920)
-of each of the four table1 grids, one single-config adaptive solve with
-its trace, two equidistributed `solve`s (beta 1/2 at N = 640, beta 1/4
-at N = 5120) and one adaptive `solve`.  The script prints one line per
+of each of the four table1 grids, two single-config adaptive solves
+with their traces ((alpha, beta) = (2, 1/4), and (2, 2), whose 653
+outer steps sweep one row each), the six equidistributed `solve`s of the
+smooth_equidist benchmark (beta 1/4 and 1/2 at N = 640, 2560 and 5120)
+and one adaptive `solve`.  The script prints one line per
 file, `same` or `DIFFERS`, and exits 1 if any file differs.  Last it
 prints the net line change of src/equifd/ between the two revisions
 (`git diff --numstat`; for the working tree, its tracked files).  It
@@ -41,10 +43,14 @@ RUNS = {
                                    "--n-ladder", LADDER]
        for beta in ("0.25", "0.5", "2")},
     "adapt.csv": ["adapt", "--alpha", "2", "--beta", "0.25", "--trace", "adapt_trace.csv"],
+    "adapt_2_2.csv": ["adapt", "--alpha", "2", "--beta", "2", "--trace", "adapt_2_2_trace.csv"],
     "solve_equidistributed.csv": ["solve", "--grid", "equidistributed", "--beta", "0.5",
                                   "--n", "640"],
     "solve_equidistributed_5120.csv": ["solve", "--grid", "equidistributed", "--beta", "0.25",
                                        "--n", "5120"],
+    **{f"solve_equidistributed_{beta}_{n}.csv": ["solve", "--grid", "equidistributed",
+                                                 "--beta", beta, "--n", n]
+       for beta, n in (("0.25", "640"), ("0.25", "2560"), ("0.5", "2560"), ("0.5", "5120"))},
     "solve_adaptive.csv": ["solve", "--grid", "adaptive", "--alpha", "2", "--beta", "0.5"],
 }
 
