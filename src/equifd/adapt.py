@@ -21,10 +21,11 @@ of a stack of grids per config, so that each numpy call of an outer step
 serves every row: the rows' solution errors come from one np.exp, one
 monitor.DiscreteGradientMonitor on the whole stack gives every row's
 weights (one power per beta, one lookup for the stack), and one stacked
-sweep loop (equidist.sweep_rows) equidistributes them all.  Each row
-keeps its own damping, best iterate, cycle check, sweep count and
-tolerances, and leaves the stack when it stops, so the others go on as if
-alone; each row's solve is solver._solve_short on the row as a list.
+sweep loop (equidist.sweep_rows) equidistributes them all.  The configs
+differ only in alpha and beta and share their stops.  Each row keeps its
+own damping, best iterate, cycle check and sweep count, and leaves the
+stack when it converges, so the others go on as if alone; at max_outer
+all stop.  Each row's solve is solver._solve_short on the row as a list.
 Every result is bit for bit that of running its config on its own: the
 arithmetic of every row is the one-config loop's, in the same order.
 adaptive_solve is the one-config case.
@@ -131,14 +132,21 @@ class _Run:
 
 def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[AdaptiveResult]:
     """Run the solve-remesh loop of each config from the uniform grid, all
-    in lockstep; returns one result per config, in their order."""
+    in lockstep; returns one result per config, in their order.  The
+    configs must share eps, max_outer, inner_tol and inner_max_iter."""
     # rows of equal beta side by side: the monitor takes one power per run of them
     runs = sorted((_Run(i, cfg) for i, cfg in enumerate(configs)), key=lambda run: run.config.beta)
+    stops = {(run.config.eps, run.config.max_outer, run.config.inner_tol,
+              run.config.inner_max_iter) for run in runs}
+    if len(stops) > 1:
+        raise ValueError("the configs of one batch must share eps, max_outer, inner_tol and "
+                         "inner_max_iter")
+    if not runs:
+        return []
+    (eps, max_outer, inner_tol, inner_max_iter), = stops
     results = [None] * len(runs)
-    # the rows' alpha and beta, as the Python floats the monitor takes, and their
-    # inner_tol and inner_max_iter, filtered as runs is
-    params = [[float(run.config.alpha) for run in runs], [float(run.config.beta) for run in runs],
-              [run.config.inner_tol for run in runs], [run.config.inner_max_iter for run in runs]]
+    # the rows' alpha and beta, as the Python floats the monitor takes, filtered as runs is
+    params = [[float(run.config.alpha) for run in runs], [float(run.config.beta) for run in runs]]
     x = np.repeat(uniform_grid(spec, n_cells).nodes[None], len(runs), axis=0)
     prev_values = None
     n = 0
@@ -154,7 +162,7 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
         for i, (run, error, change) in enumerate(zip(runs, errors, changes)):
             run.error, run.change = error, change
             if prev_values is not None:
-                if change < run.config.eps:
+                if change < eps:
                     run.history.append((n, error, change, 0.0, 0, 0, run.relax))
                     results[run.index] = run.result(spec, x[i], values[i], True)
                     continue
@@ -169,37 +177,37 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
             params = [[column[i] for i in keep] for column in params]
             x, values = x[keep], values[keep]
 
-        alphas, betas, tols, caps = params
-        inner = sweep_rows(DiscreteGradientMonitor._trusted(alphas, betas, x, values), x, tols,
-                           caps)
+        alphas, betas = params
+        inner = sweep_rows(DiscreteGradientMonitor._trusted(alphas, betas, x, values), x,
+                           inner_tol, inner_max_iter)
         target = np.array([nodes for nodes, _, _, _ in inner])
         # exact at the ends: 0 + r*(0 - 0) == 0 and ell + r*(ell - ell) == ell
         new = x + per_row([run.relax for run in runs]) * (target - x)
         grid_changes = row_largest(abs(new - x))
-        keep, moved = [], []
+        moved = []
         for i, (run, grid_change, (_, sweeps, _, message)) in enumerate(
                 zip(runs, grid_changes, inner)):
             stalled = 0 if message is None else 1
             run.stalls += stalled
             run.history.append((n, run.error, run.change, grid_change, sweeps, stalled, run.relax))
-            if grid_change < run.config.inner_tol:
+            if grid_change < inner_tol:
                 # stationary grid: the next solve would reproduce this solution
                 results[run.index] = run.result(spec, x[i], values[i], True)
-                continue
-            moved.append(i)
-            if n == run.config.max_outer:
-                results[run.index] = run.result(spec, x[i], values[i], False)
             else:
-                keep.append(i)
+                moved.append(i)
         # the check of Grid(new[i]): the ends are exact, so this is the strict increase
         checked = new if len(moved) == len(new) else new[moved]
         if len(checked) and not smallest(checked[:, 1:] > checked[:, :-1]):
             raise ValueError("grid nodes must be strictly increasing")
+        if n == max_outer:
+            for i in moved:
+                results[runs[i].index] = runs[i].result(spec, x[i], values[i], False)
+            break
         x, prev_values = new, values
-        if len(keep) < len(runs):
-            runs = [runs[i] for i in keep]
-            params = [[column[i] for i in keep] for column in params]
-            x, prev_values = new[keep], values[keep]
+        if len(moved) < len(runs):
+            runs = [runs[i] for i in moved]
+            params = [[column[i] for i in moved] for column in params]
+            x, prev_values = new[moved], values[moved]
     return results
 
 

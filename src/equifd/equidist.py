@@ -25,15 +25,15 @@ update that running on to the sweep cap would give, because the cycle
 has already been swept in full.
 
 The sweep loop, sweep_rows, runs on a stack of grids with one grid per
-row, each with its own weights, tolerance, cap, damping, best iterate
-and cycle check; a row leaves the stack when it stops.  equidistribute
-is its one-row case, and the adaptive loop runs many rows at once.  The
-loop asks its monitor for the checked weights of the whole stack, in one
-monitor.MonitorFunction.interval_weights call per sweep, and for
-monitor.rows(keep) when rows leave: a stacked DiscreteGradientMonitor
-serves the adaptive loop, and any one-grid monitor serves equidistribute.
-A lone row, equidistribute's and the last of a stack, is carried as its
-1-D grid, so that monitor, sweep and checks index no stack of one.
+row, each with its own weights, damping, best iterate and cycle check,
+under one tolerance and sweep cap; a row leaves the stack when it
+converges or cycles, and at the cap all stop.  equidistribute is its
+one-row case, served by any monitor, and the adaptive loop runs many
+rows at once, served by its stacked DiscreteGradientMonitor and its
+rows(keep).  Each sweep asks for the checked weights of the whole stack
+in one monitor.MonitorFunction.interval_weights call.  A lone row is
+carried as its 1-D grid, so that monitor, sweep and checks index no
+stack of one.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class EquidistributionError(RuntimeError):
 
 
 class MonotonicityError(RuntimeError):
-    """An iterate lost strict node ordering (signals a bad monitor)."""
+    """Neighbouring nodes collided: the weights spread too far for doubles."""
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,10 @@ def _sweep(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
 class _Row:
     """Damping, best iterate and cycle record of one row of the sweep loop."""
 
-    __slots__ = ("index", "tol", "max_iter", "relax", "prev_update", "best", "best_x", "saved")
+    __slots__ = ("index", "relax", "prev_update", "best", "best_x", "saved")
 
-    def __init__(self, index: int, tol: float, max_iter: int, x: np.ndarray):
+    def __init__(self, index: int, x: np.ndarray):
         self.index = index  # the row's place in the stack the loop started with
-        self.tol = tol
-        self.max_iter = max_iter
         self.relax = 1.0
         self.prev_update = None
         self.best = np.inf
@@ -117,34 +115,23 @@ class _Row:
         self.saved = None  # Brent cycle finding: (sweep, update, iterate) at powers of two
 
 
-def _damping(rows: list):
-    """The rows' damping factors as per_row gives them, or None while all are 1."""
-    return per_row([row.relax for row in rows]) if any(row.relax != 1.0 for row in rows) else None
-
-
-def _rows(a: np.ndarray, keep: list) -> np.ndarray:
-    """The rows keep of the stack a, a lone row as its 1-D grid."""
-    return a[keep[0]] if len(keep) == 1 else a[keep]
-
-
-def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: list) -> list:
+def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: int) -> list:
     """Run the damped sweep iteration on every row of the stack x at once.
 
-    Row i starts from the grid x[i] and stops on its own tol[i] and
-    max_iter[i]; a row that stops leaves the stack, and the rest go on.
-    monitor.interval_weights gives the stacked iterates' checked weights,
-    and monitor.rows(keep) serves the rows that remain.  A lone row, at
-    the start or once the others have left, is swept as its 1-D grid.
-    Returns one (nodes, sweeps, update, message) per row: message is None
-    where the row converged, with nodes its last iterate, and otherwise
-    says why it stalled, with nodes its best iterate and update that
-    iterate's.  Raises MonotonicityError as soon as an iterate loses node
-    ordering.
+    Row i starts from the grid x[i]; a row whose update falls below tol,
+    or whose iterate cycles, leaves the stack, and the rest go on until
+    sweep max_iter, where they all stop.  monitor.interval_weights gives
+    the stacked iterates' checked weights, and monitor.rows(keep) serves
+    the rows that remain.  A lone row, at the start or once the others
+    have left, is swept as its 1-D grid.  Returns one (nodes, sweeps,
+    update, message) per row: message is None where the row converged,
+    with nodes its last iterate, and otherwise says why it stalled, with
+    nodes its best iterate and update that iterate's.  Raises
+    MonotonicityError as soon as an iterate loses node ordering.
     """
-    rows = [_Row(i, t, m, xi) for i, (t, m, xi) in enumerate(zip(tol, max_iter, x))]
+    rows = [_Row(i, xi) for i, xi in enumerate(x)]
     out = [None] * len(rows)
-    cap = min(max_iter, default=0)  # the first sweep at which a row reaches its max_iter
-    factor = None  # the rows' damping factors (_damping), None while all are 1
+    factor = None  # the rows' damping factors as per_row gives them, None while all are 1
     if len(x) == 1:
         x = x[0]
     it = 0
@@ -159,7 +146,7 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: lis
         for i, (row, update) in enumerate(zip(rows, updates)):
             if update < row.best:
                 row.best, row.best_x = update, xs[i]
-            if update < row.tol:
+            if update < tol:
                 out[row.index] = (xs[i], it, update, None)
                 stopped.append(i)
                 continue
@@ -186,32 +173,23 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: list, max_iter: lis
                 break
             keep = [i for i in range(len(rows)) if i not in stopped]
             rows = [rows[i] for i in keep]
-            x, step = _rows(x, keep), _rows(step, keep)
             monitor = monitor.rows(keep)
-            cap = min(row.max_iter for row in rows)
+            keep = keep[0] if len(keep) == 1 else keep  # a lone row as its 1-D grid
+            x, step = x[keep], step[keep]
             damped = True  # the factors lose rows too
         if damped:
-            factor = _damping(rows)
+            relax = [row.relax for row in rows]
+            factor = per_row(relax) if any(r != 1.0 for r in relax) else None
         if factor is not None:  # while all factors are 1, step is the undamped step
             step *= factor
         x = x + step
         if largest(x[..., 1:] <= x[..., :-1]):
-            raise MonotonicityError(
-                f"node ordering lost after sweep {it}; monitor values may be invalid"
-            )
-        if it == cap:
-            keep = []
-            for i, row in enumerate(rows):
-                if row.max_iter > it:
-                    keep.append(i)
-                else:
-                    message = f"no convergence after {it} sweeps (best update {row.best:.3e})"
-                    out[row.index] = (row.best_x, it, row.best, message)
-            rows = [rows[i] for i in keep]
-            x = _rows(x, keep)
-            monitor = monitor.rows(keep)
-            factor = _damping(rows)
-            cap = min((row.max_iter for row in rows), default=0)
+            raise MonotonicityError(f"neighbouring nodes collided after sweep {it}")
+        if it == max_iter:
+            for row in rows:
+                message = f"no convergence after {it} sweeps (best update {row.best:.3e})"
+                out[row.index] = (row.best_x, it, row.best, message)
+            break
     return out
 
 
@@ -245,8 +223,7 @@ def equidistribute(
         initial = uniform_grid(spec, n_cells)
     if initial.n_cells != n_cells or initial.ell != spec.ell:
         raise ValueError("initial grid does not match n_cells and ell")
-    (nodes, sweeps, update, message), = sweep_rows(monitor, initial.nodes[None], [tol],
-                                                   [max_iter])
+    (nodes, sweeps, update, message), = sweep_rows(monitor, initial.nodes[None], tol, max_iter)
     grid = Grid(nodes, spec.ell)
     if message is None:
         return EquidistResult(grid, sweeps, update)

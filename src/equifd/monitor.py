@@ -6,16 +6,16 @@ length is constant.  Three families are provided: a constant weight,
 the analytic power monitor (u_x)^beta, and the solution-adaptive
 monitor 1 + alpha*|u_x|^beta built from a discrete solution.
 
-interval_values maps the N+1 nodes of one grid to its N weights.  A
-monitor built on a stack of grids, one per row (DiscreteGradientMonitor,
-the package's one lookup of a discrete monitor), also maps a stack of
-(rows, N+1) nodes to (rows, N) weights, and rows(keep) gives the monitor
-of the rows that remain; a monitor whose weights do not depend on the row
-returns itself.  A stack is looked up in one searchsorted over complex
-keys, row + 1j*x: numpy orders complex numbers lexicographically, so the
-row never rounds into x and each lookup is that of the row on its own.
-The sweeps ask interval_weights, which checks the weights, but for a
-DiscreteGradientMonitor, which checked its table when it was built.
+A monitor serves one grid: interval_values maps its N+1 nodes to its N
+weights, and interval_weights checks them.  The one exception is the
+adaptive loop's own DiscreteGradientMonitor._trusted, built on a stack
+of grids, one per row: it maps a stack of (rows, N+1) nodes to (rows, N)
+weights, and rows(keep) gives the monitor of the rows that remain.  A
+stack is looked up in one searchsorted over complex keys, row + 1j*x:
+numpy orders complex numbers lexicographically, so the row never rounds
+into x and each lookup is that of the row on its own.  A
+DiscreteGradientMonitor checks its table when it is built and hands the
+sweeps its weights unchecked.
 
 Midpoints are 0.5*(a + b), which overflows once a + b passes the largest
 double; a monitor whose span reaches past half of it halves each node
@@ -59,23 +59,15 @@ class MonitorFunction:
         raise NotImplementedError
 
     def interval_weights(self, nodes: np.ndarray) -> np.ndarray:
-        """interval_values(nodes) for one grid or a stack of them, once each
-        weight is finite and strictly positive and there is one per
-        interval; a stack of one grid is asked as that grid."""
-        one = nodes.ndim == 2 and len(nodes) == 1
-        query = nodes[0] if one else nodes
-        w = np.asarray(self.interval_values(query), dtype=float)
-        shape = query.shape[:-1] + (query.shape[-1] - 1,)
-        if w.shape != shape:
-            raise ValueError(f"monitor returned {w.shape}, expected {shape}")
+        """interval_values(nodes) for one grid, once there is one weight
+        per interval and each is finite and strictly positive."""
+        w = np.asarray(self.interval_values(nodes), dtype=float)
+        if w.shape != (nodes.shape[-1] - 1,):
+            raise ValueError(f"monitor returned {w.shape}, expected ({nodes.shape[-1] - 1},)")
         # NaN fails both comparisons (smallest and largest propagate it), so it is rejected too
         if not (smallest(w) > 0.0 and largest(w) < math.inf):
             raise ValueError("monitor values must be finite and strictly positive")
-        return w[None] if one else w
-
-    def rows(self, keep) -> "MonitorFunction":
-        """The monitor for the rows keep of the stack it serves."""
-        return self
+        return w
 
 
 @dataclass(frozen=True)
@@ -162,30 +154,24 @@ class DiscreteGradientMonitor(MonitorFunction):
     difference quotient |u_{k+1} - u_k| / h_{k+1/2}; as a function of x
     the monitor is piecewise constant, so querying any node set looks up
     the containing interval.  nodes and values are one grid and its
-    solution, with alpha and beta numbers, or stacks of them with one grid
-    per row, with alpha and beta one per row.  Every input is checked
-    here, and the weights once: finite, and >= 1 by their form.
+    solution, and alpha and beta numbers.  Every input is checked here,
+    and the weights once: finite, and >= 1 by their form.
     """
 
     def __init__(self, alpha, beta, nodes, values):
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
-        if (values.shape != nodes.shape or nodes.ndim not in (1, 2) or nodes.shape[-1] < 2
-                or not len(nodes)):
-            raise ValueError(f"nodes and values must be one grid or a stack of grids, of one "
-                             f"shape, got {nodes.shape} and {values.shape}")
-        if nodes.ndim == 1:
-            nodes, values, alpha, beta = nodes[None], values[None], [alpha], [beta]
-        alphas = [float(require("alpha", a, 0.0)) for a in alpha]
-        betas = [float(require("beta", b, 0.0)) for b in beta]
-        if len(alphas) != len(nodes) or len(betas) != len(nodes):
-            raise ValueError(f"alpha and beta must give one value per grid ({len(nodes)})")
-        if not smallest(nodes[:, 1:] > nodes[:, :-1]):  # a NaN node fails the comparison too
+        if values.shape != nodes.shape or nodes.ndim != 1 or len(nodes) < 2:
+            raise ValueError(f"nodes and values must be one grid, of one shape, got "
+                             f"{nodes.shape} and {values.shape}")
+        alpha = float(require("alpha", alpha, 0.0))
+        beta = float(require("beta", beta, 0.0))
+        if not smallest(nodes[1:] > nodes[:-1]):  # a NaN node fails the comparison too
             raise ValueError("nodes must be strictly increasing")
         if not smallest(np.isfinite(values)):
             raise ValueError("values must be finite")
-        self._build(alphas, betas, nodes, values,
-                    max(-smallest(nodes[:, 0]), largest(nodes[:, -1])) > _HALF_MAX)
+        self._build([alpha], [beta], nodes[None], values[None],
+                    max(-nodes.item(0), nodes.item(-1)) > _HALF_MAX)
 
     @classmethod
     def _trusted(cls, alphas: list, betas: list, nodes: np.ndarray,
@@ -235,8 +221,8 @@ class DiscreteGradientMonitor(MonitorFunction):
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         """Weights of one grid's intervals, for a monitor on one grid, or
-        of a stack's, each row looked up in the same row of the monitor.
-        A NaN midpoint lies in no interval and raises ValueError."""
+        of a stack's, each row looked up in the same row of a _trusted
+        monitor.  A NaN midpoint lies in no interval and raises ValueError."""
         mid = _midpoints(nodes, self._wide)
         rows = len(mid) if mid.ndim == 2 else 1
         if rows != len(self._labels):
@@ -281,6 +267,3 @@ class ScaledMonitor(MonitorFunction):
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         return self.factor * self.inner.interval_values(nodes)
-
-    def rows(self, keep) -> "ScaledMonitor":
-        return ScaledMonitor(self.inner.rows(keep), self.factor)

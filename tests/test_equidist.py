@@ -353,5 +353,5 @@ def test_the_collapse_of_the_first_sweep_stays_a_monotonicity_error():
     the nodes next to ell."""
     spec = ProblemSpec(160.0, 1.0)
     for n_cells in (20, 200):
-        with pytest.raises(MonotonicityError, match="after sweep 1;"):
+        with pytest.raises(MonotonicityError, match="^neighbouring nodes collided after sweep 1$"):
             equidistribute(ExactPowerMonitor(spec, 0.25), spec, n_cells)

@@ -179,10 +179,10 @@ def table2_reference(spec10):
 
 
 def test_lookup_is_exact_at_one_ulp():
-    """A monitor on a stack looks each row's midpoints up in that row's
-    breakpoints, exactly as the one-grid reference does, also where a
-    breakpoint lies one ulp from a midpoint or on it, and so does the
-    monitor of rows(keep).  (Shifting each row by an offset to search all
+    """The adaptive loop's monitor on a stack (DiscreteGradientMonitor._trusted)
+    looks each row's midpoints up in that row's breakpoints, exactly as
+    the one-grid reference does, also where a breakpoint lies one ulp
+    from a midpoint or on it, and so does the monitor of rows(keep).  (Shifting each row by an offset to search all
     rows at once would round such pairs together; the complex keys
     row + 1j*x are compared lexicographically, with no rounding.)"""
     rng = np.random.default_rng(5)
@@ -199,7 +199,7 @@ def test_lookup_is_exact_at_one_ulp():
     alphas, betas = [1.0, 2.0, 0.5, 3.0], [1.0, 1.0, 0.25, 2.0]
     expected = [_ReferenceGradientMonitor(a, b, n, v).interval_values(xr)
                 for a, b, n, v, xr in zip(alphas, betas, nodes, values, x)]
-    monitor = DiscreteGradientMonitor(alphas, betas, nodes, values)
+    monitor = DiscreteGradientMonitor._trusted(alphas, betas, nodes, values)
     assert np.array_equal(monitor.interval_values(x), expected)
     for row in range(4):
         assert np.array_equal(monitor.rows([row]).interval_values(x[row]), expected[row])
@@ -226,35 +226,66 @@ def test_stalling_cells_alone(spec10, table2_reference):
 
 def test_large_lambda_capped_by_max_outer():
     spec = ProblemSpec(1e3, 1.0)
-    configs = [AdaptiveConfig(1e4, 0.25, max_outer=60), AdaptiveConfig(1e4, 0.25, max_outer=25)]
-    results = assert_batch_matches(spec, 40, configs)
-    assert [(res.converged, res.outer_iterations) for res in results] == [(False, 60), (False, 25)]
+    for max_outer, params in ((60, [(1e4, 0.25), (1e4, 0.5)]), (25, [(1e4, 0.25), (1e2, 0.25)])):
+        configs = [AdaptiveConfig(alpha, beta, max_outer=max_outer) for alpha, beta in params]
+        results = assert_batch_matches(spec, 40, configs)
+        assert [(res.converged, res.outer_iterations) for res in results] == \
+            [(False, max_outer)] * 2
+
+
+def _exit(config, result):
+    """Why the loop of config stopped: eps, a stationary grid or max_outer."""
+    if not result.converged:
+        assert result.outer_iterations == config.max_outer
+        return "max_outer"
+    return "eps" if result.history[-1][4] == 0 else "stationary"
 
 
 def test_mixed_tolerances_and_caps(spec10):
-    """Rows leave at different outer steps and inner sweeps, for every
-    reason: eps, a stationary grid, max_outer and inner_max_iter.  Equal
+    """Each batch shares its stops, and its rows leave at different outer
+    steps and inner sweeps, for every reason: eps, a stationary grid,
+    max_outer, and inner stalls at inner_max_iter and at a cycle.  Equal
     configs in one batch give equal results."""
-    configs = [
-        AdaptiveConfig(2.0, 0.25, eps=1e-6),
-        AdaptiveConfig(1.0, 0.5, max_outer=5),
-        AdaptiveConfig(10.0, 1.0, inner_tol=1e-9),
-        AdaptiveConfig(0.5, 2.0, inner_max_iter=7, max_outer=40),
-        AdaptiveConfig(2.0, 2.0, max_outer=30, inner_tol=1e-10),
-        AdaptiveConfig(0.0, 1.0),
-        AdaptiveConfig(2.0, 0.25, eps=1e-6),
-        AdaptiveConfig(100.0, 0.125, eps=1e-8, inner_max_iter=3),
+    batches = [
+        (dict(eps=1e-6), [(2.0, 0.25), (10.0, 1.0), (0.0, 1.0), (2.0, 0.25), (100.0, 0.125)]),
+        (dict(max_outer=5), [(1.0, 0.5), (0.0, 1.0)]),
+        (dict(inner_max_iter=7, max_outer=40), [(0.5, 2.0), (2.0, 0.25)]),
+        (dict(max_outer=30, inner_tol=1e-10), [(2.0, 2.0), (1.0, 0.5), (2.0, 0.25)]),
+        (dict(eps=1e-8, inner_max_iter=3), [(100.0, 0.125), (10.0, 1.0)]),
     ]
-    results = assert_batch_matches(spec10, 20, configs)
-    assert results[0].history == results[6].history
-    assert results[1].outer_iterations == 5 and not results[1].converged
-    assert any(row[5] for row in results[3].history)  # inner_max_iter stalls
+    exits, stalls = [], []
+    for stops, params in batches:
+        configs = [AdaptiveConfig(alpha, beta, **stops) for alpha, beta in params]
+        results = assert_batch_matches(spec10, 20, configs)
+        if len(configs) == 5:
+            assert results[0].history == results[3].history
+        exits.append([_exit(cfg, res) for cfg, res in zip(configs, results)])
+        # each inner stall: at inner_max_iter, or at a cycle below it
+        stalls.append(sorted({"cap" if row[4] == cfg.inner_max_iter else "cycle"
+                              for cfg, res in zip(configs, results)
+                              for row in res.history if row[5]}))
+    assert exits == [["eps", "eps", "stationary", "eps", "eps"], ["max_outer", "stationary"],
+                     ["max_outer", "eps"], ["max_outer", "stationary", "eps"],
+                     ["eps", "stationary"]]
+    assert stalls == [["cycle"], [], ["cap"], [], ["cap"]]
+
+
+def test_a_batch_shares_its_stops(spec10):
+    """Rows differ only in alpha and beta: a batch whose configs differ in
+    any of the four stopping values is refused before any solve."""
+    base = AdaptiveConfig(2.0, 0.25)
+    for stop in (dict(eps=1e-6), dict(max_outer=5), dict(inner_tol=1e-9),
+                 dict(inner_max_iter=7)):
+        with pytest.raises(ValueError, match="^the configs of one batch must share eps, "
+                                             "max_outer, inner_tol and inner_max_iter$"):
+            adaptive_solve_many(spec10, 20, [base, AdaptiveConfig(1.0, 0.5, **stop)])
+    assert_batch_matches(spec10, 20, [base, AdaptiveConfig(1.0, 0.5, max_outer=np.int64(1000))])
 
 
 def test_past_the_fused_cutoff(spec10):
     """N=600 solves on the numpy path, by cyclic reduction."""
     assert 600 - 1 >= CR_CUTOFF
-    configs = [AdaptiveConfig(1.0, 0.5, max_outer=20), AdaptiveConfig(10.0, 0.25, max_outer=12)]
+    configs = [AdaptiveConfig(1.0, 0.5, max_outer=20), AdaptiveConfig(10.0, 0.25, max_outer=20)]
     assert_batch_matches(spec10, 600, configs)
 
 
@@ -324,25 +355,40 @@ def test_equidistribute_asks_its_monitor_for_one_grid(spec10):
 
 
 def test_rows_that_stop_leave_a_lone_row_swept_as_one_grid(spec10):
-    """Three rows stop at different sweeps, the middle one at its sweep
-    cap: the monitor is asked for the stack while two or more rows remain
-    and for the 1-D grid of the last one, and every row's result is the
-    reference's bit for bit."""
-    n_cells = 20
+    """Three rows stop at different sweeps: two converge, and the last,
+    alone by then, stops at the sweep cap (max_iter 100) or at its cycle
+    at the damping floor (max_iter 10000).  The monitor is asked for the
+    stack while two or more rows remain and for the 1-D grid of the last
+    one, and every row's result is the reference's bit for bit."""
+    n_cells, tol = 20, 1e-12
     sol = solve_bvp(uniform_grid(spec10, n_cells), spec10)
-    alphas, betas = [2.0, 10.0, 0.5], [0.25, 1.0, 0.5]
-    tols, caps = [1e-12, 1e-12, 1e-6], [10000, 7, 10000]
+    alphas, betas = [2.0, 10.0, 0.5], [0.25, 1.0, 2.0]
     x = np.repeat(sol.grid.nodes[None], 3, axis=0)
-    shapes = []
-    monitor = DiscreteGradientMonitor(alphas, betas, x, np.repeat(sol.values[None], 3, axis=0))
-    got = sweep_rows(_Recording(monitor, shapes), x, tols, caps)
-    sweeps = [row[1] for row in got]
-    assert len(set(sweeps)) == 3
-    left = [sum(count >= it for count in sweeps) for it in range(1, max(sweeps) + 1)]
-    assert shapes == [(k, n_cells + 1) if k > 1 else (n_cells + 1,) for k in left]
-    assert {1, 2, 3} <= set(left)
-    for alpha, beta, tol, cap, row in zip(alphas, betas, tols, caps, got):
-        ref = _reference_row(_ReferenceGradientMonitor(alpha, beta, sol.grid.nodes, sol.values),
-                             spec10, n_cells, tol, cap)
-        assert row[0].tobytes() == ref[0].tobytes()
-        assert (row[1], _bits(row[2]), row[3]) == (ref[1], _bits(ref[2]), ref[3])
+    monitor = DiscreteGradientMonitor._trusted(alphas, betas, x,
+                                               np.repeat(sol.values[None], 3, axis=0))
+    for max_iter in (100, 10000):
+        shapes = []
+        got = sweep_rows(_Recording(monitor, shapes), x, tol, max_iter)
+        sweeps = [row[1] for row in got]
+        assert sweeps[0] < sweeps[2] < sweeps[1] <= max_iter
+        assert [row[3] is None for row in got] == [True, False, True]
+        left = [sum(count >= it for count in sweeps) for it in range(1, max(sweeps) + 1)]
+        assert shapes == [(k, n_cells + 1) if k > 1 else (n_cells + 1,) for k in left]
+        for alpha, beta, row in zip(alphas, betas, got):
+            ref = _reference_row(_ReferenceGradientMonitor(alpha, beta, sol.grid.nodes,
+                                                           sol.values),
+                                 spec10, n_cells, tol, max_iter)
+            assert row[0].tobytes() == ref[0].tobytes()
+            assert (row[1], _bits(row[2]), row[3]) == (ref[1], _bits(ref[2]), ref[3])
+
+
+def test_a_capped_lone_row_asks_for_no_rows(spec10):
+    """equidistribute's one row stops at its sweep cap without asking its
+    monitor for the rows that remain: none do."""
+
+    class NoRows(ExactPowerMonitor):
+        def rows(self, keep):
+            raise AssertionError(f"rows({keep}) asked of a one-grid monitor")
+
+    with pytest.raises(EquidistributionError, match="no convergence after 3 sweeps"):
+        equidistribute(NoRows(spec10, 0.5), spec10, 40, max_iter=3)

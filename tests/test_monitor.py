@@ -240,14 +240,21 @@ def test_gradient_monitor_rejects_unequal_shapes():
         DiscreteGradientMonitor(1.0, 1.0, [0.0], [0.0])
 
 
+def test_gradient_monitor_takes_one_grid():
+    """A stack of grids is no grid: only the adaptive loop builds a monitor
+    on a stack, through DiscreteGradientMonitor._trusted."""
+    nodes, values = np.tile([0.0, 0.5, 1.0], (3, 1)), np.zeros((3, 3))
+    for alpha, beta in ((1.0, 1.0), ([1.0] * 3, [1.0] * 3)):
+        with pytest.raises(ValueError, match=r"^nodes and values must be one grid, of one "
+                                             r"shape, got \(3, 3\) and \(3, 3\)$"):
+            DiscreteGradientMonitor(alpha, beta, nodes, values)
+
+
 @pytest.mark.parametrize("nodes", [[0.0, 1.0, 0.5], [0.0, 0.5, 0.5], [0.0, np.nan, 1.0]])
 def test_gradient_monitor_rejects_nodes_not_strictly_increasing(nodes):
     # decreasing nodes used to give weight -1, a repeated one inf and a RuntimeWarning
     with pytest.raises(ValueError, match="nodes must be strictly increasing"):
         DiscreteGradientMonitor(1.0, 1.0, nodes, [0.0, 1.0, 1.5])
-    with pytest.raises(ValueError, match="nodes must be strictly increasing"):
-        DiscreteGradientMonitor([1.0, 1.0], [1.0, 1.0], [[0.0, 0.5, 1.0], nodes],
-                                np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -258,17 +265,6 @@ def test_gradient_monitor_rejects_values_not_finite(bad):
         for values in ([0.0, bad, 1.0], [bad, bad, 1.0]):
             with pytest.raises(ValueError, match="values must be finite"):
                 DiscreteGradientMonitor(1.0, beta, [0.0, 0.5, 1.0], values)
-
-
-def test_gradient_monitor_needs_one_parameter_per_row():
-    nodes, values = np.tile([0.0, 0.5, 1.0], (3, 1)), np.zeros((3, 3))
-    for alpha, beta in (([1.0, 1.0], [1.0, 1.0, 1.0]), ([1.0] * 3, [1.0] * 4)):
-        with pytest.raises(ValueError, match="one value per grid"):
-            DiscreteGradientMonitor(alpha, beta, nodes, values)
-    with pytest.raises(TypeError):  # a number for a stack
-        DiscreteGradientMonitor([1.0] * 3, 2.0, nodes, values)
-    with pytest.raises(ValueError, match="alpha"):
-        DiscreteGradientMonitor([1.0, -1.0, 1.0], [1.0, 1.0, 1.0], nodes, values)
 
 
 def _stack(rng, rows, n_cells):
@@ -282,10 +278,10 @@ def test_stacked_monitor_rows_match_one_grid_monitors_bit_for_bit():
     rng = np.random.default_rng(17)
     betas = [beta for _ in range(2) for beta in TABLE2_BETAS]
     rng.shuffle(betas)
-    alphas = list(rng.choice(TABLE2_ALPHAS, len(betas)))
+    alphas = [float(alpha) for alpha in rng.choice(TABLE2_ALPHAS, len(betas))]
     nodes, values = _stack(rng, len(betas), 20)
     query = _stack(rng, len(betas), 20)[0]
-    stacked = DiscreteGradientMonitor(alphas, betas, nodes, values)
+    stacked = DiscreteGradientMonitor._trusted(alphas, betas, nodes, values)
     for q in (nodes, query):
         got = stacked.interval_values(q)
         for row, (a, b) in enumerate(zip(alphas, betas)):
@@ -297,14 +293,12 @@ def test_stacked_monitor_rows_keeps_the_rows_given():
     rng = np.random.default_rng(19)
     nodes, values = _stack(rng, 5, 12)
     query = _stack(rng, 5, 12)[0]
-    monitor = DiscreteGradientMonitor([1.0, 2.0, 3.0, 4.0, 5.0], [0.5] * 5, nodes, values)
+    monitor = DiscreteGradientMonitor._trusted([1.0, 2.0, 3.0, 4.0, 5.0], [0.5] * 5, nodes,
+                                               values)
     full = monitor.interval_values(query)
     for keep in ([0, 2, 4], [3], [4, 1]):
         assert np.array_equal(monitor.rows(keep).interval_values(query[keep]), full[keep])
     assert np.array_equal(monitor.rows([1, 3]).rows([1]).interval_values(query[3]), full[3])
-    assert np.array_equal(ScaledMonitor(monitor, 2.0).rows([4, 1]).interval_values(query[[4, 1]]),
-                          2.0 * full[[4, 1]])
-    assert ConstantMonitor().rows([0]) == ConstantMonitor()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 9])
@@ -312,7 +306,7 @@ def test_each_stacked_sweep_makes_one_searchsorted(rows):
     """The monitor looks a stack up in one searchsorted, whatever its row
     count, where it made one per row."""
     nodes, values = _stack(np.random.default_rng(rows), rows, 20)
-    monitor = DiscreteGradientMonitor([2.0] * rows, [0.25] * rows, nodes, values)
+    monitor = DiscreteGradientMonitor._trusted([2.0] * rows, [0.25] * rows, nodes, values)
     calls = []
 
     def profile(frame, event, arg):
@@ -321,7 +315,7 @@ def test_each_stacked_sweep_makes_one_searchsorted(rows):
 
     sys.setprofile(profile)
     try:
-        out = sweep_rows(monitor, nodes, [0.0] * rows, [6] * rows)
+        out = sweep_rows(monitor, nodes, 0.0, 6)
     finally:
         sys.setprofile(None)
     assert [sweeps for _, sweeps, _, _ in out] == [6] * rows
@@ -334,7 +328,7 @@ def test_stacked_query_at_infinite_and_nan_nodes():
     took the last interval's weight) and on a stack (a bare IndexError)."""
     rng = np.random.default_rng(29)
     nodes, values = _stack(rng, 3, 6)
-    stacked = DiscreteGradientMonitor([1.0] * 3, [0.5] * 3, nodes, values)
+    stacked = DiscreteGradientMonitor._trusted([1.0] * 3, [0.5] * 3, nodes, values)
     query = nodes.copy()
     query[:, 0], query[:, -1] = -np.inf, np.inf
     assert np.array_equal(stacked.interval_values(query), stacked.interval_values(nodes))
@@ -358,11 +352,11 @@ def test_one_row_monitor_answers_a_one_grid_query():
     nodes, values = _stack(rng, 1, 15)
     query = random_grid(rng, 9).nodes
     one = DiscreteGradientMonitor(2.0, 0.25, nodes[0], values[0])
-    stacked = DiscreteGradientMonitor([2.0], [0.25], nodes, values)
+    stacked = DiscreteGradientMonitor._trusted([2.0], [0.25], nodes, values)
     assert np.array_equal(stacked.interval_values(query), one.interval_values(query))
     assert np.array_equal(stacked.interval_values(query[None]), [one.interval_values(query)])
-    two = DiscreteGradientMonitor([2.0, 2.0], [0.25, 0.25], np.vstack([nodes, nodes]),
-                                  np.vstack([values, values]))
+    two = DiscreteGradientMonitor._trusted([2.0, 2.0], [0.25, 0.25], np.vstack([nodes, nodes]),
+                                           np.vstack([values, values]))
     for wrong in (query, query[None]):  # a monitor on two grids takes two
         with pytest.raises(ValueError, match="holds 2 grids, got 1"):
             two.interval_values(wrong)
@@ -374,7 +368,7 @@ def test_gradient_monitor_midpoints_past_half_the_double_range():
     and looked up the last interval."""
     nodes = np.array([[0.0, 1.4e308, 1.5e308], [0.0, 0.5e308, 1.5e308]])
     values = np.array([[0.0, 1.4e308, 1.6e308], [0.0, 1.5e308, 1.6e308]])
-    stacked = DiscreteGradientMonitor([1.0, 1.0], [1.0, 1.0], nodes, values)
+    stacked = DiscreteGradientMonitor._trusted([1.0, 1.0], [1.0, 1.0], nodes, values)
     query = np.array([[0.0, 1e308, 1.5e308]] * 2)
     one = [DiscreteGradientMonitor(1.0, 1.0, n, v).interval_values(q)
            for n, v, q in zip(nodes, values, query)]
@@ -400,16 +394,17 @@ class _Quadratic(MonitorFunction):
 
 def _contract_monitors():
     """A monitor of every kind, each serving one grid: the gradient monitor
-    built on one grid, on a stack of one, and as one row of a stack."""
+    built on one grid, and the adaptive loop's on a stack of one and as
+    one row of a stack."""
     rng = np.random.default_rng(31)
     spec = ProblemSpec(10.0, 1.0)
     nodes, values = _stack(rng, 3, 16)
     base = [("constant", ConstantMonitor(2.0)), ("power", ExactPowerMonitor(spec, 0.25)),
             ("gradient", DiscreteGradientMonitor(2.0, 0.5, nodes[0], values[0])),
-            ("gradient-stack-of-one", DiscreteGradientMonitor([2.0], [0.5], nodes[:1],
-                                                              values[:1])),
-            ("gradient-row-of-stack", DiscreteGradientMonitor([1.0, 2.0, 3.0], [0.5, 2.0, 0.25],
-                                                              nodes, values).rows([1])),
+            ("gradient-stack-of-one", DiscreteGradientMonitor._trusted([2.0], [0.5], nodes[:1],
+                                                                       values[:1])),
+            ("gradient-row-of-stack", DiscreteGradientMonitor._trusted(
+                [1.0, 2.0, 3.0], [0.5, 2.0, 0.25], nodes, values).rows([1])),
             ("subclass", _Quadratic())]
     monitors = base + [(f"scaled-{name}", ScaledMonitor(m, 3.0)) for name, m in base]
     return [pytest.param(m, id=name) for name, m in monitors]
@@ -421,18 +416,31 @@ def test_interval_weights_are_interval_values_on_one_grid_and_a_stack_of_one(mon
     values = monitor.interval_values(query)
     got = monitor.interval_weights(query)
     assert got.shape == (12,) and got.tobytes() == values.tobytes()
-    got = monitor.interval_weights(query[None])
-    assert got.shape == (1, 12) and got.tobytes() == values.tobytes()
+    if isinstance(monitor, DiscreteGradientMonitor):  # the one monitor that takes a stack
+        got = monitor.interval_weights(query[None])
+        assert got.shape == (1, 12) and got.tobytes() == values.tobytes()
+    else:
+        with pytest.raises(ValueError, match=r"monitor returned .*, expected \(12,\)"):
+            monitor.interval_weights(query[None])
 
 
 def test_interval_weights_of_a_stack_are_its_values():
     rng = np.random.default_rng(41)
     nodes, values = _stack(rng, 3, 10)
     query = _stack(rng, 3, 10)[0]
-    stacked = DiscreteGradientMonitor([1.0, 2.0, 3.0], [0.5, 2.0, 0.25], nodes, values)
-    for monitor in (stacked, ScaledMonitor(stacked, 3.0)):
-        assert monitor.interval_weights(query).tobytes() == \
-            monitor.interval_values(query).tobytes()
+    stacked = DiscreteGradientMonitor._trusted([1.0, 2.0, 3.0], [0.5, 2.0, 0.25], nodes, values)
+    assert stacked.interval_weights(query).tobytes() == stacked.interval_values(query).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_base_interval_weights_reject_a_stack(rows):
+    """A monitor serves one grid: the base interval_weights expects one
+    weight per interval of one grid, so a stack, also a stack of one,
+    raises its shape error (a stack of one was asked as its grid)."""
+    query = np.tile(random_grid(np.random.default_rng(47), 12).nodes, (rows, 1))
+    for monitor in (_Quadratic(), ConstantMonitor(), ScaledMonitor(_Quadratic(), 2.0)):
+        with pytest.raises(ValueError, match=r"^monitor returned \([\d, ]+\), expected \(12,\)$"):
+            monitor.interval_weights(query)
 
 
 @pytest.mark.parametrize("bad,index,message", [
@@ -446,9 +454,8 @@ def test_interval_weights_of_a_stack_are_its_values():
 def test_interval_weights_reject_bad_weights(bad, index, message):
     query = random_grid(np.random.default_rng(43), 12).nodes
     for monitor in (_Quadratic(bad, index), ScaledMonitor(_Quadratic(bad, index), 2.0)):
-        for q in (query, query[None]):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                monitor.interval_weights(q)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            monitor.interval_weights(query)
 
 
 @pytest.mark.parametrize("lam,ell,beta", [

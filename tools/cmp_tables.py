@@ -7,26 +7,32 @@ working tree is compared against BASE.  Each revision is exported with
 `git archive` into a temporary directory, and each tree writes, through
 its own command line (`python3 -m equifd.cli`), the CSVs of table1,
 table2, error-profile, the 14-rung convergence ladder (N = 10 to 81920)
-of each of the four table1 grids, two single-config adaptive solves
-with their traces ((alpha, beta) = (2, 1/4), and (2, 2), whose 653
-outer steps sweep one row each), the six equidistributed `solve`s of the
-smooth_equidist benchmark (beta 1/4 and 1/2 at N = 640, 2560 and 5120)
-and one adaptive `solve`.  The script prints one line per
-file, `same` or `DIFFERS`, and exits 1 if any file differs.  Last it
-prints the net line change of src/equifd/ between the two revisions
-(`git diff --numstat`; for the working tree, its tracked files).  It
-needs only the standard library and the package's own dependencies.
+of each of the four table1 grids, three single-config adaptive solves
+with their traces ((alpha, beta) = (2, 1/4); (2, 2), whose 653 outer
+steps sweep one row each; and (2, 1/2) with at most 3 sweeps per
+equidistribution, whose first stops at that cap), the six
+equidistributed `solve`s of the smooth_equidist benchmark (beta 1/4 and
+1/2 at N = 640, 2560 and 5120) and one adaptive `solve`.  The script
+prints one line per file, `same` or `DIFFERS`, and exits 1 if any file
+differs.  Last it prints the net line change of src/equifd/ between the
+two revisions (`git diff --numstat`; for the working tree, its tracked
+files), and beside it the count of code lines in each: lines that are
+not blank, not only a comment and not part of a docstring.  It needs
+only the standard library and the package's own dependencies.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import filecmp
+import io
 import os
 import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +50,8 @@ RUNS = {
        for beta in ("0.25", "0.5", "2")},
     "adapt.csv": ["adapt", "--alpha", "2", "--beta", "0.25", "--trace", "adapt_trace.csv"],
     "adapt_2_2.csv": ["adapt", "--alpha", "2", "--beta", "2", "--trace", "adapt_2_2_trace.csv"],
+    "adapt_capped.csv": ["adapt", "--alpha", "2", "--beta", "0.5", "--max-iter", "3",
+                         "--trace", "adapt_capped_trace.csv"],
     "solve_equidistributed.csv": ["solve", "--grid", "equidistributed", "--beta", "0.5",
                                   "--n", "640"],
     "solve_equidistributed_5120.csv": ["solve", "--grid", "equidistributed", "--beta", "0.25",
@@ -85,6 +93,26 @@ def package_lines(base: str, other: str | None) -> tuple[int, int]:
             sum(int(d) for _, d in counts if d != "-"))
 
 
+def code_lines(package: Path) -> int:
+    """Lines of the modules in package that hold code: not blank, not
+    only a comment, and not part of a docstring."""
+    count = 0
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        lines = set()
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                                  tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER):
+                lines.update(range(token.start[0], token.end[0] + 1))
+        count += len(lines - docstrings)
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision to compare against")
@@ -92,13 +120,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="cmp_tables_") as tmp:
         tmp = Path(tmp)
-        trees = []
+        trees, code = [], []
         for side, revision in (("base", args.base), ("other", args.other)):
             where = tmp / side
             where.mkdir()
             tree = ROOT if revision is None else export(revision, where)
             write_tables(tree, where / "csv")
             trees.append(where / "csv")
+            code.append(code_lines(tree / "src" / "equifd"))
         names = sorted({path.name for csv in trees for path in csv.iterdir()})
         differ = [name for name in names
                   if not all((csv / name).exists() for csv in trees)
@@ -106,7 +135,8 @@ def main(argv=None) -> int:
     for name in names:
         print(f"{'DIFFERS' if name in differ else 'same':8s}{name}")
     added, deleted = package_lines(args.base, args.other)
-    print(f"src/equifd/: +{added} -{deleted} lines, net {added - deleted:+d}")
+    print(f"src/equifd/: +{added} -{deleted} lines, net {added - deleted:+d}; "
+          f"code lines {code[0]} -> {code[1]}, net {code[1] - code[0]:+d}")
     return 1 if differ else 0
 
 
