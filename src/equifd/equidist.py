@@ -7,7 +7,10 @@ The node positions solve the nonlinear central-difference system
 with x_0 = 0, x_N = ell.  With the weights frozen at the current iterate
 it says the flux omega * dx is constant, so each sweep is solved by a
 cumulative sum of 1/omega; at the fixed point the discrete
-equidistribution principle omega_{j+1/2} J_{j+1/2} = const holds.
+equidistribution principle omega_{j+1/2} J_{j+1/2} = const holds.  The
+sum is rescaled to span [0, ell], so a sweep needs 1/omega only up to a
+constant factor: it takes the inverse weights min(omega)/omega, which
+lie in (0, 1].
 
 Piecewise-constant monitors (the solution-adaptive family) make the
 sweep map discontinuous and it can enter a small limit cycle instead of
@@ -30,8 +33,10 @@ under one tolerance and sweep cap; a row leaves the stack when it
 converges or cycles, and at the cap all stop.  equidistribute is its
 one-row case, served by any monitor, and the adaptive loop runs many
 rows at once, served by its stacked DiscreteGradientMonitor and its
-rows(keep).  Each sweep asks for the checked weights of the whole stack
-in one monitor.MonitorFunction.interval_weights call.  A lone row is
+rows(keep).  Each sweep asks for the inverse weights of the whole stack
+in one monitor.MonitorFunction.inverse_weights call: the least of a
+monitor's checked weights divided by each, or the smooth monitor's
+closed form, whose range it checked when it was built.  A lone row is
 carried as its 1-D grid, so that monitor, sweep and checks index no
 stack of one.
 """
@@ -44,8 +49,7 @@ import numpy as np
 
 from .grid import Grid, uniform_grid
 from .monitor import MonitorFunction
-from .problem import (ProblemSpec, largest, per_row, require, require_count, row_largest,
-                      smallest)
+from .problem import ProblemSpec, largest, per_row, require, require_count, row_largest
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 DAMPING_FLOOR = 0.25
@@ -75,27 +79,25 @@ class EquidistResult:
     final_update: float
 
 
-def _sweep(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _sweep(nodes: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Exact solve of the frozen-weight system: constant flux w * dx, ends pinned.
 
-    nodes and w are one grid on [0, ell] and its weights, or stacks of
-    them with one grid per row; each row is swept on its own.  Dividing by
-    the row's least weight keeps every term of the sum in [0, 1], so no
-    weight ratio can overflow it.  A ratio beyond the double range
-    underflows to 0 instead: neighbouring nodes collapse and the sweep
-    loop ends in MonotonicityError.
+    nodes is one grid on [0, ell], or a stack of them with one grid per
+    row, and r its inverse weights, min(w)/w of each row
+    (monitor.MonitorFunction.inverse_weights); each row is swept on its
+    own.  Every term of the sum lies in [0, 1], so no weight ratio can
+    overflow it.  A ratio beyond the double range underflows to 0
+    instead: neighbouring nodes collapse and the sweep loop ends in
+    MonotonicityError.
     """
     new = np.empty(nodes.shape)
     new[..., 0] = 0.0
+    np.add.accumulate(r, axis=-1, out=new[..., 1:])
     # the first node is 0, so the span is the last node and adding the
     # first one back would change no bit
-    if w.ndim == 1:  # one grid: numpy takes a scalar faster than a column
-        np.divide(smallest(w), w, out=new[1:])
-        np.add.accumulate(new[1:], out=new[1:])
+    if r.ndim == 1:  # one grid: numpy takes a scalar faster than a column
         new *= nodes.item(-1) / new.item(-1)
     else:
-        np.add.accumulate(np.minimum.reduce(w, axis=-1, keepdims=True) / w, axis=-1,
-                          out=new[..., 1:])
         new *= nodes[..., -1:] / new[..., -1:]
     new[..., -1] = nodes[..., -1]
     return new
@@ -120,8 +122,8 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
 
     Row i starts from the grid x[i]; a row whose update falls below tol,
     or whose iterate cycles, leaves the stack, and the rest go on until
-    sweep max_iter, where they all stop.  monitor.interval_weights gives
-    the stacked iterates' checked weights, and monitor.rows(keep) serves
+    sweep max_iter, where they all stop.  monitor.inverse_weights gives
+    the stacked iterates' inverse weights, and monitor.rows(keep) serves
     the rows that remain.  A lone row, at the start or once the others
     have left, is swept as its 1-D grid.  Returns one (nodes, sweeps,
     update, message) per row: message is None where the row converged,
@@ -137,7 +139,7 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
     it = 0
     while rows:
         it += 1
-        step = _sweep(x, monitor.interval_weights(x))
+        step = _sweep(x, monitor.inverse_weights(x))
         step -= x
         # the iterate of each row, and its update
         xs, updates = ((x,), [largest(abs(step))]) if x.ndim == 1 else (x, row_largest(abs(step)))

@@ -17,6 +17,13 @@ into x and each lookup is that of the row on its own.  A
 DiscreteGradientMonitor checks its table when it is built and hands the
 sweeps its weights unchecked.
 
+The equidistribution sweeps ask a monitor for inverse_weights: the
+grid's least weight divided by each weight, by default formed from the
+checked weights.  ExactPowerMonitor gives them in closed form,
+e^{beta lam (m_0 - m_j)} at the midpoints m, and decides when it is
+built whether a grid on [0, ell] can take its weights out of the double
+range; only where one can do its sweeps check the weights.
+
 Midpoints are 0.5*(a + b), which overflows once a + b passes the largest
 double; a monitor whose span reaches past half of it halves each node
 first instead.  The choice is made once, when the monitor is built.
@@ -38,6 +45,7 @@ from .problem import exact_derivative  # noqa: F401 -- unused; perfbench/tracer.
 _HALF_MAX = sys.float_info.max / 2
 # past this exponent exp overflows
 _LOG_MAX = math.log(sys.float_info.max)
+_RANGE_MESSAGE = "monitor values must be finite and strictly positive"
 
 
 def _midpoints(nodes: np.ndarray, wide: bool) -> np.ndarray:
@@ -66,8 +74,23 @@ class MonitorFunction:
             raise ValueError(f"monitor returned {w.shape}, expected ({nodes.shape[-1] - 1},)")
         # NaN fails both comparisons (smallest and largest propagate it), so it is rejected too
         if not (smallest(w) > 0.0 and largest(w) < math.inf):
-            raise ValueError("monitor values must be finite and strictly positive")
+            raise self._range_error()
         return w
+
+    def _range_error(self) -> ValueError:
+        """The error interval_weights raises for weights that are not
+        finite and strictly positive."""
+        return ValueError(_RANGE_MESSAGE)
+
+    def inverse_weights(self, nodes: np.ndarray) -> np.ndarray:
+        """The least weight divided by each interval's weight, all that a
+        sweep needs of the weights: of one grid, or of each row of a stack
+        with that row's least weight.  They lie in (0, 1], and a ratio past
+        the double range underflows to 0."""
+        w = self.interval_weights(nodes)
+        if w.ndim == 1:  # one grid: numpy takes a scalar faster than a column
+            return smallest(w) / w
+        return np.minimum.reduce(w, axis=-1, keepdims=True) / w
 
 
 @dataclass(frozen=True)
@@ -93,6 +116,13 @@ class ExactPowerMonitor(MonitorFunction):
     value, so for beta < 1 it stays positive where lam e^{lam(x - ell)}
     itself underflows to 0.  Past the double range the weights underflow
     to 0 or overflow to inf, and interval_weights blames lam, ell and beta.
+
+    The weights grow with the midpoint, so on an ordered grid on [0, ell]
+    the least is the first, and the inverse weights are
+    e^{beta lam (m_0 - m_j)} in closed form.  Every weight of such a grid
+    lies between those at x = 0 and x = ell; where both are finite and
+    positive (decided once, when the monitor is built) no sweep can leave
+    the double range, and inverse_weights checks nothing.
     """
 
     spec: ProblemSpec
@@ -101,6 +131,7 @@ class ExactPowerMonitor(MonitorFunction):
     _shift: float = field(init=False, repr=False, compare=False)  # beta*ln(lam)
     _wide: bool = field(init=False, repr=False, compare=False)  # see _midpoints
     _quiet: bool = field(init=False, repr=False, compare=False)  # see interval_values
+    _in_range: bool = field(init=False, repr=False, compare=False)  # see inverse_weights
 
     def __post_init__(self):
         beta = float(require("beta", self.beta, 0.0))
@@ -117,8 +148,16 @@ class ExactPowerMonitor(MonitorFunction):
         # the exponent is at most shift, as x <= ell, and its product term at
         # least -rate*ell: only where one of them leaves the double range can
         # numpy overflow, and warn
-        object.__setattr__(self, "_quiet",
-                           shift > _LOG_MAX or rate * float(self.spec.ell) == math.inf)
+        quiet = shift > _LOG_MAX or rate * float(self.spec.ell) == math.inf
+        object.__setattr__(self, "_quiet", quiet)
+        # the least and greatest weights of any grid on [0, ell] are those at
+        # 0 and ell, formed as interval_values forms them; a quiet monitor has
+        # one of them 0 or inf
+        in_range = False
+        if not quiet:
+            low, high = self._power(np.array([0.0, self.spec.ell])).tolist()
+            in_range = low > 0.0 and high < math.inf
+        object.__setattr__(self, "_in_range", in_range)
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         y = check_domain(self.spec, _midpoints(nodes, self._wide))
@@ -134,17 +173,26 @@ class ExactPowerMonitor(MonitorFunction):
         y += self._shift
         return np.exp(y, out=y)
 
-    def interval_weights(self, nodes: np.ndarray) -> np.ndarray:
-        """MonitorFunction.interval_weights, with weights that are not
-        finite and positive blamed on lam, ell and beta; a node outside
-        [0, ell] still blames x."""
-        try:
-            return super().interval_weights(nodes)
-        except ParameterError:  # check_domain's
-            raise
-        except ValueError as err:
-            raise ParameterError(f"{err}: (u_x)**beta leaves the double range",
-                                 lam=self.spec.lam, ell=self.spec.ell, beta=self.beta) from None
+    def _range_error(self) -> ParameterError:
+        return ParameterError(f"{_RANGE_MESSAGE}: (u_x)**beta leaves the double range",
+                              lam=self.spec.lam, ell=self.spec.ell, beta=self.beta)
+
+    def inverse_weights(self, nodes: np.ndarray) -> np.ndarray:
+        """e^{beta lam (m_0 - m_j)} at the midpoints m_j of one ordered
+        grid, as every sweep iterate is: one exp per interval, with no
+        range check and no reduction.  The domain check is that of the
+        first and last midpoints, the least and greatest.  Where the
+        monitor is not _in_range, or for a stack, the checked form of
+        MonitorFunction.inverse_weights."""
+        if not self._in_range or nodes.ndim != 1:
+            return super().inverse_weights(nodes)
+        y = _midpoints(nodes, self._wide)
+        first = y.item(0)
+        if not (0.0 <= first and y.item(-1) <= self.spec.ell):
+            check_domain(self.spec, y)  # raises, blaming x
+        y -= first
+        y *= -self._rate
+        return np.exp(y, out=y)
 
 
 class DiscreteGradientMonitor(MonitorFunction):

@@ -21,6 +21,7 @@ from equifd import (
 )
 from equifd import equidist
 from equifd.equidist import DAMPING_FLOOR, _sweep
+from equifd.problem import ParameterError, smallest
 from conftest import random_grid
 
 
@@ -60,7 +61,7 @@ def test_sweep_solves_dense_linearized_system():
         rhs = np.zeros(n - 1)
         rhs[0] += w[0] * nodes[0]
         rhs[-1] += w[-1] * nodes[-1]
-        got = _sweep(nodes, w)
+        got = _sweep(nodes, smallest(w) / w)
         assert got[0] == nodes[0] and got[-1] == nodes[-1]
         x = got[1:-1]
         scale = np.abs(dense) @ np.abs(x) + np.abs(rhs)
@@ -180,7 +181,8 @@ def test_cycle_at_damping_floor_stops_with_capped_result(spec10):
     x = uniform_grid(spec10, 20).nodes.copy()
     relax, prev_update, best = 1.0, None, (np.inf, x)
     for _ in range(10000):
-        target = _sweep(x, monitor.interval_weights(x))
+        w = monitor.interval_weights(x)
+        target = _sweep(x, smallest(w) / w)
         update = float(np.max(np.abs(target - x)))
         if update < best[0]:
             best = (update, x)
@@ -271,7 +273,7 @@ def test_sweep_matches_reference_bit_for_bit():
     for n in (2, 20, 640, 5120):
         w = 10.0 ** rng.uniform(-6.0, 6.0, n)
         nodes = random_grid(rng, n, ell=2.5).nodes
-        assert np.array_equal(_sweep(nodes, w), _reference_sweep(nodes, w))
+        assert np.array_equal(_sweep(nodes, smallest(w) / w), _reference_sweep(nodes, w))
 
 
 @pytest.mark.parametrize("special", [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan])
@@ -305,8 +307,11 @@ def test_checks_reject_exactly_as_reference(spec10, monkeypatch, special):
 
 def test_gradient_weights_are_checked_when_built_not_per_sweep(spec10, monkeypatch):
     """The sweeps take a DiscreteGradientMonitor's weights as they are (it
-    checked its table when built), and check any other monitor's at every
-    sweep: the gradient monitor overrides the checking interval_weights."""
+    checked its table when built).  An ExactPowerMonitor decides when built
+    whether a grid on [0, ell] can take its weights out of the double range:
+    where none can, its sweeps check nothing, and where one can, every
+    sweep checks them as every sweep did before, so the run raises at the
+    same sweep (here sweep 2 of N = 10)."""
     calls = []
     check = MonitorFunction.interval_weights
     monkeypatch.setattr(MonitorFunction, "interval_weights",
@@ -314,9 +319,18 @@ def test_gradient_weights_are_checked_when_built_not_per_sweep(spec10, monkeypat
     sol = solve_bvp(uniform_grid(spec10, 20), spec10)
     res = equidistribute(DiscreteGradientMonitor(2.0, 0.25, sol.grid.nodes, sol.values), spec10, 20)
     assert res.iterations > 1 and calls == []
-    monitor = ExactPowerMonitor(spec10, 0.25)
-    res = equidistribute(monitor, spec10, 20)
-    assert res.iterations > 1 and calls == [monitor] * res.iterations
+    for spec, beta in ((spec10, 0.25), (spec10, 4.0), (ProblemSpec(3e38, 5e-39), 8.0)):
+        monitor = ExactPowerMonitor(spec, beta)
+        res = equidistribute(monitor, spec, 10, tol=1e-12 * spec.ell)
+        assert monitor._in_range and res.iterations > 1 and calls == []
+    # beta*ln(lam) = 711.1 passes ln(max) = 709.8; the first sweep's weights stay finite
+    spec = ProblemSpec(4e38, 1e-38)
+    monitor = ExactPowerMonitor(spec, 8.0)
+    assert not monitor._in_range
+    with pytest.raises(ParameterError, match="leaves the double range") as err:
+        equidistribute(monitor, spec, 10, tol=1e-12 * spec.ell)
+    assert err.value.params == {"lam": 4e38, "ell": 1e-38, "beta": 8.0}
+    assert calls == [monitor] * 2
 
 
 def test_span_past_half_the_double_range():

@@ -17,9 +17,9 @@ from equifd import (
     solve_bvp,
     uniform_grid,
 )
-from equifd.equidist import sweep_rows
+from equifd.equidist import equidistribute, sweep_rows
 from equifd.experiments import TABLE2_ALPHAS, TABLE2_BETAS
-from equifd.problem import ParameterError
+from equifd.problem import ParameterError, smallest
 from conftest import random_grid
 
 ORACLE_BETAS = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -472,10 +472,13 @@ def test_exact_power_weights_past_the_double_range_blame_lam_ell_and_beta(lam, e
     nodes = uniform_grid(spec, 20).nodes
     values = monitor.interval_values(nodes)  # warnings are errors in this suite
     assert not (np.isfinite(values) & (values > 0.0)).all()
-    for q in (nodes, nodes[None]):
-        with pytest.raises(ParameterError, match="leaves the double range") as err:
-            monitor.interval_weights(q)
-        assert err.value.params == {"lam": lam, "ell": ell, "beta": beta}
+    with pytest.raises(ParameterError, match="leaves the double range") as err:
+        monitor.interval_weights(nodes)
+    assert err.value.params == {"lam": lam, "ell": ell, "beta": beta}
+    # a stack fails the shape check first, which blames no parameter
+    with pytest.raises(ValueError, match=r"^monitor returned \(1, 20\), expected \(20,\)$") as err:
+        monitor.interval_weights(nodes[None])
+    assert type(err.value) is ValueError
     outside = nodes.copy()
     outside[-1] = 3.0 * ell
     with pytest.raises(ParameterError, match="x must lie in") as err:
@@ -491,3 +494,128 @@ def test_exact_power_monitor_quiets_numpy_only_past_the_double_range():
             assert not ExactPowerMonitor(ProblemSpec(lam, 1.0), beta)._quiet
     assert ExactPowerMonitor(ProblemSpec(1e100, 1e-99), 8.0)._quiet
     assert ExactPowerMonitor(ProblemSpec(0.5, 1e308), 1e10)._quiet
+
+
+def test_exact_power_shape_error_blames_no_parameter():
+    """A stack is the wrong shape for a monitor of one grid, whatever its
+    parameters: the shape error stays a plain ValueError, and only weights
+    that leave the double range blame lam, ell and beta."""
+    monitor = ExactPowerMonitor(ProblemSpec(10.0, 1.0), 0.25)
+    with pytest.raises(ValueError) as err:
+        monitor.interval_weights(np.linspace(0.0, 1.0, 13)[None])
+    assert type(err.value) is ValueError
+    assert str(err.value) == "monitor returned (1, 12), expected (12,)"
+
+
+# --- inverse weights ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("monitor", [param for param in _contract_monitors()
+                                     if not isinstance(param.values[0], ExactPowerMonitor)])
+def test_inverse_weights_are_the_least_weight_over_each_weight(monitor):
+    """Bit for bit, of every monitor but the smooth one, whose closed form
+    is held to its oracle below; a ScaledMonitor of it is no exception."""
+    query = random_grid(np.random.default_rng(37), 12).nodes
+    w = monitor.interval_weights(query)
+    assert monitor.inverse_weights(query).tobytes() == (smallest(w) / w).tobytes()
+
+
+def test_inverse_weights_of_a_stack_take_each_row_over_its_least():
+    rng = np.random.default_rng(41)
+    nodes, values = _stack(rng, 3, 10)
+    query = _stack(rng, 3, 10)[0]
+    stacked = DiscreteGradientMonitor._trusted([1.0, 2.0, 3.0], [0.5, 2.0, 0.25], nodes, values)
+    w = stacked.interval_weights(query)
+    expected = np.array([smallest(row) / row for row in w])
+    assert stacked.inverse_weights(query).tobytes() == expected.tobytes()
+
+
+def _inverse_oracle_misses(monitor, nodes) -> list:
+    """Entries of monitor.inverse_weights(nodes) off e^{beta lam (m_0 - m_j)},
+    taken in high precision at the float midpoints m, by more than
+    (|beta lam (m_0 - m_j)| + 2) * 2^-52 relative: beta is a power of two,
+    so beta*lam is exact, and the difference, the product and exp round
+    once each."""
+    got = monitor.inverse_weights(nodes)
+    misses = []
+    with mpmath.workprec(256):
+        rate = mpmath.mpf(monitor.beta) * mpmath.mpf(monitor.spec.lam)
+        mid = [mpmath.mpf(m) for m in midpoints(nodes).tolist()]
+        for j, (m, value) in enumerate(zip(mid, got.tolist())):
+            exponent = rate * (mid[0] - m)
+            exact = mpmath.exp(exponent)
+            if not abs(mpmath.mpf(value) - exact) <= (abs(exponent) + 2) * 2.0**-52 * exact:
+                misses.append((j, value, float(exact)))
+    return misses
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMS)
+@pytest.mark.parametrize("beta", [0.125, 0.25, 0.5, 1.0, 2.0, 4.0])
+def test_exact_power_inverse_weights_against_oracle(lam, beta):
+    """The closed form on ordered grids on [0, ell], with ell at most 1 and
+    small enough that every weight stays in the double range."""
+    spec = ProblemSpec(lam, min(1.0, 600.0 / (beta * lam)))
+    monitor = ExactPowerMonitor(spec, beta)
+    assert monitor._in_range
+    rng = np.random.default_rng(59)
+    for nodes in (oracle_nodes(spec.ell, 20), random_grid(rng, 40, spec.ell).nodes,
+                  random_grid(rng, 7, spec.ell, min_frac=1e-3).nodes):
+        got = monitor.inverse_weights(nodes)
+        assert got.item(0) == 1.0 and got.shape == (len(nodes) - 1,)
+        assert _inverse_oracle_misses(monitor, nodes) == []
+
+
+@pytest.mark.parametrize("lam,ell,beta,in_range", [
+    (10.0, 1.0, 0.25, True),
+    (10.0, 1.0, 4.0, True),
+    (1e3, 1.0, 0.5, True),  # the least weight e^{-496.5}
+    (1e3, 1.0, 1.0, False),  # the weight at x = 0, e^{-993}, underflows to 0
+    (1e-200, 1e300, 0.25, False),  # every weight underflows
+    (1e100, 1e-99, 8.0, False),  # the weight at x = ell, e^{1842}, overflows
+    (0.5, 1e308, 1e10, False),  # the product beta*lam*ell overflows
+    (1e-308, 1.5e308, 0.25, True),  # midpoints past half the double range
+], ids=["lam10", "lam10-beta4", "lam1e3-half", "underflow", "all-underflow", "overflow",
+        "product-overflow", "wide"])
+def test_exact_power_monitor_decides_its_range_when_built(lam, ell, beta, in_range):
+    """A monitor is in range where its weights at x = 0 and x = ell, the
+    least and greatest of any grid on [0, ell], are finite and positive:
+    lam^beta e^{-beta lam ell} and lam^beta, each far from the ends of the
+    double range here.  There inverse_weights is the closed form; elsewhere
+    it is the base class's checked smallest(w)/w, and raises where
+    interval_weights does."""
+    spec = ProblemSpec(lam, ell)
+    monitor = ExactPowerMonitor(spec, beta)
+    assert monitor._in_range is in_range
+    with mpmath.workprec(64):
+        ends = [mpmath.mpf(lam) ** beta * mpmath.exp(mpmath.mpf(beta) * lam * (x - mpmath.mpf(ell)))
+                for x in (0, ell)]
+    assert (sys.float_info.min * 2.0**-52 < ends[0] and ends[1] < sys.float_info.max) is in_range
+    for nodes in (uniform_grid(spec, 8).nodes, ell * np.array([0.0, 0.6, 0.8, 1.0])):
+        if in_range:
+            assert monitor.inverse_weights(nodes).item(0) == 1.0
+            continue
+        try:
+            w = monitor.interval_weights(nodes)
+        except ParameterError as err:
+            with pytest.raises(ParameterError) as again:
+                monitor.inverse_weights(nodes)
+            assert str(again.value) == str(err)
+        else:
+            assert monitor.inverse_weights(nodes).tobytes() == (smallest(w) / w).tobytes()
+
+
+def test_exact_power_inverse_weights_check_the_domain():
+    """The closed form checks the first and last midpoints, the least and
+    greatest of an ordered grid, against [0, ell]: a node outside blames x
+    as interval_weights does, also in a sweep on the grid of another ell."""
+    monitor = ExactPowerMonitor(ProblemSpec(10.0, 1.0), 0.25)
+    for nodes in (np.linspace(0.0, 2.0, 21), np.linspace(-1.0, 1.0, 21),
+                  np.array([0.0, np.nan, 1.0])):
+        with pytest.raises(ParameterError, match=r"^x must lie in \[0, 1\.0\]$") as want:
+            monitor.interval_weights(nodes)
+        with pytest.raises(ParameterError, match=r"^x must lie in \[0, 1\.0\]$") as got:
+            monitor.inverse_weights(nodes)
+        assert repr(got.value.params) == repr(want.value.params)
+    with pytest.raises(ParameterError, match=r"^x must lie in \[0, 1\.0\]$") as err:
+        equidistribute(monitor, ProblemSpec(10.0, 2.0), 20)
+    assert err.value.params == {"x": 1.95}

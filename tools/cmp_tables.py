@@ -14,19 +14,24 @@ equidistribution, whose first stops at that cap), the six
 equidistributed `solve`s of the smooth_equidist benchmark (beta 1/4 and
 1/2 at N = 640, 2560 and 5120) and one adaptive `solve`.  The script
 prints one line per file, `same` or `DIFFERS`, and exits 1 if any file
-differs.  Last it prints the net line change of src/equifd/ between the
-two revisions (`git diff --numstat`; for the working tree, its tracked
-files), and beside it the count of code lines in each: lines that are
-not blank, not only a comment and not part of a docstring.  It needs
-only the standard library and the package's own dependencies.
+differs.  Below a file that differs it prints a difference in the count
+of rows, and for each numeric column that moved the largest absolute and
+relative difference between rows of the same index.  Last it prints the
+net line change of src/equifd/ between the two revisions (`git diff
+--numstat`; for the working tree, its tracked files), and beside it the
+count of code lines in each: lines that are not blank, not only a
+comment and not part of a docstring.  It needs only the standard library
+and the package's own dependencies.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import csv
 import filecmp
 import io
+import math
 import os
 import subprocess
 import sys
@@ -83,6 +88,37 @@ def write_tables(tree: Path, out: Path) -> None:
                        cwd=out, env=env, check=True, stdout=subprocess.DEVNULL)
 
 
+def column_changes(base: Path, other: Path) -> list:
+    """Lines that say how the CSV other differs from base, both with a
+    header row: the row counts where they differ, then each column, by
+    the base's header, whose numbers differ, with the largest absolute
+    and relative difference over the rows both files have.  A NaN against
+    a number counts as an infinite difference; fields that are not
+    numbers are skipped."""
+    tables = []
+    for path in (base, other):
+        with path.open(newline="") as f:
+            tables.append([row for row in csv.reader(f) if row])
+    (header, *rows_a), (_, *rows_b) = tables
+    lines = [] if len(rows_a) == len(rows_b) else [f"rows {len(rows_a)} -> {len(rows_b)}"]
+    for col, name in enumerate(header):
+        worst_abs = worst_rel = 0.0
+        for row_a, row_b in zip(rows_a, rows_b):
+            try:
+                a, b = float(row_a[col]), float(row_b[col])
+            except (IndexError, ValueError):
+                continue
+            if a == b or (math.isnan(a) and math.isnan(b)):
+                continue
+            diff = abs(a - b)
+            diff = math.inf if math.isnan(diff) else diff
+            worst_abs = max(worst_abs, diff)
+            worst_rel = max(worst_rel, diff / abs(a) if a else math.inf)
+        if worst_abs:
+            lines.append(f"{name}: max abs {worst_abs:.3e}, max rel {worst_rel:.3e}")
+    return lines
+
+
 def package_lines(base: str, other: str | None) -> tuple[int, int]:
     """Lines added and deleted in src/equifd/ from base to other."""
     revisions = [base] if other is None else [base, other]
@@ -128,16 +164,23 @@ def main(argv=None) -> int:
             write_tables(tree, where / "csv")
             trees.append(where / "csv")
             code.append(code_lines(tree / "src" / "equifd"))
-        names = sorted({path.name for csv in trees for path in csv.iterdir()})
-        differ = [name for name in names
-                  if not all((csv / name).exists() for csv in trees)
-                  or not filecmp.cmp(trees[0] / name, trees[1] / name, shallow=False)]
+        names = sorted({path.name for folder in trees for path in folder.iterdir()})
+        changes = {}
+        for name in names:
+            paths = [folder / name for folder in trees]
+            if not all(path.exists() for path in paths):
+                changes[name] = ["missing in " + " and ".join(
+                    side for side, path in zip(("base", "other"), paths) if not path.exists())]
+            elif not filecmp.cmp(*paths, shallow=False):
+                changes[name] = column_changes(*paths)
     for name in names:
-        print(f"{'DIFFERS' if name in differ else 'same':8s}{name}")
+        print(f"{'DIFFERS' if name in changes else 'same':8s}{name}")
+        for line in changes.get(name, []):
+            print(f"{'':10s}{line}")
     added, deleted = package_lines(args.base, args.other)
     print(f"src/equifd/: +{added} -{deleted} lines, net {added - deleted:+d}; "
           f"code lines {code[0]} -> {code[1]}, net {code[1] - code[0]:+d}")
-    return 1 if differ else 0
+    return 1 if changes else 0
 
 
 if __name__ == "__main__":
