@@ -40,13 +40,11 @@ def consistency_error(grid: Grid, spec: ProblemSpec) -> np.ndarray:
     return scheme_residual(grid, exact_solution(spec, grid.nodes), spec.lam)
 
 
-def fourth_order_residual(mapping: GridMapping, q, normalized: bool = True):
+def fourth_order_residual(mapping: GridMapping, q):
     """Leading consistency combination of a mapping at reference points q.
 
-    Returns (t1 + t2) / (|t1| + |t2|) by default, where
-    t1 = x_qq * u_xxx and t2 = (1/4) * x_q^2 * u_xxxx; the raw sum is
-    returned with normalized=False.  Identically zero only for
-    beta = 1/4.
+    Returns (t1 + t2) / (|t1| + |t2|), where t1 = x_qq * u_xxx and
+    t2 = (1/4) * x_q^2 * u_xxxx.  Identically zero only for beta = 1/4.
     """
     q = np.asarray(q, dtype=float)
     if not ((q > 0.0) & (q < 1.0)).all():  # written so that a NaN q fails too
@@ -54,9 +52,7 @@ def fourth_order_residual(mapping: GridMapping, q, normalized: bool = True):
     x = mapping.evaluate(q)
     t1 = mapping.second_derivative(q) * exact_derivative(mapping.spec, x, 3)
     t2 = 0.25 * mapping.derivative(q) ** 2 * exact_derivative(mapping.spec, x, 4)
-    if normalized:
-        return (t1 + t2) / (np.abs(t1) + np.abs(t2) + np.finfo(float).tiny)
-    return t1 + t2
+    return (t1 + t2) / (np.abs(t1) + np.abs(t2) + np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)

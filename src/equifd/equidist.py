@@ -196,8 +196,14 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
 
 
 def equidist_defect(grid: Grid, monitor: MonitorFunction) -> float:
-    """Relative spread of omega_{j+1/2} * J_{j+1/2} around its mean."""
-    c = monitor.interval_weights(grid.nodes) * grid.midpoint_jacobian
+    """Relative spread of omega_{j+1/2} * J_{j+1/2} around its mean.  A
+    scale of either factor leaves it unchanged, so each is taken over its
+    largest entry: the products then lie in [0, 1], where neither they nor
+    their mean can overflow, as w * J can for an ell near the largest
+    double."""
+    w = monitor.interval_weights(grid.nodes)
+    h = grid.steps
+    c = (w / largest(w)) * (h / largest(h))
     mean = float(np.mean(c))
     return float(np.max(np.abs(c - mean)) / mean)
 

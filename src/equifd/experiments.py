@@ -134,14 +134,13 @@ def format_table2(cells: list[SweepCell]) -> str:
 def run_error_profile(
     spec: ProblemSpec | None = None,
     n_cells: int = 80,
-    betas=TABLE1_BETAS,
     csv_path=None,
 ) -> dict:
-    """Pointwise errors of the four analytic-grid families at fixed N."""
+    """Pointwise errors of the analytic grids of TABLE1_BETAS at fixed N."""
     spec = spec or ProblemSpec(lam=10.0, ell=1.0)
     xs, errs, labels = [], [], []
     profiles = {}
-    for beta in betas:
+    for beta in TABLE1_BETAS:
         grid = analytic_mapped_grid(GridMapping(spec, beta), n_cells)
         sol = solve_bvp(grid, spec)
         err = np.abs(sol.values - exact_solution(spec, grid.nodes))

@@ -75,12 +75,6 @@ class Grid:
         """J_{j+1/2} = h_{j+1/2} / h, length N."""
         return self.steps * self.n_cells
 
-    def write_csv(self, path) -> None:
-        """Single-column CSV with header 'x', one node per row."""
-        from .io import write_csv
-
-        write_csv(path, ["x"], [self.nodes])
-
 
 @dataclass(frozen=True)
 class GridMapping:
@@ -106,13 +100,17 @@ class GridMapping:
     @cached_property
     def _decay(self) -> float:
         """e^{-beta*lam*ell}, formed once per mapping; warns, on first use,
-        if it underflows to zero."""
+        if it underflows to zero.  Then evaluate(0) is ln(0) = -inf, and
+        derivative and second_derivative divide by zero at q = 0, though
+        x(j/N) for j >= 1 is unaffected.  The warning stays because
+        GridMapping is public and nothing else tells a caller of
+        evaluate(0) why it is -inf; analytic_mapped_grid pins x(0) to 0."""
         arg = self.beta * self.spec.lam * self.spec.ell
         e = np.exp(-arg)
         if e == 0.0:
             warnings.warn(
                 f"exp(-beta*lam*ell) underflows for beta*lam*ell = {arg}; "
-                "the mapped endpoint x(0) is pinned to 0 explicitly",
+                "evaluate(0) is -inf there, and analytic_mapped_grid pins x(0) to 0",
                 RuntimeWarning,
             )
         return float(e)

@@ -2,7 +2,7 @@
 
 A monitor assigns a positive weight to each grid interval; the
 equidistribution solver places nodes so that weight times interval
-length is constant.  Three families are provided: a constant weight,
+length is constant.  Three families are provided: a unit weight,
 the analytic power monitor (u_x)^beta, and the solution-adaptive
 monitor 1 + alpha*|u_x|^beta built from a discrete solution.
 
@@ -43,8 +43,6 @@ from .problem import exact_derivative  # noqa: F401 -- unused; perfbench/tracer.
 
 # past this the sum a + b of two nodes can overflow
 _HALF_MAX = sys.float_info.max / 2
-# past this exponent exp overflows
-_LOG_MAX = math.log(sys.float_info.max)
 _RANGE_MESSAGE = "monitor values must be finite and strictly positive"
 
 
@@ -95,15 +93,11 @@ class MonitorFunction:
 
 @dataclass(frozen=True)
 class ConstantMonitor(MonitorFunction):
-    """Uniform weight; equidistributes to the uniform grid."""
-
-    value: float = 1.0
-
-    def __post_init__(self):
-        require("monitor value", self.value, 0.0, strict=True)
+    """Unit weight on every interval; equidistributes to the uniform grid.
+    A ScaledMonitor gives any other constant."""
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
-        return np.full(len(nodes) - 1, self.value)
+        return np.ones(len(nodes) - 1)
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,6 @@ class ExactPowerMonitor(MonitorFunction):
     _rate: float = field(init=False, repr=False, compare=False)  # beta*lam
     _shift: float = field(init=False, repr=False, compare=False)  # beta*ln(lam)
     _wide: bool = field(init=False, repr=False, compare=False)  # see _midpoints
-    _quiet: bool = field(init=False, repr=False, compare=False)  # see interval_values
     _in_range: bool = field(init=False, repr=False, compare=False)  # see inverse_weights
 
     def __post_init__(self):
@@ -145,26 +138,18 @@ class ExactPowerMonitor(MonitorFunction):
         object.__setattr__(self, "_rate", rate)
         object.__setattr__(self, "_shift", shift)
         object.__setattr__(self, "_wide", self.spec.ell > _HALF_MAX)
-        # the exponent is at most shift, as x <= ell, and its product term at
-        # least -rate*ell: only where one of them leaves the double range can
-        # numpy overflow, and warn
-        quiet = shift > _LOG_MAX or rate * float(self.spec.ell) == math.inf
-        object.__setattr__(self, "_quiet", quiet)
         # the least and greatest weights of any grid on [0, ell] are those at
-        # 0 and ell, formed as interval_values forms them; a quiet monitor has
-        # one of them 0 or inf
-        in_range = False
-        if not quiet:
+        # 0 and ell, formed as interval_values forms them
+        with np.errstate(over="ignore"):
             low, high = self._power(np.array([0.0, self.spec.ell])).tolist()
-            in_range = low > 0.0 and high < math.inf
-        object.__setattr__(self, "_in_range", in_range)
+        object.__setattr__(self, "_in_range", low > 0.0 and high < math.inf)
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         y = check_domain(self.spec, _midpoints(nodes, self._wide))
-        if self._quiet:  # the weights become 0 or inf, which interval_weights rejects
-            with np.errstate(over="ignore"):
-                return self._power(y)
-        return self._power(y)
+        if self._in_range:
+            return self._power(y)
+        with np.errstate(over="ignore"):  # a weight 0 or inf is interval_weights' to reject
+            return self._power(y)
 
     def _power(self, y: np.ndarray) -> np.ndarray:
         """The weights at the midpoints y, formed in y: no temporary per step."""

@@ -3,13 +3,15 @@ raises ParameterError blaming them, and the CLI turns that into exit 2
 naming the flags.  One property test draws the inputs of a solve sweep
 over lam and ell in all four grid modes.  Another draws lam, a
 derivative's order, x and Dirichlet data, non-finite ones included, for
-exact_derivative and solve_dirichlet.  A third draws bands that
+exact_derivative and solve_dirichlet.  A third draws lam, ell and beta
+for the smooth monitor ExactPowerMonitor, and a fourth draws bands that
 solve_tridiagonal must reject."""
 
 import contextlib
 import io
 import math
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -26,6 +28,7 @@ from equifd import (
     ProblemSpec,
     adaptive_solve,
     analytic_mapped_grid,
+    equidist_defect,
     exact_derivative,
     exact_solution,
     solve_bvp,
@@ -35,7 +38,7 @@ from equifd import (
 )
 from equifd.cli import main
 from equifd.experiments import solve_single
-from equifd.problem import LAM_MAX, require, require_count
+from equifd.problem import LAM_MAX, require, require_count, smallest
 
 
 def _solve_uniform(lam, ell, n_cells=20):
@@ -185,6 +188,47 @@ def test_library_returns_finite_values_or_blames_its_parameters(lam, order, x, l
                 assert set(err.params) <= params
             else:
                 assert np.isfinite(values).all()
+
+
+# subnormal, ordinary and near-overflow values, and any positive float
+MAGNITUDES = (st.sampled_from((5e-324, 1e-310, 1e-200, 1e-3, 0.25, 1.0, 10.0, 1e3, 1e100, 1e300,
+                               sys.float_info.max))
+              | st.floats(0.0, exclude_min=True, allow_infinity=False))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(lam=ANY_LAM, ell=MAGNITUDES, beta=st.just(0.0) | MAGNITUDES)
+def test_exact_power_monitor_returns_finite_weights_or_blames_its_parameters(lam, ell, beta):
+    """An ExactPowerMonitor is built, or raises ParameterError blaming beta
+    and lam.  On the uniform grid, its weights, inverse weights and the
+    grid's equidistribution defect are each finite, or the call raises
+    ParameterError blaming lam, ell and beta; none warns, and a monitor
+    _in_range returns all three.  The weights are positive; the inverse
+    weights lie in [0, 1] with 1 first, as a ratio past the double range
+    underflows to 0; the defect is >= 0, 0 where the weights are equal."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            spec = ProblemSpec(lam, ell)
+            grid = uniform_grid(spec, 8)
+        except ParameterError:
+            return  # rejected ahead of the monitor, as the sites above test
+        try:
+            monitor = ExactPowerMonitor(spec, beta)
+        except ParameterError as err:
+            assert list(err.params) == ["beta", "lam"]
+            return
+        checks = [(monitor.interval_weights, lambda w: smallest(w > 0.0)),
+                  (monitor.inverse_weights, lambda v: v.item(0) == 1.0 and smallest(v >= 0.0)),
+                  (lambda nodes: equidist_defect(grid, monitor), lambda d: d >= 0.0)]
+        for call, holds in checks:
+            try:
+                values = np.asarray(call(grid.nodes))
+            except ParameterError as err:
+                assert not monitor._in_range
+                assert list(err.params) == ["lam", "ell", "beta"]
+            else:
+                assert smallest(np.isfinite(values)) and holds(values), call
 
 
 BANDS = ("lower", "diag", "upper", "rhs")

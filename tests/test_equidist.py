@@ -39,8 +39,7 @@ def test_constant_monitor_yields_uniform(spec10):
     rng = np.random.default_rng(3)
     initial = random_grid(rng, 20)
     # 1e-310 is subnormal: its reciprocal overflows, so the sweep must not form 1/w
-    for value in (1.0, 1e-310):
-        monitor = ConstantMonitor(value)
+    for monitor in (ConstantMonitor(), ScaledMonitor(ConstantMonitor(), 1e-310)):
         res = equidistribute(monitor, spec10, 20, initial=initial)
         assert np.allclose(res.grid.nodes, uniform_grid(spec10, 20).nodes, atol=1e-13)
         assert equidist_defect(res.grid, monitor) <= 1e-12

@@ -7,7 +7,6 @@ import pytest
 
 from equifd import (Grid, GridMapping, ProblemSpec, analytic_mapped_grid,
                     fourth_order_residual, uniform_grid)
-from equifd.io import read_csv
 
 mpmath.mp.dps = 50
 
@@ -134,13 +133,16 @@ def test_mapping_negative_beta(spec10):
             GridMapping(spec10, bad)
 
 
-def test_grid_csv_roundtrip(tmp_path, spec10):
-    g = analytic_mapped_grid(GridMapping(spec10, 0.25), 12)
-    path = tmp_path / "grid.csv"
-    g.write_csv(path)
-    data = read_csv(path)
-    assert list(data) == ["x"]
-    assert np.array_equal(data["x"], g.nodes)
+def test_decay_underflow_warns_that_evaluate_0_is_minus_inf():
+    """Past beta*lam*ell ~ 745 the mapping loses its left end: the warning
+    says so, and that analytic_mapped_grid pins x(0), which it does."""
+    mapping = GridMapping(ProblemSpec(1e4, 1.0), 0.25)
+    with pytest.warns(RuntimeWarning) as caught:
+        assert mapping.evaluate(0.0) == -math.inf
+    assert [str(w.message) for w in caught] == [
+        "exp(-beta*lam*ell) underflows for beta*lam*ell = 2500.0; evaluate(0) is -inf there, "
+        "and analytic_mapped_grid pins x(0) to 0"]
+    assert analytic_mapped_grid(mapping, 20).nodes[0] == 0.0  # warned once per mapping
 
 
 def test_layer_narrower_than_an_ulp_of_ell_is_rejected():

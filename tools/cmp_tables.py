@@ -20,8 +20,11 @@ relative difference between rows of the same index.  Last it prints the
 net line change of src/equifd/ between the two revisions (`git diff
 --numstat`; for the working tree, its tracked files), and beside it the
 count of code lines in each: lines that are not blank, not only a
-comment and not part of a docstring.  It needs only the standard library
-and the package's own dependencies.
+comment and not part of a docstring.  Then it prints the count of
+settable values in each: the defaulted parameters of the public
+functions, methods and constructors at module or class level, and the
+defaulted init fields of the public dataclasses.  It needs only the
+standard library and the package's own dependencies.
 """
 
 from __future__ import annotations
@@ -149,6 +152,45 @@ def code_lines(package: Path) -> int:
     return count
 
 
+def _defaults(function: ast.FunctionDef) -> int:
+    """The parameters of function that have a default."""
+    args = function.args
+    return len(args.defaults) + sum(default is not None for default in args.kw_defaults)
+
+
+def _defaulted_field(statement: ast.stmt) -> bool:
+    """Whether statement in a dataclass body is an init field with a
+    default: a value that is not field(...), or field(...) with a default
+    and not init=False."""
+    if not (isinstance(statement, ast.AnnAssign) and statement.value is not None):
+        return False
+    value = statement.value
+    if not (isinstance(value, ast.Call)
+            and ast.unparse(value.func) in ("field", "dataclasses.field")):
+        return True
+    options = {keyword.arg: ast.unparse(keyword.value) for keyword in value.keywords}
+    return options.get("init") != "False" and bool({"default", "default_factory"} & set(options))
+
+
+def settable_values(package: Path) -> int:
+    """Defaulted parameters of the public module-level functions and of the
+    public methods and constructors of the public classes in package, and
+    defaulted init fields of its public dataclasses."""
+    count = 0
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                count += _defaults(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if any(ast.unparse(d).split("(")[0].endswith("dataclass")
+                       for d in node.decorator_list):
+                    count += sum(map(_defaulted_field, node.body))
+                count += sum(_defaults(method) for method in node.body
+                             if isinstance(method, ast.FunctionDef)
+                             and (not method.name.startswith("_") or method.name == "__init__"))
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision to compare against")
@@ -156,7 +198,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="cmp_tables_") as tmp:
         tmp = Path(tmp)
-        trees, code = [], []
+        trees, code, settable = [], [], []
         for side, revision in (("base", args.base), ("other", args.other)):
             where = tmp / side
             where.mkdir()
@@ -164,6 +206,7 @@ def main(argv=None) -> int:
             write_tables(tree, where / "csv")
             trees.append(where / "csv")
             code.append(code_lines(tree / "src" / "equifd"))
+            settable.append(settable_values(tree / "src" / "equifd"))
         names = sorted({path.name for folder in trees for path in folder.iterdir()})
         changes = {}
         for name in names:
@@ -179,7 +222,8 @@ def main(argv=None) -> int:
             print(f"{'':10s}{line}")
     added, deleted = package_lines(args.base, args.other)
     print(f"src/equifd/: +{added} -{deleted} lines, net {added - deleted:+d}; "
-          f"code lines {code[0]} -> {code[1]}, net {code[1] - code[0]:+d}")
+          f"code lines {code[0]} -> {code[1]}, net {code[1] - code[0]:+d}; "
+          f"settable values {settable[0]} -> {settable[1]}")
     return 1 if changes else 0
 
 
