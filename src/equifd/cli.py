@@ -202,14 +202,15 @@ def main(argv=None) -> int:
     try:
         spec = ProblemSpec(lam=args.lam, ell=args.ell)
         if args.command == "solve":
-            sol, converged = solve_single(
+            sol, converged, sweeps = solve_single(
                 spec, args.n, args.grid, beta=args.beta, alpha=args.alpha,
                 tol=args.tol, max_iter=args.max_iter, eps=args.eps,
                 max_outer=args.max_outer,
             )
             path = _out_path(args, "solution.csv")
             sol.write_csv(path)
-            print(f"max error {max_error(sol):.6e}  ({path})")
+            swept = "" if sweeps is None else f" after {sweeps} sweeps"
+            print(f"max error {max_error(sol):.6e}{swept}  ({path})")
             return 0 if converged else 1
 
         if args.command == "convergence":

@@ -27,22 +27,28 @@ an EquidistributionError carrying the best iterate: the same grid and
 update that running on to the sweep cap would give, because the cycle
 has already been swept in full.
 
-The sweep loop, sweep_rows, runs on a stack of grids with one grid per
+The stack loop, sweep_rows, runs on a stack of grids with one grid per
 row, each with its own weights, damping, best iterate and cycle check,
 under one tolerance and sweep cap; a row leaves the stack when it
-converges or cycles, and at the cap all stop.  equidistribute is its
-one-row case, served by any monitor, and the adaptive loop runs many
-rows at once, served by its stacked DiscreteGradientMonitor and its
+converges or cycles, and at the cap all stop.  The adaptive loop runs
+many rows at once, served by its stacked DiscreteGradientMonitor and its
 rows(keep).  Each sweep asks for the inverse weights of the whole stack
 in one monitor.MonitorFunction.inverse_weights call: the least of a
 monitor's checked weights divided by each, or the smooth monitor's
-closed form, whose range it checked when it was built.  A lone row is
-carried as its 1-D grid, so that monitor, sweep and checks index no
-stack of one.
+closed form, whose range it checked when it was built.
+
+A lone row has its own loop, _sweep_row, on its 1-D grid: its record
+lives in locals, its step is formed in one buffer that every sweep
+reuses, and its node order is checked into one reused mask.
+equidistribute starts in it, with any monitor, and sweep_rows hands it
+its last remaining row with all that row has recorded, so the stack loop
+never carries a stack of one.  Both loops sweep with _sweep and do the
+same IEEE operations in the same order.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +59,9 @@ from .problem import ProblemSpec, largest, per_row, require, require_count, row_
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 DAMPING_FLOOR = 0.25
+
+# each thread's sweep buffer for one grid (_buffer)
+_local = threading.local()
 
 
 class EquidistributionError(RuntimeError):
@@ -88,18 +97,34 @@ def _sweep(nodes: np.ndarray, r: np.ndarray) -> np.ndarray:
     own.  Every term of the sum lies in [0, 1], so no weight ratio can
     overflow it.  A ratio beyond the double range underflows to 0
     instead: neighbouring nodes collapse and the sweep loop ends in
-    MonotonicityError.
+    MonotonicityError.  One grid's result is this thread's sweep buffer,
+    which the next sweep of a grid of that size overwrites.
     """
-    new = np.empty(nodes.shape)
-    new[..., 0] = 0.0
-    np.add.accumulate(r, axis=-1, out=new[..., 1:])
     # the first node is 0, so the span is the last node and adding the
     # first one back would change no bit
     if r.ndim == 1:  # one grid: numpy takes a scalar faster than a column
-        new *= nodes.item(-1) / new.item(-1)
-    else:
-        new *= nodes[..., -1:] / new[..., -1:]
-    new[..., -1] = nodes[..., -1]
+        new = _buffer(len(nodes))
+        new[0] = 0.0
+        np.add.accumulate(r, out=new[1:])
+        end = nodes.item(-1)
+        new *= end / new.item(-1)
+        new[-1] = end
+        return new
+    new = np.empty(nodes.shape)
+    new[:, 0] = 0.0
+    np.add.accumulate(r, axis=-1, out=new[:, 1:])
+    new *= nodes[:, -1:] / new[:, -1:]
+    new[:, -1] = nodes[:, -1]
+    return new
+
+
+def _buffer(n: int) -> np.ndarray:
+    """This thread's sweep buffer of n doubles, kept and reused while n
+    stays the same."""
+    new = getattr(_local, "sweep", None)
+    if new is None or len(new) != n:
+        new = _local.sweep = None  # the old buffer is freed before the new one is made
+        new = _local.sweep = np.empty(n)
     return new
 
 
@@ -117,6 +142,15 @@ class _Row:
         self.saved = None  # Brent cycle finding: (sweep, update, iterate) at powers of two
 
 
+def _cycle_message(it: int, saved: tuple, best: float) -> str:
+    return (f"the iterate of sweep {it - 1} repeats that of sweep {saved[0]} at the damping "
+            f"floor (period {it - 1 - saved[0]}; best update {best:.3e})")
+
+
+def _cap_message(it: int, best: float) -> str:
+    return f"no convergence after {it} sweeps (best update {best:.3e})"
+
+
 def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: int) -> list:
     """Run the damped sweep iteration on every row of the stack x at once.
 
@@ -125,47 +159,43 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
     sweep max_iter, where they all stop.  monitor.inverse_weights gives
     the stacked iterates' inverse weights, and monitor.rows(keep) serves
     the rows that remain.  A lone row, at the start or once the others
-    have left, is swept as its 1-D grid.  Returns one (nodes, sweeps,
-    update, message) per row: message is None where the row converged,
-    with nodes its last iterate, and otherwise says why it stalled, with
-    nodes its best iterate and update that iterate's.  Raises
-    MonotonicityError as soon as an iterate loses node ordering.
+    have left, goes on in _sweep_row with all it has recorded.  Returns
+    one (nodes, sweeps, update, message) per row: message is None where
+    the row converged, with nodes its last iterate, and otherwise says
+    why it stalled, with nodes its best iterate and update that
+    iterate's.  Raises MonotonicityError as soon as an iterate loses
+    node ordering.
     """
+    if len(x) == 1:
+        return [_sweep_row(monitor, x[0], tol, max_iter)]
     rows = [_Row(i, xi) for i, xi in enumerate(x)]
     out = [None] * len(rows)
     factor = None  # the rows' damping factors as per_row gives them, None while all are 1
-    if len(x) == 1:
-        x = x[0]
     it = 0
-    while rows:
+    while True:
         it += 1
         step = _sweep(x, monitor.inverse_weights(x))
         step -= x
-        # the iterate of each row, and its update
-        xs, updates = ((x,), [largest(abs(step))]) if x.ndim == 1 else (x, row_largest(abs(step)))
         stopped = []
         damped = False
-        for i, (row, update) in enumerate(zip(rows, updates)):
+        for i, (row, update) in enumerate(zip(rows, row_largest(abs(step)))):
             if update < row.best:
-                row.best, row.best_x = update, xs[i]
+                row.best, row.best_x = update, x[i]
             if update < tol:
-                out[row.index] = (xs[i], it, update, None)
+                out[row.index] = (x[i], it, update, None)
                 stopped.append(i)
                 continue
             if row.relax == DAMPING_FLOOR:
-                # xs[i] came from a floor step and the map x -> x + relax * (sweep(x) - x)
-                # is fixed from here on, so a repeat of xs[i] is a cycle; equal iterates
+                # x[i] came from a floor step and the map x -> x + relax * (sweep(x) - x)
+                # is fixed from here on, so a repeat of x[i] is a cycle; equal iterates
                 # have equal updates, so the arrays are compared only when those match
                 saved = row.saved
-                if saved is not None and update == saved[1] and np.array_equal(xs[i], saved[2]):
-                    message = (f"the iterate of sweep {it - 1} repeats that of sweep {saved[0]} "
-                               f"at the damping floor (period {it - 1 - saved[0]}; best update "
-                               f"{row.best:.3e})")
-                    out[row.index] = (row.best_x, it, row.best, message)
+                if saved is not None and update == saved[1] and np.array_equal(x[i], saved[2]):
+                    out[row.index] = (row.best_x, it, row.best, _cycle_message(it, saved, row.best))
                     stopped.append(i)
                     continue
                 if (it - 1) & (it - 2) == 0:
-                    row.saved = (it - 1, update, xs[i])
+                    row.saved = (it - 1, update, x[i])
             if row.prev_update is not None and update > row.prev_update:
                 row.relax = max(0.5 * row.relax, DAMPING_FLOOR)
                 damped = True
@@ -176,7 +206,6 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
             keep = [i for i in range(len(rows)) if i not in stopped]
             rows = [rows[i] for i in keep]
             monitor = monitor.rows(keep)
-            keep = keep[0] if len(keep) == 1 else keep  # a lone row as its 1-D grid
             x, step = x[keep], step[keep]
             damped = True  # the factors lose rows too
         if damped:
@@ -185,14 +214,61 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
         if factor is not None:  # while all factors are 1, step is the undamped step
             step *= factor
         x = x + step
-        if largest(x[..., 1:] <= x[..., :-1]):
+        if largest(x[:, 1:] <= x[:, :-1]):
             raise MonotonicityError(f"neighbouring nodes collided after sweep {it}")
         if it == max_iter:
             for row in rows:
-                message = f"no convergence after {it} sweeps (best update {row.best:.3e})"
-                out[row.index] = (row.best_x, it, row.best, message)
+                out[row.index] = (row.best_x, it, row.best, _cap_message(it, row.best))
+            break
+        if len(rows) == 1:
+            out[rows[0].index] = _sweep_row(monitor, x[0], tol, max_iter, rows[0], it)
             break
     return out
+
+
+def _sweep_row(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: int,
+               row: _Row | None = None, it: int = 0) -> tuple:
+    """sweep_rows on the one grid x, as its (nodes, sweeps, update,
+    message): the same arithmetic in the same order, with no stack.
+
+    A row handed over by sweep_rows brings its record and the sweeps it
+    has made.  Each sweep's step is formed in this thread's sweep buffer,
+    its update is the larger of the step's greatest entry and the
+    negated least (the first NaN, as the largest absolute value gives),
+    and node order is checked in one mask kept for the run: the new
+    iterate and the monitor's inverse weights are all it allocates.
+    """
+    if row is None:
+        row = _Row(0, x)
+    relax, prev_update, best, best_x, saved = (
+        row.relax, row.prev_update, row.best, row.best_x, row.saved)
+    unordered = np.empty(len(x) - 1, dtype=bool)
+    while True:
+        it += 1
+        step = _sweep(x, monitor.inverse_weights(x))
+        step -= x
+        update = max(step.item(step.argmax()), -step.item(step.argmin()))
+        if update < best:
+            best, best_x = update, x
+        if update < tol:
+            return x, it, update, None
+        if relax == DAMPING_FLOOR:
+            # as in sweep_rows: from here on a repeat of x is a cycle
+            if saved is not None and update == saved[1] and np.array_equal(x, saved[2]):
+                return best_x, it, best, _cycle_message(it, saved, best)
+            if (it - 1) & (it - 2) == 0:
+                saved = (it - 1, update, x)
+        if prev_update is not None and update > prev_update:
+            relax = max(0.5 * relax, DAMPING_FLOOR)
+        prev_update = update
+        if relax != 1.0:
+            step *= relax
+        x = x + step
+        np.less_equal(x[1:], x[:-1], out=unordered)
+        if largest(unordered):
+            raise MonotonicityError(f"neighbouring nodes collided after sweep {it}")
+        if it == max_iter:
+            return best_x, it, best, _cap_message(it, best)
 
 
 def equidist_defect(grid: Grid, monitor: MonitorFunction) -> float:
@@ -231,7 +307,7 @@ def equidistribute(
         initial = uniform_grid(spec, n_cells)
     if initial.n_cells != n_cells or initial.ell != spec.ell:
         raise ValueError("initial grid does not match n_cells and ell")
-    (nodes, sweeps, update, message), = sweep_rows(monitor, initial.nodes[None], tol, max_iter)
+    nodes, sweeps, update, message = _sweep_row(monitor, initial.nodes, tol, max_iter)
     grid = Grid(nodes, spec.ell)
     if message is None:
         return EquidistResult(grid, sweeps, update)

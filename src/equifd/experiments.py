@@ -156,11 +156,13 @@ def run_error_profile(
 def solve_single(spec: ProblemSpec, n_cells: int, grid_mode: str, beta: float = 0.0,
                  alpha: float = 0.0, tol: float = 1e-12, max_iter: int = 10000,
                  eps: float = 1e-10, max_outer: int = 1000):
-    """One solve in the requested grid mode; returns (solution, converged)."""
+    """One solve in the requested grid mode; returns (solution, converged,
+    sweeps), with sweeps the equidistribution's sweep count in the
+    equidistributed mode and None in the others."""
     if grid_mode in ("uniform", "analytic"):
         # the uniform grid is the beta = 0 member of the mapped family
         mapping = GridMapping(spec, 0.0 if grid_mode == "uniform" else beta)
-        return solve_bvp(analytic_mapped_grid(mapping, n_cells), spec), True
+        return solve_bvp(analytic_mapped_grid(mapping, n_cells), spec), True, None
     if grid_mode == "equidistributed":
         from .equidist import MonotonicityError, equidistribute
         from .monitor import ExactPowerMonitor
@@ -174,10 +176,10 @@ def solve_single(spec: ProblemSpec, n_cells: int, grid_mode: str, beta: float = 
             raise ParameterError(f"(u_x)**beta varies too much over the cells to equidistribute "
                                  f"them: {err}", lam=spec.lam, ell=spec.ell, beta=beta,
                                  n_cells=n_cells) from None
-        return solve_bvp(res.grid, spec), True
+        return solve_bvp(res.grid, spec), True, res.iterations
     if grid_mode == "adaptive":
         cfg = AdaptiveConfig(alpha=alpha, beta=beta, eps=eps, max_outer=max_outer,
                              inner_tol=tol, inner_max_iter=max_iter)
         res = adaptive_solve(spec, n_cells, cfg)
-        return res.solution, res.converged
+        return res.solution, res.converged, None
     raise ValueError(f"unknown grid mode {grid_mode!r}")

@@ -24,7 +24,7 @@ from .problem import ParameterError, ProblemSpec, require, require_count, smalle
 
 @dataclass(frozen=True)
 class Grid:
-    """Immutable node set with step and Jacobian accessors."""
+    """Immutable node set with step accessors."""
 
     nodes: np.ndarray
     ell: float
@@ -70,11 +70,6 @@ class Grid:
         s = self.steps
         return 0.5 * (s[:-1] + s[1:])
 
-    @property
-    def midpoint_jacobian(self) -> np.ndarray:
-        """J_{j+1/2} = h_{j+1/2} / h, length N."""
-        return self.steps * self.n_cells
-
 
 @dataclass(frozen=True)
 class GridMapping:
@@ -101,10 +96,11 @@ class GridMapping:
     def _decay(self) -> float:
         """e^{-beta*lam*ell}, formed once per mapping; warns, on first use,
         if it underflows to zero.  Then evaluate(0) is ln(0) = -inf, and
-        derivative and second_derivative divide by zero at q = 0, though
-        x(j/N) for j >= 1 is unaffected.  The warning stays because
-        GridMapping is public and nothing else tells a caller of
-        evaluate(0) why it is -inf; analytic_mapped_grid pins x(0) to 0."""
+        derivative and second_derivative are +inf and -inf at q = 0, all
+        three without a numpy warning, though x(j/N) for j >= 1 is
+        unaffected.  The warning stays because GridMapping is public and
+        nothing else tells a caller of evaluate(0) why it is -inf;
+        analytic_mapped_grid pins x(0) to 0."""
         arg = self.beta * self.spec.lam * self.spec.ell
         e = np.exp(-arg)
         if e == 0.0:
@@ -133,22 +129,26 @@ class GridMapping:
         return x if x.ndim else x[()]
 
     def derivative(self, q):
-        """Jacobian dx/dq of the mapping."""
+        """Jacobian dx/dq of the mapping; +inf at q = 0 where
+        e^{-beta*lam*ell} underflows (see _decay), as evaluate(0) is -inf."""
         q = np.asarray(q, dtype=float)
         spec = self.spec
         if self.beta == 0.0:
             return np.full_like(q, spec.ell)
         e = self._decay
-        return (1.0 - e) / (self.beta * spec.lam * (q + (1.0 - q) * e))
+        with np.errstate(divide="ignore"):
+            return (1.0 - e) / (self.beta * spec.lam * (q + (1.0 - q) * e))
 
     def second_derivative(self, q):
-        """d^2x/dq^2 of the mapping."""
+        """d^2x/dq^2 of the mapping; -inf at q = 0 where e^{-beta*lam*ell}
+        underflows (see _decay), as evaluate(0) is -inf."""
         q = np.asarray(q, dtype=float)
         spec = self.spec
         if self.beta == 0.0:
             return np.zeros_like(q)
         e = self._decay
-        return -((1.0 - e) ** 2) / (self.beta * spec.lam * (q + (1.0 - q) * e) ** 2)
+        with np.errstate(divide="ignore"):
+            return -((1.0 - e) ** 2) / (self.beta * spec.lam * (q + (1.0 - q) * e) ** 2)
 
 
 def uniform_grid(spec: ProblemSpec, n_cells: int) -> Grid:

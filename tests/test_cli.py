@@ -241,6 +241,19 @@ def test_solve_equidistributed_mode(tmp_path):
     assert np.max(read_csv(out)["abs_error"]) <= 2.0 * 0.883e-6
 
 
+@pytest.mark.parametrize("beta, sweeps", [("0.25", 30), ("0.5", 101)])
+def test_solve_equidistributed_prints_its_sweeps(tmp_path, capsys, beta, sweeps):
+    """The equidistributed solve prints its sweep count beside its max
+    error: at lambda 10, N = 640 the counts README cites."""
+    out = tmp_path / "sol.csv"
+    rc = main(["solve", "--grid", "equidistributed", "--beta", beta, "--n", "640",
+               "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    error = np.max(read_csv(out)["abs_error"])
+    assert printed == f"max error {error:.6e} after {sweeps} sweeps  ({out})\n"
+
+
 def test_equidistributed_mode_converges_to_a_spurious_grid(tmp_path):
     """A known defect, pinned as it is: at lambda 100, beta 1/4, N = 200
     the midpoint-sampled sweeps converge (exit 0) to a grid whose max error

@@ -61,7 +61,6 @@ def test_beta_half_explicit_formula(spec10):
 
 def test_uniform_geometry(spec10):
     g = uniform_grid(spec10, 4)
-    assert np.allclose(g.midpoint_jacobian, 1.0, rtol=1e-15)
     assert np.allclose(g.node_steps, 0.25, rtol=1e-15)
 
 
@@ -143,6 +142,20 @@ def test_decay_underflow_warns_that_evaluate_0_is_minus_inf():
         "exp(-beta*lam*ell) underflows for beta*lam*ell = 2500.0; evaluate(0) is -inf there, "
         "and analytic_mapped_grid pins x(0) to 0"]
     assert analytic_mapped_grid(mapping, 20).nodes[0] == 0.0  # warned once per mapping
+
+
+def test_decay_underflow_leaves_derivatives_infinite_without_numpy_warning():
+    """Where e^{-beta*lam*ell} underflows, x_q(0) and x_qq(0) divide by
+    zero: they are +inf and -inf, as evaluate(0) is -inf, and the package's
+    own warning is the only one (the suite turns any other into an error)."""
+    mapping = GridMapping(ProblemSpec(1e4, 1.0), 0.25)
+    with pytest.warns(RuntimeWarning, match="underflows") as caught:
+        assert mapping.derivative(0.0) == math.inf
+    assert len(caught) == 1
+    assert mapping.second_derivative(0.0) == -math.inf
+    q = np.array([0.0, 0.5])
+    assert mapping.derivative(q)[0] == math.inf and math.isfinite(mapping.derivative(q)[1])
+    assert mapping.second_derivative(q)[0] == -math.inf
 
 
 def test_layer_narrower_than_an_ulp_of_ell_is_rejected():

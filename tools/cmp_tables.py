@@ -12,19 +12,22 @@ with their traces ((alpha, beta) = (2, 1/4); (2, 2), whose 653 outer
 steps sweep one row each; and (2, 1/2) with at most 3 sweeps per
 equidistribution, whose first stops at that cap), the six
 equidistributed `solve`s of the smooth_equidist benchmark (beta 1/4 and
-1/2 at N = 640, 2560 and 5120) and one adaptive `solve`.  The script
-prints one line per file, `same` or `DIFFERS`, and exits 1 if any file
-differs.  Below a file that differs it prints a difference in the count
-of rows, and for each numeric column that moved the largest absolute and
-relative difference between rows of the same index.  Last it prints the
-net line change of src/equifd/ between the two revisions (`git diff
---numstat`; for the working tree, its tracked files), and beside it the
-count of code lines in each: lines that are not blank, not only a
-comment and not part of a docstring.  Then it prints the count of
-settable values in each: the defaulted parameters of the public
-functions, methods and constructors at module or class level, and the
-defaulted init fields of the public dataclasses.  It needs only the
-standard library and the package's own dependencies.
+1/2 at N = 640, 2560 and 5120) and one adaptive `solve`.  What each of
+the six equidistributed solves prints (its max error and sweep count),
+less the output path, is kept as a .txt file beside its CSV and
+compared too.  The script prints one line per file, `same` or
+`DIFFERS`, and exits 1 if any file differs.  Below a CSV that differs it
+prints a difference in the count of rows, and for each numeric column
+that moved the largest absolute and relative difference between rows of
+the same index; below a .txt file that differs, both texts.  Last it
+prints the net line change of src/equifd/ between the two revisions
+(`git diff --numstat`; for the working tree, its tracked files), and
+beside it the count of code lines in each: lines that are not blank,
+not only a comment and not part of a docstring.  Then it prints the
+count of settable values in each: the defaulted parameters of the
+public functions, methods and constructors at module or class level,
+and the defaulted init fields of the public dataclasses.  It needs only
+the standard library and the package's own dependencies.
 """
 
 from __future__ import annotations
@@ -83,12 +86,17 @@ def export(revision: str, into: Path) -> Path:
 
 
 def write_tables(tree: Path, out: Path) -> None:
-    """Each CSV of RUNS, written by the command line of the tree at tree."""
+    """Each CSV of RUNS, written by the command line of the tree at tree,
+    and what each equidistributed solve prints, less the path, as a .txt
+    file of the CSV's name."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, args in RUNS.items():
-        subprocess.run([sys.executable, "-m", "equifd.cli", *args, "--out", name],
-                       cwd=out, env=env, check=True, stdout=subprocess.DEVNULL)
+        printed = subprocess.run([sys.executable, "-m", "equifd.cli", *args, "--out", name],
+                                 cwd=out, env=env, check=True, stdout=subprocess.PIPE,
+                                 text=True).stdout
+        if args[:3] == ["solve", "--grid", "equidistributed"]:
+            (out / name).with_suffix(".txt").write_text(printed.replace(f"  ({name})", ""))
 
 
 def column_changes(base: Path, other: Path) -> list:
@@ -215,7 +223,8 @@ def main(argv=None) -> int:
                 changes[name] = ["missing in " + " and ".join(
                     side for side, path in zip(("base", "other"), paths) if not path.exists())]
             elif not filecmp.cmp(*paths, shallow=False):
-                changes[name] = column_changes(*paths)
+                changes[name] = (column_changes(*paths) if name.endswith(".csv") else
+                                 [" -> ".join(repr(path.read_text()) for path in paths)])
     for name in names:
         print(f"{'DIFFERS' if name in changes else 'same':8s}{name}")
         for line in changes.get(name, []):
