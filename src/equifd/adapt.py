@@ -18,17 +18,28 @@ iteration proceeds.
 
 adaptive_solve_many runs the loops of many configs in lockstep, one row
 of a stack of grids per config, so that each numpy call of an outer step
-serves every row: the rows' solution errors come from one np.exp, one
-monitor.DiscreteGradientMonitor on the whole stack gives every row's
+serves every row: solver.solve_stack solves them (a tall stack column by
+column across its rows), the rows' solution errors come from one np.exp,
+one monitor.DiscreteGradientMonitor on the whole stack gives every row's
 weights (one power per beta, one lookup for the stack), and one stacked
 sweep loop (equidist.sweep_rows) equidistributes them all.  The configs
 differ only in alpha and beta and share their stops.  Each row keeps its
 own damping, best iterate, cycle check and sweep count, and leaves the
 stack when it converges, so the others go on as if alone; at max_outer
-all stop.  Each row's solve is solver._solve_short on the row as a list.
-Every result is bit for bit that of running its config on its own: the
-arithmetic of every row is the one-config loop's, in the same order.
-adaptive_solve is the one-config case.
+all stop.
+
+A lone config has its own loop, _adapt_row, on its 1-D grid: its record
+lives in locals, its monitor is built on the one grid, its sweeps run in
+equidist._sweep_row and it solves its grid as a stack of one.
+adaptive_solve starts in it, and adaptive_solve_many hands it the last
+row left, with that row's record, grid, solution and step index, as soon
+as the others have left, mid-step or at its end, so the stack loop
+never carries a stack of one.  Every
+result is bit for bit that of running its config on its own: both loops
+do the one-config loop's IEEE operations for every row, in the same
+order.  Where a sweep's nodes collide, either loop raises a
+ParameterError naming lam, ell, n_cells and the alpha and beta of the
+first row that collided.
 
 The loop builds its monitor without the constructor's input checks,
 which it has made: AdaptiveConfig checks alpha and beta, the solver
@@ -44,10 +55,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equidist import DAMPING_FLOOR, sweep_rows
+from .equidist import DAMPING_FLOOR, MonotonicityError, _sweep_row, sweep_rows
 from .grid import Grid, uniform_grid
 from .monitor import DiscreteGradientMonitor
-from .problem import ProblemSpec, per_row, require, require_count, row_largest, smallest
+from .problem import (ParameterError, ProblemSpec, largest, per_row, require, require_count,
+                      row_largest, smallest)
 from .solver import DiscreteSolution, solve_stack
 
 # not called here; kept because perfbench/tracer.py wraps these names in this module
@@ -143,14 +155,18 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
                          "inner_max_iter")
     if not runs:
         return []
-    (eps, max_outer, inner_tol, inner_max_iter), = stops
+    stops, = stops
+    eps, max_outer, inner_tol, inner_max_iter = stops
+    x = uniform_grid(spec, n_cells).nodes
+    if len(runs) == 1:
+        return [_adapt_row(spec, runs[0], x, None, None, 0, stops)]
     results = [None] * len(runs)
     # the rows' alpha and beta, as the Python floats the monitor takes, filtered as runs is
     params = [[float(run.config.alpha) for run in runs], [float(run.config.beta) for run in runs]]
-    x = np.repeat(uniform_grid(spec, n_cells).nodes[None], len(runs), axis=0)
+    x = np.repeat(x[None], len(runs), axis=0)
     prev_values = None
     n = 0
-    while runs:
+    while True:
         n += 1
         values = solve_stack(x, spec)
         errors = row_largest(abs(values - np.exp(spec.lam * (x - spec.ell))))
@@ -171,15 +187,21 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
                 run.prev_change = change
             keep.append(i)
         if len(keep) < len(runs):
-            if not keep:
+            if len(keep) < 2:  # the last row remeshes in the lone loop
+                for i in keep:
+                    results[runs[i].index] = _adapt_row(spec, runs[i], x[i], None, values[i], n,
+                                                        stops)
                 break
             runs = [runs[i] for i in keep]
             params = [[column[i] for i in keep] for column in params]
             x, values = x[keep], values[keep]
 
         alphas, betas = params
-        inner = sweep_rows(DiscreteGradientMonitor._trusted(alphas, betas, x, values), x,
-                           inner_tol, inner_max_iter)
+        try:
+            inner = sweep_rows(DiscreteGradientMonitor._trusted(alphas, betas, x, values), x,
+                               inner_tol, inner_max_iter)
+        except MonotonicityError as err:
+            raise _collapse(spec, n_cells, runs[err.row].config, err) from None
         target = np.array([nodes for nodes, _, _, _ in inner])
         # exact at the ends: 0 + r*(0 - 0) == 0 and ell + r*(ell - ell) == ell
         new = x + per_row([run.relax for run in runs]) * (target - x)
@@ -205,10 +227,78 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
             break
         x, prev_values = new, values
         if len(moved) < len(runs):
+            if len(moved) < 2:  # the last row goes on in the lone loop
+                for i in moved:
+                    results[runs[i].index] = _adapt_row(spec, runs[i], new[i], values[i], None, n,
+                                                        stops)
+                break
             runs = [runs[i] for i in moved]
             params = [[column[i] for i in moved] for column in params]
             x, prev_values = new[moved], values[moved]
     return results
+
+
+def _adapt_row(spec: ProblemSpec, run: _Run, x: np.ndarray, prev_values, values, n: int,
+               stops: tuple) -> AdaptiveResult:
+    """adaptive_solve_many's loop for run's config alone, on its 1-D grid
+    x: the same arithmetic and exits in the same order, with no stack.
+
+    With values, the solution on x of outer step n, whose error, change
+    and damping run holds, the loop goes on with that step's remesh;
+    without, with step n + 1, whose change is taken from prev_values
+    (none at step 1).  Its record lives in locals, its monitor is the
+    one-grid DiscreteGradientMonitor._trusted, its sweeps are
+    equidist._sweep_row and its solves solve_stack on the stack of x
+    alone.  stops are the batch's eps, max_outer, inner_tol and
+    inner_max_iter.
+    """
+    eps, max_outer, inner_tol, inner_max_iter = stops
+    config = run.config
+    alphas, betas = [float(config.alpha)], [float(config.beta)]
+    relax, prev_change, history = run.relax, run.prev_change, run.history
+    error, change = run.error, run.change
+    while True:
+        if values is None:
+            n += 1
+            values = solve_stack(x[None], spec)[0]
+            run.error = error = largest(abs(values - np.exp(spec.lam * (x - spec.ell))))
+            change = np.nan
+            if prev_values is not None:
+                change = largest(abs(values - prev_values))
+                if change < eps:
+                    history.append((n, error, change, 0.0, 0, 0, relax))
+                    return run.result(spec, x, values, True)
+                if prev_change is not None and change > prev_change:
+                    relax = max(0.5 * relax, DAMPING_FLOOR)
+                prev_change = change
+        monitor = DiscreteGradientMonitor._trusted(alphas, betas, x, values)
+        try:
+            target, sweeps, _, message = _sweep_row(monitor, x, inner_tol, inner_max_iter)
+        except MonotonicityError as err:
+            raise _collapse(spec, len(x) - 1, config, err) from None
+        step = target - x
+        if relax != 1.0:  # a factor 1 changes no bit
+            step *= relax
+        new = x + step
+        grid_change = largest(abs(new - x))
+        stalled = 0 if message is None else 1
+        run.stalls += stalled
+        history.append((n, error, change, grid_change, sweeps, stalled, relax))
+        if grid_change < inner_tol:
+            return run.result(spec, x, values, True)
+        if not smallest(new[1:] > new[:-1]):
+            raise ValueError("grid nodes must be strictly increasing")
+        if n == max_outer:
+            return run.result(spec, x, values, False)
+        x, prev_values, values = new, values, None
+
+
+def _collapse(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig,
+              err: MonotonicityError) -> ParameterError:
+    """The error of a sweep whose nodes collided under config's monitor."""
+    return ParameterError(f"1 + alpha*|u_x|**beta varies too much over the cells to "
+                          f"equidistribute them: {err}", lam=spec.lam, ell=spec.ell,
+                          n_cells=n_cells, alpha=config.alpha, beta=config.beta)
 
 
 def adaptive_solve(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig) -> AdaptiveResult:

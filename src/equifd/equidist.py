@@ -40,10 +40,13 @@ closed form, whose range it checked when it was built.
 A lone row has its own loop, _sweep_row, on its 1-D grid: its record
 lives in locals, its step is formed in one buffer that every sweep
 reuses, and its node order is checked into one reused mask.
-equidistribute starts in it, with any monitor, and sweep_rows hands it
-its last remaining row with all that row has recorded, so the stack loop
-never carries a stack of one.  Both loops sweep with _sweep and do the
-same IEEE operations in the same order.
+equidistribute and the adaptive loop's lone config (adapt._adapt_row)
+start in it, with any monitor, and sweep_rows hands it its last
+remaining row with all that row has recorded, so the stack loop never
+carries a stack of one.  Both loops sweep with _sweep and do the same
+IEEE operations in the same order.  A MonotonicityError from either
+names the row that collided, by its place in the stack sweep_rows
+started with.
 """
 
 from __future__ import annotations
@@ -75,7 +78,12 @@ class EquidistributionError(RuntimeError):
 
 
 class MonotonicityError(RuntimeError):
-    """Neighbouring nodes collided: the weights spread too far for doubles."""
+    """Neighbouring nodes collided: the weights spread too far for doubles.
+
+    row is the first row whose nodes collided, by its place in the stack
+    the sweep loop started with: 0 for a lone grid."""
+
+    row = 0
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,15 @@ def _cap_message(it: int, best: float) -> str:
     return f"no convergence after {it} sweeps (best update {best:.3e})"
 
 
+def _collision(it: int, row: int) -> MonotonicityError:
+    """The error of row's nodes colliding at sweep it.  row is set on the
+    error, not passed to it, so that the public constructor gains no
+    settable value and MonotonicityError(message) still names row 0."""
+    error = MonotonicityError(f"neighbouring nodes collided after sweep {it}")
+    error.row = row
+    return error
+
+
 def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: int) -> list:
     """Run the damped sweep iteration on every row of the stack x at once.
 
@@ -163,8 +180,8 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
     one (nodes, sweeps, update, message) per row: message is None where
     the row converged, with nodes its last iterate, and otherwise says
     why it stalled, with nodes its best iterate and update that
-    iterate's.  Raises MonotonicityError as soon as an iterate loses
-    node ordering.
+    iterate's.  Raises MonotonicityError, naming the row that collided,
+    as soon as an iterate loses node ordering.
     """
     if len(x) == 1:
         return [_sweep_row(monitor, x[0], tol, max_iter)]
@@ -214,8 +231,9 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
         if factor is not None:  # while all factors are 1, step is the undamped step
             step *= factor
         x = x + step
-        if largest(x[:, 1:] <= x[:, :-1]):
-            raise MonotonicityError(f"neighbouring nodes collided after sweep {it}")
+        unordered = x[:, 1:] <= x[:, :-1]
+        if largest(unordered):
+            raise _collision(it, rows[int(unordered.any(axis=1).argmax())].index)
         if it == max_iter:
             for row in rows:
                 out[row.index] = (row.best_x, it, row.best, _cap_message(it, row.best))
@@ -266,7 +284,7 @@ def _sweep_row(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
         x = x + step
         np.less_equal(x[1:], x[:-1], out=unordered)
         if largest(unordered):
-            raise MonotonicityError(f"neighbouring nodes collided after sweep {it}")
+            raise _collision(it, row.index)
         if it == max_iter:
             return best_x, it, best, _cap_message(it, best)
 

@@ -8,14 +8,15 @@ monitor 1 + alpha*|u_x|^beta built from a discrete solution.
 
 A monitor serves one grid: interval_values maps its N+1 nodes to its N
 weights, and interval_weights checks them.  The one exception is the
-adaptive loop's own DiscreteGradientMonitor._trusted, built on a stack
-of grids, one per row: it maps a stack of (rows, N+1) nodes to (rows, N)
-weights, and rows(keep) gives the monitor of the rows that remain.  A
-stack is looked up in one searchsorted over complex keys, row + 1j*x:
-numpy orders complex numbers lexicographically, so the row never rounds
-into x and each lookup is that of the row on its own.  A
-DiscreteGradientMonitor checks its table when it is built and hands the
-sweeps its weights unchecked.
+adaptive loop's own DiscreteGradientMonitor._trusted, built on one grid
+for a lone config or on a stack of grids, one per row: on a stack it
+maps (rows, N+1) nodes to (rows, N) weights, and rows(keep) gives the
+monitor of the rows that remain, one row looked up as a one-grid
+monitor is.  A stack is looked up in one
+searchsorted over complex keys, row + 1j*x: numpy orders complex numbers
+lexicographically, so the row never rounds into x and each lookup is
+that of the row on its own.  A DiscreteGradientMonitor checks its table
+when it is built and hands the sweeps its weights unchecked.
 
 The equidistribution sweeps ask a monitor for inverse_weights: the
 grid's least weight divided by each weight, by default formed from the
@@ -203,52 +204,59 @@ class DiscreteGradientMonitor(MonitorFunction):
             raise ValueError("nodes must be strictly increasing")
         if not smallest(np.isfinite(values)):
             raise ValueError("values must be finite")
-        self._build([alpha], [beta], nodes[None], values[None],
+        self._build([alpha], [beta], nodes, values,
                     max(-nodes.item(0), nodes.item(-1)) > _HALF_MAX)
 
     @classmethod
     def _trusted(cls, alphas: list, betas: list, nodes: np.ndarray,
                  values: np.ndarray) -> "DiscreteGradientMonitor":
-        """The monitor of a stack of grids on one [0, ell], built without
-        __init__'s input checks: the adaptive loop has checked its nodes'
-        order and its alphas and betas (Python floats), and its solver gives
-        finite values.  The weights are still checked."""
+        """The monitor of one grid, or of a stack of grids, on one [0, ell],
+        built without __init__'s input checks: the adaptive loop has checked
+        its nodes' order and its alphas and betas (Python floats, one per
+        row), and its solver gives finite values.  The weights are still
+        checked."""
         monitor = object.__new__(cls)
         monitor._build(alphas, betas, nodes, values, nodes.item(-1) > _HALF_MAX)
         return monitor
 
     def _build(self, alphas, betas, nodes, values, wide):
-        rows = len(nodes)
-        # one power per run of rows with equal beta, which stays one Python
-        # float: numpy takes its sqrt and square paths for a scalar 0.5 and 2,
-        # whose results differ from those of pow
-        starts = [0] + [i for i in range(1, rows) if betas[i] != betas[i - 1]]
+        """The table of one grid, 1-D nodes and values, or of a stack of
+        grids, one per row."""
+        one = nodes.ndim == 1
         with np.errstate(all="ignore"):  # overflow is checked once, below
-            slopes = abs(values[:, 1:] - values[:, :-1]) / (nodes[:, 1:] - nodes[:, :-1])
-            tables = [1.0 + per_row(alphas[start:stop]) * slopes[start:stop]**betas[start]
-                      for start, stop in zip(starts, starts[1:] + [rows])]
-        weights = tables[0] if len(tables) == 1 else np.concatenate(tables)
+            slopes = abs(values[..., 1:] - values[..., :-1]) / (nodes[..., 1:] - nodes[..., :-1])
+            if one:
+                weights = 1.0 + alphas[0] * slopes**betas[0]
+            else:
+                # one power per run of rows with equal beta, which stays one
+                # Python float: numpy takes its sqrt and square paths for a
+                # scalar 0.5 and 2, whose results differ from those of pow
+                rows = len(nodes)
+                starts = [0] + [i for i in range(1, rows) if betas[i] != betas[i - 1]]
+                tables = [1.0 + per_row(alphas[start:stop]) * slopes[start:stop]**betas[start]
+                          for start, stop in zip(starts, starts[1:] + [rows])]
+                weights = tables[0] if len(tables) == 1 else np.concatenate(tables)
         if not largest(weights) < math.inf:  # NaN, where alpha = 0 meets |u_x|**beta = inf
-            row = int(np.isfinite(weights).all(axis=1).argmin())
+            row = 0 if one else int(np.isfinite(weights).all(axis=1).argmin())
             raise ParameterError("monitor weights 1 + alpha*|u_x|**beta overflow",
                                  alpha=alphas[row], beta=betas[row])
         self._weights, self._wide = weights, wide
         # the interior breakpoints, so that a query left of the first node or
         # right of the last one lands in an end interval, then a NaN fence:
         # only a NaN midpoint sorts past it, to an index past the weights
-        self._breaks = np.empty(weights.shape)
-        self._breaks[:, :-1] = nodes[:, 1:-1]
-        self._breaks[:, -1] = math.nan
-        self._labels = np.arange(rows, dtype=float)[:, None]
-        self._one = (self._breaks[0], weights[0]) if rows == 1 else None
-        if rows > 1:
+        self._breaks = breaks = np.empty(weights.shape)
+        breaks[..., :-1] = nodes[..., 1:-1]
+        breaks[..., -1] = math.nan
+        self._one = (breaks, weights) if one else None
+        if not one:
             # row r's keys are r + 1j*b for its breakpoints b, then the fence
             # r + 0.5: a search for r + 1j*m counts each earlier row's keys and
             # row r's breakpoints <= m, the flat index of m's weight in row r
+            self._labels = np.arange(rows, dtype=float)[:, None]
             keys = np.empty(weights.shape, dtype=complex)
             keys.real = self._labels
             keys.real[:, -1] += 0.5
-            keys.imag = self._breaks
+            keys.imag = breaks
             keys.imag[:, -1] = 0.0
             self._keys = keys.reshape(-1)
 
@@ -258,8 +266,9 @@ class DiscreteGradientMonitor(MonitorFunction):
         monitor.  A NaN midpoint lies in no interval and raises ValueError."""
         mid = _midpoints(nodes, self._wide)
         rows = len(mid) if mid.ndim == 2 else 1
-        if rows != len(self._labels):
-            raise ValueError(f"the monitor holds {len(self._labels)} grids, got {rows}")
+        held = 1 if self._weights.ndim == 1 else len(self._labels)
+        if rows != held:
+            raise ValueError(f"the monitor holds {held} grids, got {rows}")
         try:
             if self._one is not None:  # one grid: a real search is the cheaper one
                 breaks, weights = self._one
@@ -276,8 +285,9 @@ class DiscreteGradientMonitor(MonitorFunction):
         return self.interval_values(nodes)
 
     def rows(self, keep) -> "DiscreteGradientMonitor":
-        """A copy for the rows keep, sharing the table, breakpoints and keys;
-        one row is looked up by a real search of its own breakpoints."""
+        """A copy of a monitor on a stack for the rows keep, sharing the
+        table, breakpoints and keys; one row is looked up by a real search
+        of its own breakpoints."""
         monitor = object.__new__(DiscreteGradientMonitor)
         monitor.__dict__.update(self.__dict__)
         monitor._labels = labels = self._labels[keep]

@@ -85,11 +85,8 @@ def row_largest(a: np.ndarray) -> list:
     """largest of each row of a 2-D array, as a list of Python scalars.
 
     NaN propagates, and the one difference from largest is again only the
-    sign of a zero.  A single row takes largest itself, since a reduce
-    along an axis costs several times as much even then.
+    sign of a zero.
     """
-    if len(a) == 1:
-        return [largest(a)]
     return np.maximum.reduce(a, axis=1).tolist()
 
 

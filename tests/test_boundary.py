@@ -27,6 +27,7 @@ from equifd import (
     ParameterError,
     ProblemSpec,
     adaptive_solve,
+    adaptive_solve_many,
     analytic_mapped_grid,
     equidist_defect,
     exact_derivative,
@@ -87,6 +88,10 @@ RAISE_SITES = [
      "(u_x)**beta varies too much over the cells to equidistribute them: neighbouring nodes "
      "collided after sweep 1 (lam=160.0, ell=1.0, beta=0.25, n_cells=20)",
      {"lam": 160.0, "ell": 1.0, "beta": 0.25, "n_cells": 20}),
+    (lambda: adaptive_solve(ProblemSpec(1e6, 1.0), 20, AdaptiveConfig(alpha=10.0, beta=2.0)),
+     "1 + alpha*|u_x|**beta varies too much over the cells to equidistribute them: neighbouring "
+     "nodes collided after sweep 1 (lam=1000000.0, ell=1.0, n_cells=20, alpha=10.0, beta=2.0)",
+     {"lam": 1e6, "ell": 1.0, "n_cells": 20, "alpha": 10.0, "beta": 2.0}),
 ]
 
 
@@ -95,7 +100,7 @@ RAISE_SITES = [
                               "layer_width", "mapped_nodes", "steps_too_small",
                               "row_underflow", "exact_power", "gradient_weights",
                               "derivative_power", "dirichlet_value", "domain",
-                              "equidistributed_collapse"])
+                              "equidistributed_collapse", "adaptive_collapse"])
 def test_each_check_blames_its_parameters(call, message, params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning ahead of the error
@@ -120,6 +125,22 @@ def test_gradient_monitor_blames_the_row_that_overflows():
     with pytest.raises(ParameterError) as info:
         DiscreteGradientMonitor._trusted([1.0, 0.0], [0.5, 2.0], nodes[:2], values[:2])
     assert info.value.params == {"alpha": 0.0, "beta": 2.0}
+
+
+def test_adaptive_collapse_blames_the_row_that_collided():
+    """In a batch, the collapse blames the alpha and beta of the first row
+    whose nodes collided at the sweep that raised, in the stack or, for
+    the last row, in the lone loop; the rows that did not collide are
+    not blamed."""
+    spec = ProblemSpec(1e6, 1.0)
+    for params, blamed in (([(2.0, 0.25), (1e4, 2.0), (0.5, 2.0)], (1e4, 2.0)),
+                           ([(0.5, 2.0)], (0.5, 2.0))):
+        configs = [AdaptiveConfig(alpha, beta) for alpha, beta in params]
+        with pytest.raises(ParameterError) as info:
+            adaptive_solve_many(spec, 20, configs)
+        assert (info.value.params["alpha"], info.value.params["beta"]) == blamed
+    # (2, 1/4) alone does not collide
+    assert adaptive_solve(spec, 20, AdaptiveConfig(2.0, 0.25, max_outer=3)).outer_iterations == 3
 
 
 # lam and ell from the 400-run solve sweep, and any value in range

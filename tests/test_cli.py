@@ -189,6 +189,12 @@ def test_solve_rejects_underflowing_scheme(tmp_path, capsys):
     # the first sweep collides nodes where (u_x)^beta is largest
     (["solve", "--grid", "equidistributed", "--beta", "0.25", "--lambda", "160"],
      "--lambda 160, --ell 1, --beta 0.25 and --n 20"),
+    # the first sweep of the adaptive loop collides nodes, alone or in table2's stack
+    (["adapt", "--alpha", "1e300", "--beta", "4"],
+     "--lambda 10, --ell 1, --alpha 1e+300, --beta 4 and --n 20"),
+    (["solve", "--grid", "adaptive", "--lambda", "1e6", "--alpha", "10", "--beta", "2"],
+     "--lambda 1e+06, --ell 1, --alpha 10, --beta 2 and --n 20"),
+    (["table2", "--lambda", "1e6"], "--lambda 1e+06, --ell 1 and --n 20"),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_checks_during_the_run_are_usage_errors(tmp_path, capsys, argv, flags):
     """A library check that fires during the run, past any start grid,

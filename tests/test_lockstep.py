@@ -16,8 +16,8 @@ import pytest
 
 from equifd import (AdaptiveConfig, AdaptiveResult, ConstantMonitor, DiscreteGradientMonitor,
                     EquidistributionError, ExactPowerMonitor, Grid, MonitorFunction, ProblemSpec,
-                    adaptive_solve, adaptive_solve_many, equidistribute, max_error, solve_bvp,
-                    uniform_grid)
+                    adapt, adaptive_solve, adaptive_solve_many, equidistribute, max_error,
+                    solve_bvp, uniform_grid)
 from equifd.equidist import DAMPING_FLOOR, EquidistResult, sweep_rows
 from equifd.experiments import TABLE2_ALPHAS, TABLE2_BETAS
 from equifd.problem import largest, smallest
@@ -418,3 +418,102 @@ def test_a_capped_lone_row_asks_for_no_rows(spec10):
 
     with pytest.raises(EquidistributionError, match="no convergence after 3 sweeps"):
         equidistribute(NoRows(spec10, 0.5), spec10, 40, max_iter=3)
+
+
+# --- a lone config runs in its own loop -----------------------------------------
+
+
+class _LoneLoop:
+    """Wraps adapt._adapt_row and adapt.solve_stack: records each entry to
+    the lone loop as (step, mid-step), and each solve as (rows, in the lone
+    loop)."""
+
+    def __init__(self, monkeypatch):
+        self.entries, self.solves, self._depth = [], [], 0
+        lone, solve = adapt._adapt_row, adapt.solve_stack
+
+        def enter(spec, run, x, prev_values, values, n, stops):
+            self.entries.append((n, values is not None))
+            self._depth += 1
+            try:
+                return lone(spec, run, x, prev_values, values, n, stops)
+            finally:
+                self._depth -= 1
+
+        def solved(x, spec):
+            self.solves.append((len(x), self._depth > 0))
+            return solve(x, spec)
+
+        monkeypatch.setattr(adapt, "_adapt_row", enter)
+        monkeypatch.setattr(adapt, "solve_stack", solved)
+
+
+@pytest.mark.parametrize("params, n_cells, stops, exit_", [
+    ((2.0, 0.25), 20, {}, "eps"),
+    ((0.0, 1.0), 20, {}, "stationary"),
+    ((10.0, 1.0), 20, {}, "eps"),               # its first equidistribution stalls
+    ((2.0, 2.0), 20, {"max_outer": 300}, "max_outer"),
+    ((1.0, 0.5), 600, {"max_outer": 20}, "eps"),  # past CR_CUTOFF
+])
+def test_a_lone_config_exits_as_the_reference(spec10, monkeypatch, params, n_cells, stops,
+                                                exit_):
+    """adaptive_solve runs in the lone loop from step 1, every solve on its
+    one grid, and gives the frozen one-config loop's result bit for bit at
+    each exit: eps, a stationary grid, max_outer, after an inner stall at
+    step 1 and on grids past CR_CUTOFF."""
+    cfg = AdaptiveConfig(*params, **stops)
+    loop = _LoneLoop(monkeypatch)
+    got = adaptive_solve(spec10, n_cells, cfg)
+    assert_same_result(got, reference_adaptive_solve(spec10, n_cells, cfg))
+    assert _exit(cfg, got) == exit_
+    assert loop.entries == [(0, False)]
+    assert loop.solves == [(1, True)] * got.outer_iterations
+    if params == (10.0, 1.0):
+        assert got.history[0][5] == 1 and got.inner_stalls == 1
+    if n_cells == 600:
+        assert n_cells - 1 >= CR_CUTOFF
+
+
+def test_a_lone_solve_falls_back_to_solve_dirichlet_as_the_reference():
+    """At ell = 1e-321 the steps' products underflow: the fused loop returns
+    None, and solve_dirichlet raises, in the lone loop as in the reference."""
+    spec, cfg = ProblemSpec(10.0, 1e-321), AdaptiveConfig(2.0, 0.25)
+    with pytest.raises(ValueError) as got:
+        adaptive_solve(spec, 20, cfg)
+    with pytest.raises(ValueError) as ref:
+        reference_adaptive_solve(spec, 20, cfg)
+    assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)
+    assert str(got.value).startswith("grid steps too small")
+
+
+@pytest.mark.parametrize("params, stops, handover", [
+    ([(2.0, 0.25), (2.0, 2.0)], {}, (13, True)),  # the other leaves on eps
+    ([(0.0, 1.0), (2.0, 0.25)], {}, (1, False)),  # the other's grid is stationary
+    # one leaves on a stationary grid at step 1, one on eps at step 16
+    ([(10.0, 1.0), (1.0, 0.5), (0.0, 1.0)], {"max_outer": 40}, (16, True)),
+])
+def test_the_last_row_is_handed_to_the_lone_loop(spec10, monkeypatch, params, stops, handover):
+    """Once one row is left, mid-step (the others left on eps, before the
+    remesh) or at a step's end (after it), the lone loop takes it over with
+    its record and runs every later step; each result is the reference's."""
+    configs = [AdaptiveConfig(alpha, beta, **stops) for alpha, beta in params]
+    loop = _LoneLoop(monkeypatch)
+    results = assert_batch_matches(spec10, 20, configs)
+    n = handover[0]
+    assert loop.entries == [handover]
+    *others, last = sorted(res.outer_iterations for res in results)
+    assert others[-1] == n
+    rows = [count for count, _ in loop.solves]
+    assert all(count > 1 for count in rows[:n]) and rows[n:] == [1] * (last - n)
+    assert all(inside == (count == 1) for count, inside in loop.solves)
+
+
+def test_table2_lone_steps_run_in_the_lone_loop(spec10, monkeypatch, table2_reference):
+    """447 of table2's 653 outer steps carry one row, the tail of the (2, 2)
+    cell: every one of them runs in the lone loop, and every step of the
+    stack carries two rows or more."""
+    loop = _LoneLoop(monkeypatch)
+    results = assert_batch_matches(spec10, 20, list(table2_reference), table2_reference)
+    assert max(res.outer_iterations for res in results) == len(loop.solves) == 653
+    assert sum(inside for _, inside in loop.solves) == 447
+    assert all(inside == (count == 1) for count, inside in loop.solves)

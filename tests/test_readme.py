@@ -26,8 +26,8 @@ import tracemalloc
 from pathlib import Path
 
 import equifd
-from equifd import (ExactPowerMonitor, GridMapping, ProblemSpec, analytic_mapped_grid, equidist,
-                    equidistribute, max_error, solve_bvp, uniform_grid)
+from equifd import (ExactPowerMonitor, GridMapping, ProblemSpec, adapt, analytic_mapped_grid,
+                    equidist, equidistribute, max_error, solve_bvp, uniform_grid)
 from equifd.experiments import run_table2
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -102,29 +102,37 @@ def test_readme_sweep_counts(monkeypatch):
     """At lam = 10: the smooth monitors' sweep counts at N = 640, 2560 and
     5120 (benchmark smooth_equidist), and table2's stacked sweeps, those
     of them on a lone row, counted by a wrapper around equidist._sweep,
-    and the outer steps of its (2, 2) cell."""
+    the outer steps of its (2, 2) cell, and those of them that carry one
+    row, counted by a wrapper around the adaptive loop's solves."""
     text = " ".join(README.read_text().split())
     smooth = re.search(r"`beta = 1/2` takes (\d+) sweeps and `beta = 1/4` takes (\d+)\.", text)
     stacked = re.search(r"table2 makes ([\d,]+) stacked sweeps, and ([\d,]+) of them sweep a "
                         r"lone row, most of them the tail of the \(2, 2\) cell, which alone "
-                        r"takes (\d+) outer steps", text)
+                        r"takes (\d+) outer steps: ([\d,]+) of its (\d+) outer steps carry one "
+                        r"row", text)
     assert smooth and stacked, "README.md no longer cites the sweep counts"
     half, quarter = map(int, smooth.groups())
-    sweeps, lone, outer = (int(count.replace(",", "")) for count in stacked.groups())
+    sweeps, lone, outer, lone_steps, steps = (int(count.replace(",", ""))
+                                              for count in stacked.groups())
+    assert steps == outer
     spec = ProblemSpec(10.0, 1.0)
     for beta, count in ((0.5, half), (0.25, quarter)):
         for n_cells in (640, 2560, 5120):
             assert equidistribute(ExactPowerMonitor(spec, beta), spec, n_cells).iterations == count
 
-    shapes = []
-    sweep = equidist._sweep
+    shapes, solved = [], []
+    sweep, solve = equidist._sweep, adapt.solve_stack
     monkeypatch.setattr(equidist, "_sweep",
                         lambda nodes, w: shapes.append(nodes.shape) or sweep(nodes, w))
+    monkeypatch.setattr(adapt, "solve_stack",
+                        lambda nodes, spec: solved.append(nodes.shape) or solve(nodes, spec))
     cells = run_table2(spec)
     assert len(shapes) == sweeps
     assert sum(len(shape) == 1 for shape in shapes) == lone
     assert all(shape[0] > 1 for shape in shapes if len(shape) == 2)  # no stack of one
     assert [c.iterations for c in cells if (c.alpha, c.beta) == (2.0, 2.0)] == [outer]
+    assert len(solved) == outer  # one solve per step, for all rows at once
+    assert sum(shape[0] == 1 for shape in solved) == lone_steps
 
 
 def _reads(value: float, printed: str) -> bool:

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from equifd import (
     uniform_grid,
 )
 from equifd.io import read_csv
-from equifd.solver import CR_CUTOFF
+from equifd import solver
+from equifd.solver import CR_CUTOFF, STACK_ROWS, _solve_columns, _solve_short, solve_stack
 from conftest import (dense, matvec, random_grid, reference_row_sum_reduction,
                       reference_thomas, scheme_bands, scheme_matrix)
 
@@ -384,3 +386,98 @@ def test_long_solves_in_two_threads_match_one_after_the_other(spec10):
         assert len(row) == 20 * len(want)
         for k, values in enumerate(row):
             assert np.array_equal(values, want[k % len(want)])
+
+
+# --- the stacked solve ----------------------------------------------------------
+
+
+def _stack(rng, spec, rows, n_cells):
+    """rows random grids of n_cells cells on [0, spec.ell], graded as the
+    adaptive loop grades them, towards the layer at ell."""
+    return np.array([random_grid(rng, n_cells, spec.ell).nodes**0.5 * spec.ell**0.5
+                     for _ in range(rows)])
+
+
+def _rows(nodes, spec):
+    """_solve_short on each row as a list, as one array."""
+    lam2 = float(spec.lam**2)
+    return np.array([_solve_short(x, lam2, spec.left_bc, spec.right_bc) for x in nodes.tolist()])
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 20, 100])
+@pytest.mark.parametrize("rows", [1, 2, STACK_ROWS - 1, STACK_ROWS, 45])
+def test_stacked_solve_is_the_row_loop_bit_for_bit(spec10, monkeypatch, rows, n_cells):
+    """solve_stack gives _solve_short's values on every row, bit for bit,
+    below STACK_ROWS row by row and from it column by column across the
+    rows; _solve_columns gives them on any stack.  No numpy warning."""
+    calls = []
+    monkeypatch.setattr(solver, "_solve_columns",
+                        lambda *args: calls.append(len(args[0])) or _solve_columns(*args))
+    nodes = _stack(np.random.default_rng(rows * n_cells), spec10, rows, n_cells)
+    expected = _rows(nodes, spec10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve_stack(nodes, spec10)
+        direct = _solve_columns(nodes, float(spec10.lam**2), spec10.left_bc, spec10.right_bc)
+    assert got.tobytes() == expected.tobytes() and direct.tobytes() == expected.tobytes()
+    assert calls == ([rows] if rows >= STACK_ROWS else [])
+
+
+@pytest.mark.parametrize("rows", [STACK_ROWS - 1, STACK_ROWS, 45])
+def test_a_row_that_fails_a_check_sends_the_stack_to_solve_dirichlet(spec10, rows):
+    """One row of the stack starts with two steps of 1e-200, whose product
+    underflows to 0: _solve_short and _solve_columns both return None, and
+    solve_stack raises what solve_dirichlet raises on that row, with no
+    numpy warning.  A stack of the other rows solves as before."""
+    nodes = _stack(np.random.default_rng(7), spec10, rows, 20)
+    bad = rows // 2
+    nodes[bad, 1:3] = 1e-200, 2e-200
+    lam2 = float(spec10.lam**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _solve_short(nodes[bad].tolist(), lam2, spec10.left_bc, spec10.right_bc) is None
+        assert _solve_columns(nodes, lam2, spec10.left_bc, spec10.right_bc) is None
+        with pytest.raises(ValueError) as alone:
+            solve_dirichlet(Grid(nodes[bad], spec10.ell), spec10.lam, spec10.left_bc,
+                            spec10.right_bc)
+        with pytest.raises(ValueError) as stacked:
+            solve_stack(nodes, spec10)
+    assert str(stacked.value) == str(alone.value) == (
+        "grid steps too small: the scheme's coefficients overflow (ell=1.0, n_cells=20)")
+    good = np.delete(nodes, bad, axis=0)
+    assert solve_stack(good, spec10).tobytes() == _rows(good, spec10).tobytes()
+
+
+def test_a_pivot_below_the_floor_fails_the_stacked_check():
+    """Huge steps at a lam whose square underflows leave Thomas pivots that
+    fall below PIVOT_FLOOR: the stacked solve returns None where the row
+    loop does, and solve_stack raises what solve_dirichlet raises."""
+    spec = ProblemSpec(1e-200, 2.2e151)
+    x = uniform_grid(spec, 20).nodes
+    nodes = np.repeat(x[None], STACK_ROWS, axis=0)
+    lam2 = float(spec.lam**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _solve_short(x.tolist(), lam2, spec.left_bc, spec.right_bc) is None
+        assert _solve_columns(nodes, lam2, spec.left_bc, spec.right_bc) is None
+        with pytest.raises(PivotError) as alone:
+            solve_dirichlet(Grid(x, spec.ell), spec.lam, spec.left_bc, spec.right_bc)
+        with pytest.raises(PivotError) as stacked:
+            solve_stack(nodes, spec)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_a_boundary_term_that_overflows_fails_the_stacked_check(spec10):
+    """A right value of 1e308 overflows its eliminated boundary term, so
+    the last forward d is not finite while every pivot is: the stacked
+    solve returns None where the row loop does, and solve_dirichlet
+    refuses the data."""
+    x = uniform_grid(spec10, 20).nodes
+    nodes = np.repeat(x[None], STACK_ROWS, axis=0)
+    lam2 = float(spec10.lam**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _solve_short(x.tolist(), lam2, spec10.left_bc, 1e308) is None
+        assert _solve_columns(nodes, lam2, spec10.left_bc, 1e308) is None
+        with pytest.raises(ValueError, match="^Dirichlet data too large for the grid steps"):
+            solve_dirichlet(Grid(x, spec10.ell), spec10.lam, spec10.left_bc, 1e308)

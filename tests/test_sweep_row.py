@@ -266,3 +266,44 @@ def test_two_rows_each_give_what_they_give_alone(spec10, alphas, betas, max_iter
                                       max_iter)
         assert row == alone
     assert got[0][1] < got[1][1]
+
+
+@pytest.mark.parametrize("at, hit, row", [
+    (1, [0, 1], 0),  # both rows collide in the stack: the first is named
+    (1, [1], 1),
+    (5, [1], 1),     # row 0 left at sweep 4: row 1 collides in the lone loop
+])
+def test_a_collision_names_its_row(spec10, at, hit, row):
+    """MonotonicityError.row is the first row that collided, by its place in
+    the stack sweep_rows started with, also once the last row sweeps alone:
+    the caller blames that row's parameters."""
+    n_cells = 20
+    sol = solve_bvp(uniform_grid(spec10, n_cells), spec10)
+    x = np.repeat(sol.grid.nodes[None], 2, axis=0)
+    monitor = DiscreteGradientMonitor._trusted([2.0, 2.0], [0.25, 2.0], x,
+                                               np.repeat(sol.values[None], 2, axis=0))
+    calls = []
+
+    class Hit(MonitorFunction):
+        """monitor's inverse weights, those of sweep `at` zeroed in the first
+        cell of the rows hit, counted across rows(keep)."""
+
+        def __init__(self, inner, rows):
+            self.inner, self.rows_left = inner, rows
+
+        def inverse_weights(self, nodes):
+            calls.append(nodes.shape)
+            r = self.inner.inverse_weights(nodes)
+            if len(calls) == at:
+                for i, left in enumerate(self.rows_left):
+                    if left in hit:
+                        r[(i, 0) if r.ndim == 2 else 0] = 0.0
+            return r
+
+        def rows(self, keep):
+            return Hit(self.inner.rows(keep), [self.rows_left[i] for i in keep])
+
+    with pytest.raises(MonotonicityError, match=f"after sweep {at}$") as err:
+        sweep_rows(Hit(monitor, [0, 1]), x, 1e-12, 10000)
+    assert err.value.row == row
+    assert calls[-1] == ((n_cells + 1,) if at > 4 else (2, n_cells + 1))

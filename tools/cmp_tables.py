@@ -7,15 +7,17 @@ working tree is compared against BASE.  Each revision is exported with
 `git archive` into a temporary directory, and each tree writes, through
 its own command line (`python3 -m equifd.cli`), the CSVs of table1,
 table2, error-profile, the 14-rung convergence ladder (N = 10 to 81920)
-of each of the four table1 grids, three single-config adaptive solves
+of each of the four table1 grids, five single-config adaptive solves
 with their traces ((alpha, beta) = (2, 1/4); (2, 2), whose 653 outer
-steps sweep one row each; and (2, 1/2) with at most 3 sweeps per
-equidistribution, whose first stops at that cap), the six
-equidistributed `solve`s of the smooth_equidist benchmark (beta 1/4 and
-1/2 at N = 640, 2560 and 5120) and one adaptive `solve`.  What each of
-the six equidistributed solves prints (its max error and sweep count),
-less the output path, is kept as a .txt file beside its CSV and
-compared too.  The script prints one line per file, `same` or
+steps sweep one row each; (2, 1/2) with at most 3 sweeps per
+equidistribution, whose first stops at that cap; (10, 1), whose first
+equidistribution stalls; and (2, 2) capped at 300 outer steps, which
+ends not converged), the six equidistributed `solve`s of the
+smooth_equidist benchmark (beta 1/4 and 1/2 at N = 640, 2560 and 5120)
+and one adaptive `solve`.  Each run's exit code, after what each of the
+six equidistributed solves prints (its max error and sweep count) less
+the output path, is kept as a .txt file beside its CSV and compared
+too, so a run may exit non-zero.  The script prints one line per file, `same` or
 `DIFFERS`, and exits 1 if any file differs.  Below a CSV that differs it
 prints a difference in the count of rows, and for each numeric column
 that moved the largest absolute and relative difference between rows of
@@ -63,6 +65,10 @@ RUNS = {
     "adapt_2_2.csv": ["adapt", "--alpha", "2", "--beta", "2", "--trace", "adapt_2_2_trace.csv"],
     "adapt_capped.csv": ["adapt", "--alpha", "2", "--beta", "0.5", "--max-iter", "3",
                          "--trace", "adapt_capped_trace.csv"],
+    "adapt_stalled.csv": ["adapt", "--alpha", "10", "--beta", "1",
+                          "--trace", "adapt_stalled_trace.csv"],
+    "adapt_max_outer.csv": ["adapt", "--alpha", "2", "--beta", "2", "--max-outer", "300",
+                            "--trace", "adapt_max_outer_trace.csv"],
     "solve_equidistributed.csv": ["solve", "--grid", "equidistributed", "--beta", "0.5",
                                   "--n", "640"],
     "solve_equidistributed_5120.csv": ["solve", "--grid", "equidistributed", "--beta", "0.25",
@@ -87,16 +93,17 @@ def export(revision: str, into: Path) -> Path:
 
 def write_tables(tree: Path, out: Path) -> None:
     """Each CSV of RUNS, written by the command line of the tree at tree,
-    and what each equidistributed solve prints, less the path, as a .txt
-    file of the CSV's name."""
+    and, as a .txt file of the CSV's name, the run's exit code, after what
+    an equidistributed solve prints, less the path."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, args in RUNS.items():
-        printed = subprocess.run([sys.executable, "-m", "equifd.cli", *args, "--out", name],
-                                 cwd=out, env=env, check=True, stdout=subprocess.PIPE,
-                                 text=True).stdout
+        run = subprocess.run([sys.executable, "-m", "equifd.cli", *args, "--out", name],
+                             cwd=out, env=env, stdout=subprocess.PIPE, text=True)
+        printed = ""
         if args[:3] == ["solve", "--grid", "equidistributed"]:
-            (out / name).with_suffix(".txt").write_text(printed.replace(f"  ({name})", ""))
+            printed = run.stdout.replace(f"  ({name})", "")
+        (out / name).with_suffix(".txt").write_text(f"{printed}exit {run.returncode}\n")
 
 
 def column_changes(base: Path, other: Path) -> list:
