@@ -287,7 +287,10 @@ class DiscreteGradientMonitor(MonitorFunction):
     def rows(self, keep) -> "DiscreteGradientMonitor":
         """A copy of a monitor on a stack for the rows keep, sharing the
         table, breakpoints and keys; one row is looked up by a real search
-        of its own breakpoints."""
+        of its own breakpoints.  A monitor of one grid has no rows to keep
+        and raises ValueError."""
+        if self._weights.ndim == 1:
+            raise ValueError("rows needs a stacked monitor; this one holds one grid")
         monitor = object.__new__(DiscreteGradientMonitor)
         monitor.__dict__.update(self.__dict__)
         monitor._labels = labels = self._labels[keep]

@@ -68,13 +68,14 @@ from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer
 
 # unknowns from which solve_dirichlet assembles and solves by cyclic
 # reduction.  Against _solve_short on a uniform grid, with the workspace
-# kept from earlier solves: 174 us against 159 at 420 unknowns, 166
-# against 172 at 450 and 197 against 229 at 575 (best of 7 runs of 3 x 200
-# solves, 2-vCPU Xeon, numpy 2.4.6).  With fresh temporaries the numpy
-# path reads the same, since blocks this small come back from the heap
-# with no page faults.  An earlier, slower run of that host read 348
-# against 324 at 500 and 393 against 379 at 576: the crossover moves with
-# the host between about 450 and 576, where the paths are within 15%.
+# kept from earlier solves, the kernel with compacted levels and a scalar
+# tail reads 143 us against 138 at 400 unknowns, 149 against 156 at 450
+# and 163 against 196 at 575 (best of 7 alternating runs of 200 solves,
+# 2-vCPU Xeon, numpy 2.4.6): its crossover is near 420.  The kernel before
+# them read 168 against 146 at 400 and crossed between about 450 and 576
+# on that host.  The value stays 576, so that no system changes path and
+# no result moves: below it a system takes the Thomas algorithm's
+# rounding, from it on the reduction's.
 CR_CUTOFF = 576
 
 # rows from which solve_stack solves a stack of short grids column by
@@ -161,8 +162,7 @@ def _assemble(grid: Grid, lam: float, left_value: float, right_value: float,
         left_term = float(lower[0] * left_value)
         right_term = float(upper[-1] * right_value)
         diag = np.add(lower, upper, out=hj)
-        diag *= -1.0
-        diag += lam2
+        np.subtract(lam2, diag, out=diag)  # -(lower + upper) + lam2, bit for bit
     # diag is >= 0 where finite; written so that NaN fails the check too
     if not largest(diag) < math.inf:
         raise ParameterError("grid steps too small: the scheme's coefficients overflow",

@@ -294,6 +294,17 @@ def test_stacked_monitor_rows_keeps_the_rows_given():
     assert np.array_equal(monitor.rows([1, 3]).rows([1]).interval_values(query[3]), full[3])
 
 
+def test_rows_of_a_one_grid_monitor_is_a_value_error():
+    """A monitor of one grid, from the public constructor or from _trusted,
+    has no rows to keep: rows says so, where it met a missing attribute."""
+    rng = np.random.default_rng(23)
+    nodes, values = _stack(rng, 1, 12)
+    for monitor in (DiscreteGradientMonitor(1.0, 0.5, nodes[0], values[0]),
+                    DiscreteGradientMonitor._trusted([1.0], [0.5], nodes[0], values[0])):
+        with pytest.raises(ValueError, match="rows needs a stacked monitor"):
+            monitor.rows([0])
+
+
 @pytest.mark.parametrize("rows", [1, 2, 9])
 def test_each_stacked_sweep_makes_one_searchsorted(rows):
     """The monitor looks a stack up in one searchsorted, whatever its row

@@ -1,15 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from equifd import (
     DiscreteSolution,
+    GridMapping,
     ProblemSpec,
     PivotError,
+    analytic_mapped_grid,
     max_error,
     solve_bvp,
     solve_tridiagonal,
     uniform_grid,
 )
+from equifd.experiments import TABLE1_BETAS
 from equifd.solver import CR_CUTOFF
 from conftest import dense, matvec, reference_row_sum_reduction, reference_thomas, scheme_bands
 
@@ -142,25 +147,42 @@ def test_band_length_validation():
                 solve_tridiagonal(**{**bands, name: values})
 
 
-def test_short_systems_match_reference_bit_for_bit():
-    """Below the solver's cutoff too, the in-place reduction does the
-    arithmetic of the copying one in the same order: equal results."""
+def _same(x, y) -> bool:
+    """Equal values and equal signs, signed zeros included."""
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+def test_every_n_to_1100_matches_reference_bit_for_bit():
+    """At every n to 1,100 the kernel does the arithmetic of the copying
+    reduction in the same order: equal results, signed zeros included.
+    These n take the scalar tail alone (n <= 32), and then from one to
+    six numpy levels before it: levels 0 and 1 in place, the rest on
+    compacted rows.  A zero right side, with signed zeros, gives a
+    solution of signed zeros."""
     rng = np.random.default_rng(99)
-    for n in range(1, CR_CUTOFF):
-        bands = random_dominant_system(rng, n)
-        assert np.array_equal(solve_tridiagonal(*bands), reference_cyclic_reduction(*bands)), n
+    for n in range(1, 1101):
+        lower, diag, upper, rhs = random_dominant_system(rng, n)
+        zeros = np.copysign(np.zeros(n), rng.uniform(-1.0, 1.0, n))
+        for b in (rhs, zeros):
+            assert _same(solve_tridiagonal(lower, diag, upper, b),
+                         reference_cyclic_reduction(lower, diag, upper, b)), n
 
 
 def test_long_systems_match_reference_bit_for_bit():
-    """From the cutoff on, and around powers of two: equal results."""
+    """From the cutoff on, around powers of two, and on the scheme of the
+    four table1 grids at every rung of the 14-rung ladder (n = 9 to
+    81,919): equal results, signed zeros included."""
     rng = np.random.default_rng(98)
     spec = ProblemSpec(lam=10.0, ell=1.0)
     systems = [random_dominant_system(rng, n) for n in CR_SIZES + (1, 2, 3)]
-    systems.append(scheme_bands(uniform_grid(spec, 4096).nodes, spec.lam, spec.left_bc,
-                                spec.right_bc))
+    for beta in TABLE1_BETAS:
+        mapping = GridMapping(spec, beta)
+        for k in range(14):
+            nodes = analytic_mapped_grid(mapping, 10 * 2**k).nodes
+            systems.append(scheme_bands(nodes, spec.lam, spec.left_bc, spec.right_bc))
     for bands in systems:
         x = solve_tridiagonal(*bands)
-        assert np.array_equal(x, reference_cyclic_reduction(*bands)), x.size
+        assert _same(x, reference_cyclic_reduction(*bands)), x.size
 
 
 def test_cyclic_reduction_matches_dense_oracle():
@@ -193,6 +215,57 @@ def test_cyclic_reduction_zero_pivot_deeper_level():
         solve_tridiagonal(lower, diag, upper, rhs)
     assert err.value.index == 9
     assert err.value.pivot == 0.0
+
+
+def test_cyclic_reduction_zero_pivot_compacted_level():
+    # decoupled rows keep their pivots; row 23 = 8*3 - 1 is eliminated at
+    # level 3 (stride 8), the first level that runs on compacted rows
+    lower, diag, upper, rhs = _identity_system(CR_CUTOFF + 3)
+    diag[23] = 0.0
+    with pytest.raises(PivotError) as err:
+        solve_tridiagonal(lower, diag, upper, rhs)
+    assert err.value.index == 23
+    assert err.value.pivot == 0.0
+
+
+def test_cyclic_reduction_zero_pivot_in_scalar_tail():
+    # n = 579 reaches the scalar tail with 18 rows at stride 32; row 191 =
+    # 64*3 - 1 is eliminated at its second level (stride 64), and row 511,
+    # the one row left, is solved last
+    for row in (191, 511):
+        lower, diag, upper, rhs = _identity_system(CR_CUTOFF + 3)
+        diag[row] = 0.0
+        with pytest.raises(PivotError) as err:
+            solve_tridiagonal(lower, diag, upper, rhs)
+        assert err.value.index == row
+        assert err.value.pivot == 0.0
+
+
+def test_scalar_tail_warns_where_the_numpy_levels_would():
+    """Systems that are not diagonally dominant enough overflow in the
+    last rows.  There numpy warns and gives inf or NaN, where Python floats
+    overflow in silence and raise ZeroDivisionError for a zero pivot that
+    a NaN pivot kept from the check (the second system, n = 11, from a
+    random search over badly scaled systems).  The kernel warns, and
+    returns what the reference returns."""
+    overflow = [1e300], [1e-10, 1.0], [1.0], [1.0, 1.0]
+    nan_hides_zero = (
+        [4e219, -5e210, -3e212, 2e219, 2e212, 1e216, 2e213, -2e217, -2e212, -5e213],
+        [5e202, -5e207, -9e206, -7e205, 2e200, -2e205, -4e208, -3e204, -8e201, 5e205, 2e207],
+        [3e-39, -4e-47, 2e-47, 5e-42, 2e-38, -2e-43, -4e-47, 5e-44, -2e-41, 8e-42],
+        [-3e-248, 3e-248, 3e-248, 4e-248, -3e-248, 2e-248, -3e-248, 3e-248, 3e-248,
+         -3e-248, -3e-248],
+    )
+    for bands in (overflow, nan_hides_zero):
+        bands = [np.array(band) for band in bands]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = solve_tridiagonal(*bands)
+        assert any("last rows" in str(w.message) for w in caught)
+        with np.errstate(all="ignore"):
+            expected = reference_cyclic_reduction(*bands)
+        assert not np.isfinite(x).any()
+        np.testing.assert_array_equal(x, expected)
 
 
 def test_weakly_dominant_scheme_matches_reference():
