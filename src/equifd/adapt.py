@@ -9,7 +9,9 @@ index-wise), or when the grid itself stops moving.
 
 The solve-remesh alternation can oscillate for aggressive monitors
 (large alpha with beta >= 1); as in the inner solver, the grid update
-is progressively damped whenever the solution change grows.  A stalled
+is progressively damped whenever the solution change does not shrink.
+An equal change damps too: an exact 2-cycle of grids repeats its change
+at every step, and would otherwise run undamped to max_outer.  A stalled
 inner equidistribution (possible for rough piecewise-constant monitors,
 which need not admit an exact discrete fixed point) is not fatal: the
 inner solver stops at the first exact cycle at its damping floor, its
@@ -22,31 +24,32 @@ serves every row: solver.solve_stack solves them (a tall stack column by
 column across its rows), the rows' solution errors come from one np.exp,
 one monitor.DiscreteGradientMonitor on the whole stack gives every row's
 weights (one power per beta, one lookup for the stack), and one stacked
-sweep loop (equidist.sweep_rows) equidistributes them all.  The configs
+sweep loop (equidist._sweep_rows) equidistributes them all.  The configs
 differ only in alpha and beta and share their stops.  Each row keeps its
 own damping, best iterate, cycle check and sweep count, and leaves the
 stack when it converges, so the others go on as if alone; at max_outer
 all stop.
 
-A lone config has its own loop, _adapt_row, on its 1-D grid: its record
-lives in locals, its monitor is built on the one grid, its sweeps run in
-equidist._sweep_row and it solves its grid as a stack of one.
-adaptive_solve starts in it, and adaptive_solve_many hands it the last
-row left, with that row's record, grid, solution and step index, as soon
-as the others have left, mid-step or at its end, so the stack loop
-never carries a stack of one.  Every
-result is bit for bit that of running its config on its own: both loops
-do the one-config loop's IEEE operations for every row, in the same
-order.  Where a sweep's nodes collide, either loop raises a
-ParameterError naming lam, ell, n_cells and the alpha and beta of the
-first row that collided.
+Once fewer than two rows are left after a step's solve and eps check,
+the last one goes on in its own loop, _adapt_row, on its 1-D grid, from
+that step's remesh: its record lives in locals, its monitor is built on
+the one grid, its sweeps run in equidist._sweep_row and it solves its
+grid as a stack of one.  That is the one hand-over.  A lone config
+(adaptive_solve) solves step 1 as a stack of one and is handed over
+then; a row left alone at a step's end, by a neighbour whose grid
+stopped moving, takes one more stacked solve first.  So no stack of one
+is ever swept.  Every result is bit for bit that of running its config
+on its own: both loops do the one-config loop's IEEE operations for
+every row, in the same order.  Where a sweep's nodes collide, either
+loop raises a ParameterError naming lam, ell, n_cells and the alpha and
+beta of the first row that collided.
 
 The loop builds its monitor without the constructor's input checks,
 which it has made: AdaptiveConfig checks alpha and beta, the solver
 gives finite values, and each new grid's node order is checked at the
 end of the step that made it.  The monitor checks its weights once,
 when it is built, and its interval_weights hands them to the sweeps as
-they are; rows(keep) shares its table and lookup keys with it.
+they are; _rows(keep) shares its table and lookup keys with it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equidist import DAMPING_FLOOR, MonotonicityError, _sweep_row, sweep_rows
+from .equidist import DAMPING_FLOOR, MonotonicityError, _sweep_row, _sweep_rows
 from .grid import Grid, uniform_grid
 from .monitor import DiscreteGradientMonitor
 from .problem import (ParameterError, ProblemSpec, largest, per_row, require, require_count,
@@ -132,7 +135,10 @@ class _Run:
         self.config = config
         self.relax = 1.0
         self.error = self.change = None  # of the current outer step
-        self.prev_change = None
+        # the previous step's change.  Step 1's change is NaN, and no
+        # comparison with NaN holds: step 1 neither stops on eps nor damps,
+        # and step 2 does not damp
+        self.prev_change = np.nan
         self.history = []
         self.stalls = 0
 
@@ -157,13 +163,10 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
         return []
     stops, = stops
     eps, max_outer, inner_tol, inner_max_iter = stops
-    x = uniform_grid(spec, n_cells).nodes
-    if len(runs) == 1:
-        return [_adapt_row(spec, runs[0], x, None, None, 0, stops)]
     results = [None] * len(runs)
     # the rows' alpha and beta, as the Python floats the monitor takes, filtered as runs is
     params = [[float(run.config.alpha) for run in runs], [float(run.config.beta) for run in runs]]
-    x = np.repeat(x[None], len(runs), axis=0)
+    x = np.repeat(uniform_grid(spec, n_cells).nodes[None], len(runs), axis=0)
     prev_values = None
     n = 0
     while True:
@@ -177,29 +180,28 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
         keep = []
         for i, (run, error, change) in enumerate(zip(runs, errors, changes)):
             run.error, run.change = error, change
-            if prev_values is not None:
-                if change < eps:
-                    run.history.append((n, error, change, 0.0, 0, 0, run.relax))
-                    results[run.index] = run.result(spec, x[i], values[i], True)
-                    continue
-                if run.prev_change is not None and change > run.prev_change:
-                    run.relax = max(0.5 * run.relax, DAMPING_FLOOR)
-                run.prev_change = change
+            if change < eps:
+                run.history.append((n, error, change, 0.0, 0, 0, run.relax))
+                results[run.index] = run.result(spec, x[i], values[i], True)
+                continue
+            # >=: an exact 2-cycle repeats its change, and must be damped too
+            if change >= run.prev_change:
+                run.relax = max(0.5 * run.relax, DAMPING_FLOOR)
+            run.prev_change = change
             keep.append(i)
+        if len(keep) < 2:  # the last row remeshes in the lone loop
+            for i in keep:
+                results[runs[i].index] = _adapt_row(spec, runs[i], x[i], values[i], n, stops)
+            break
         if len(keep) < len(runs):
-            if len(keep) < 2:  # the last row remeshes in the lone loop
-                for i in keep:
-                    results[runs[i].index] = _adapt_row(spec, runs[i], x[i], None, values[i], n,
-                                                        stops)
-                break
             runs = [runs[i] for i in keep]
             params = [[column[i] for i in keep] for column in params]
             x, values = x[keep], values[keep]
 
         alphas, betas = params
         try:
-            inner = sweep_rows(DiscreteGradientMonitor._trusted(alphas, betas, x, values), x,
-                               inner_tol, inner_max_iter)
+            inner = _sweep_rows(DiscreteGradientMonitor._trusted(alphas, betas, x, values), x,
+                                inner_tol, inner_max_iter)
         except MonotonicityError as err:
             raise _collapse(spec, n_cells, runs[err.row].config, err) from None
         target = np.array([nodes for nodes, _, _, _ in inner])
@@ -221,34 +223,28 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
         checked = new if len(moved) == len(new) else new[moved]
         if len(checked) and not smallest(checked[:, 1:] > checked[:, :-1]):
             raise ValueError("grid nodes must be strictly increasing")
-        if n == max_outer:
+        if n == max_outer or not moved:  # at max_outer all stop; with none moved, none is left
             for i in moved:
                 results[runs[i].index] = runs[i].result(spec, x[i], values[i], False)
             break
         x, prev_values = new, values
-        if len(moved) < len(runs):
-            if len(moved) < 2:  # the last row goes on in the lone loop
-                for i in moved:
-                    results[runs[i].index] = _adapt_row(spec, runs[i], new[i], values[i], None, n,
-                                                        stops)
-                break
+        if len(moved) < len(runs):  # a lone row left takes one more stacked solve, then leaves
             runs = [runs[i] for i in moved]
             params = [[column[i] for i in moved] for column in params]
             x, prev_values = new[moved], values[moved]
     return results
 
 
-def _adapt_row(spec: ProblemSpec, run: _Run, x: np.ndarray, prev_values, values, n: int,
+def _adapt_row(spec: ProblemSpec, run: _Run, x: np.ndarray, values: np.ndarray, n: int,
                stops: tuple) -> AdaptiveResult:
     """adaptive_solve_many's loop for run's config alone, on its 1-D grid
     x: the same arithmetic and exits in the same order, with no stack.
 
-    With values, the solution on x of outer step n, whose error, change
-    and damping run holds, the loop goes on with that step's remesh;
-    without, with step n + 1, whose change is taken from prev_values
-    (none at step 1).  Its record lives in locals, its monitor is the
-    one-grid DiscreteGradientMonitor._trusted, its sweeps are
-    equidist._sweep_row and its solves solve_stack on the stack of x
+    It takes over at the remesh of outer step n, once that step's solve
+    and eps check are done: values is the solution on x, whose error,
+    change and damping run holds.  Its record lives in locals, its
+    monitor is the one-grid DiscreteGradientMonitor._trusted, its sweeps
+    are equidist._sweep_row and its solves solve_stack on the stack of x
     alone.  stops are the batch's eps, max_outer, inner_tol and
     inner_max_iter.
     """
@@ -258,19 +254,6 @@ def _adapt_row(spec: ProblemSpec, run: _Run, x: np.ndarray, prev_values, values,
     relax, prev_change, history = run.relax, run.prev_change, run.history
     error, change = run.error, run.change
     while True:
-        if values is None:
-            n += 1
-            values = solve_stack(x[None], spec)[0]
-            run.error = error = largest(abs(values - np.exp(spec.lam * (x - spec.ell))))
-            change = np.nan
-            if prev_values is not None:
-                change = largest(abs(values - prev_values))
-                if change < eps:
-                    history.append((n, error, change, 0.0, 0, 0, relax))
-                    return run.result(spec, x, values, True)
-                if prev_change is not None and change > prev_change:
-                    relax = max(0.5 * relax, DAMPING_FLOOR)
-                prev_change = change
         monitor = DiscreteGradientMonitor._trusted(alphas, betas, x, values)
         try:
             target, sweeps, _, message = _sweep_row(monitor, x, inner_tol, inner_max_iter)
@@ -290,7 +273,17 @@ def _adapt_row(spec: ProblemSpec, run: _Run, x: np.ndarray, prev_values, values,
             raise ValueError("grid nodes must be strictly increasing")
         if n == max_outer:
             return run.result(spec, x, values, False)
-        x, prev_values, values = new, values, None
+        n += 1
+        x, prev_values = new, values
+        values = solve_stack(x[None], spec)[0]
+        run.error = error = largest(abs(values - np.exp(spec.lam * (x - spec.ell))))
+        change = largest(abs(values - prev_values))
+        if change < eps:
+            history.append((n, error, change, 0.0, 0, 0, relax))
+            return run.result(spec, x, values, True)
+        if change >= prev_change:
+            relax = max(0.5 * relax, DAMPING_FLOOR)
+        prev_change = change
 
 
 def _collapse(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig,

@@ -27,25 +27,25 @@ an EquidistributionError carrying the best iterate: the same grid and
 update that running on to the sweep cap would give, because the cycle
 has already been swept in full.
 
-The stack loop, sweep_rows, runs on a stack of grids with one grid per
-row, each with its own weights, damping, best iterate and cycle check,
-under one tolerance and sweep cap; a row leaves the stack when it
-converges or cycles, and at the cap all stop.  The adaptive loop runs
-many rows at once, served by its stacked DiscreteGradientMonitor and its
-rows(keep).  Each sweep asks for the inverse weights of the whole stack
-in one monitor.MonitorFunction.inverse_weights call: the least of a
-monitor's checked weights divided by each, or the smooth monitor's
-closed form, whose range it checked when it was built.
+The stack loop, _sweep_rows, runs on a stack of two grids or more, one
+per row, each with its own weights, damping, best iterate and cycle
+check, under one tolerance and sweep cap; a row leaves the stack when it
+converges or cycles, and at the cap all stop.  Only the adaptive loop
+calls it, with its stacked DiscreteGradientMonitor, whose _rows(keep)
+serves the rows that remain.  Each sweep asks for the inverse weights of
+the whole stack in one monitor.MonitorFunction.inverse_weights call: the
+least of a monitor's checked weights divided by each, or the smooth
+monitor's closed form, whose range it checked when it was built.
 
 A lone row has its own loop, _sweep_row, on its 1-D grid: its record
 lives in locals, its step is formed in one buffer that every sweep
 reuses, and its node order is checked into one reused mask.
-equidistribute and the adaptive loop's lone config (adapt._adapt_row)
-start in it, with any monitor, and sweep_rows hands it its last
+equidistribute and the adaptive loop's lone row (adapt._adapt_row)
+start in it, with any monitor, and _sweep_rows hands it its last
 remaining row with all that row has recorded, so the stack loop never
 carries a stack of one.  Both loops sweep with _sweep and do the same
 IEEE operations in the same order.  A MonotonicityError from either
-names the row that collided, by its place in the stack sweep_rows
+names the row that collided, by its place in the stack _sweep_rows
 started with.
 """
 
@@ -168,23 +168,21 @@ def _collision(it: int, row: int) -> MonotonicityError:
     return error
 
 
-def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: int) -> list:
-    """Run the damped sweep iteration on every row of the stack x at once.
+def _sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: int) -> list:
+    """Run the damped sweep iteration on every row of the stack x, of two
+    rows or more, at once.
 
     Row i starts from the grid x[i]; a row whose update falls below tol,
     or whose iterate cycles, leaves the stack, and the rest go on until
     sweep max_iter, where they all stop.  monitor.inverse_weights gives
-    the stacked iterates' inverse weights, and monitor.rows(keep) serves
-    the rows that remain.  A lone row, at the start or once the others
-    have left, goes on in _sweep_row with all it has recorded.  Returns
-    one (nodes, sweeps, update, message) per row: message is None where
-    the row converged, with nodes its last iterate, and otherwise says
-    why it stalled, with nodes its best iterate and update that
-    iterate's.  Raises MonotonicityError, naming the row that collided,
-    as soon as an iterate loses node ordering.
+    the stacked iterates' inverse weights, and monitor._rows(keep) serves
+    the rows that remain.  The last row left goes on in _sweep_row with
+    all it has recorded.  Returns one (nodes, sweeps, update, message) per
+    row: message is None where the row converged, with nodes its last
+    iterate, and otherwise says why it stalled, with nodes its best
+    iterate and update that iterate's.  Raises MonotonicityError, naming
+    the row that collided, as soon as an iterate loses node ordering.
     """
-    if len(x) == 1:
-        return [_sweep_row(monitor, x[0], tol, max_iter)]
     rows = [_Row(i, xi) for i, xi in enumerate(x)]
     out = [None] * len(rows)
     factor = None  # the rows' damping factors as per_row gives them, None while all are 1
@@ -222,7 +220,7 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
                 break
             keep = [i for i in range(len(rows)) if i not in stopped]
             rows = [rows[i] for i in keep]
-            monitor = monitor.rows(keep)
+            monitor = monitor._rows(keep)
             x, step = x[keep], step[keep]
             damped = True  # the factors lose rows too
         if damped:
@@ -246,10 +244,10 @@ def sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
 
 def _sweep_row(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: int,
                row: _Row | None = None, it: int = 0) -> tuple:
-    """sweep_rows on the one grid x, as its (nodes, sweeps, update,
+    """_sweep_rows on the one grid x, as its (nodes, sweeps, update,
     message): the same arithmetic in the same order, with no stack.
 
-    A row handed over by sweep_rows brings its record and the sweeps it
+    A row handed over by _sweep_rows brings its record and the sweeps it
     has made.  Each sweep's step is formed in this thread's sweep buffer,
     its update is the larger of the step's greatest entry and the
     negated least (the first NaN, as the largest absolute value gives),
@@ -271,7 +269,7 @@ def _sweep_row(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
         if update < tol:
             return x, it, update, None
         if relax == DAMPING_FLOOR:
-            # as in sweep_rows: from here on a repeat of x is a cycle
+            # as in _sweep_rows: from here on a repeat of x is a cycle
             if saved is not None and update == saved[1] and np.array_equal(x, saved[2]):
                 return best_x, it, best, _cycle_message(it, saved, best)
             if (it - 1) & (it - 2) == 0:

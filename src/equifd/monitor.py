@@ -9,14 +9,15 @@ monitor 1 + alpha*|u_x|^beta built from a discrete solution.
 A monitor serves one grid: interval_values maps its N+1 nodes to its N
 weights, and interval_weights checks them.  The one exception is the
 adaptive loop's own DiscreteGradientMonitor._trusted, built on one grid
-for a lone config or on a stack of grids, one per row: on a stack it
-maps (rows, N+1) nodes to (rows, N) weights, and rows(keep) gives the
-monitor of the rows that remain, one row looked up as a one-grid
-monitor is.  A stack is looked up in one
-searchsorted over complex keys, row + 1j*x: numpy orders complex numbers
-lexicographically, so the row never rounds into x and each lookup is
-that of the row on its own.  A DiscreteGradientMonitor checks its table
-when it is built and hands the sweeps its weights unchecked.
+for its lone row or on a stack of grids, one per row: on a stack it maps
+(rows, N+1) nodes to (rows, N) weights, and the private _rows(keep)
+gives the monitor of the rows that remain, one row looked up as a
+one-grid monitor is.  The public DiscreteGradientMonitor is one grid.
+A stack is looked up in one searchsorted over complex keys, row + 1j*x:
+numpy orders complex numbers lexicographically, so the row never rounds
+into x and each lookup is that of the row on its own.  A
+DiscreteGradientMonitor checks its table when it is built and hands the
+sweeps its weights unchecked.
 
 The equidistribution sweeps ask a monitor for inverse_weights: the
 grid's least weight divided by each weight, by default formed from the
@@ -284,13 +285,10 @@ class DiscreteGradientMonitor(MonitorFunction):
         """The weights as they are: the table was checked when built."""
         return self.interval_values(nodes)
 
-    def rows(self, keep) -> "DiscreteGradientMonitor":
-        """A copy of a monitor on a stack for the rows keep, sharing the
-        table, breakpoints and keys; one row is looked up by a real search
-        of its own breakpoints.  A monitor of one grid has no rows to keep
-        and raises ValueError."""
-        if self._weights.ndim == 1:
-            raise ValueError("rows needs a stacked monitor; this one holds one grid")
+    def _rows(self, keep) -> "DiscreteGradientMonitor":
+        """A copy of a _trusted monitor on a stack for the rows keep,
+        sharing the table, breakpoints and keys; one row is looked up by a
+        real search of its own breakpoints."""
         monitor = object.__new__(DiscreteGradientMonitor)
         monitor.__dict__.update(self.__dict__)
         monitor._labels = labels = self._labels[keep]

@@ -98,8 +98,10 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     inputs are not mutated.
 
     Raises ValueError where a band is not finite, where n < 1, where the
-    lengths do not fit, and where a row sum of the finite bands overflows.
-    The diagonal is turned into row sums diag + lower + upper, in fresh
+    lengths do not fit, where a row sum of the finite bands overflows,
+    and where the solution is not finite: elimination on a system that
+    is not dominant enough can overflow, and no NaN is returned.  The
+    diagonal is turned into row sums diag + lower + upper, in fresh
     arrays of the layout solve_in_place overwrites.
 
     The system must be diagonally dominant.  The kernel recovers every
@@ -129,7 +131,12 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     if not np.isfinite(s).all():
         raise ValueError("the row sums diag + lower + upper overflow")
     x = rhs.copy()
-    solve_in_place(a, s, c, x, np.empty((n + 1) // 2))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the tail's; checked below
+        solve_in_place(a, s, c, x, np.empty((n + 1) // 2))
+    if not np.isfinite(x).all():
+        raise ValueError("the solution is not finite: elimination overflowed, so the system "
+                         "is not diagonally dominant enough")
     return x
 
 
@@ -239,8 +246,9 @@ def _substitute(a, c, x, xk, buf):
 
 def _check_pivots(nb: np.ndarray, st: int) -> None:
     """Raise PivotError for the first of a level's pivots, minus nb, below
-    PIVOT_FLOOR in magnitude, unless one is NaN; st is the level's stride."""
-    if nb.max() > -PIVOT_FLOOR:  # not all pivots positive (nor NaN): find any small one
+    PIVOT_FLOOR in magnitude, also where another is NaN; st is the level's
+    stride."""
+    if not nb.max() <= -PIVOT_FLOOR:  # not all pivots positive, or one NaN: find any small one
         small = np.abs(nb) < PIVOT_FLOOR
         if small.any():
             i = int(small.argmax())
@@ -260,13 +268,12 @@ def _solve_tail(a: np.ndarray, s: np.ndarray, c: np.ndarray, x: np.ndarray,
     while len(s) > 1:
         ae, ce, se, xe = a[::2], c[::2], s[::2], x[::2]
         nb = [p - q + r for p, q, r in zip(ae, se, ce)]
-        if max(nb) > -PIVOT_FLOOR:  # Python's max, unlike numpy's, may pass over a NaN
+        # Python's max passes over a NaN after the first entry and keeps
+        # one in it: either way a pivot below the floor is not missed
+        if not max(nb) <= -PIVOT_FLOOR:
             _check_pivots(np.array(nb), st)
-        try:
-            ae, ce, se, xe = zip(*[(p / b, q / b, u / b, v / b)
-                                   for p, q, u, v, b in zip(ae, ce, se, xe, nb)])
-        except ZeroDivisionError:  # a NaN pivot kept a zero one from the check
-            ae, ce, se, xe = (np.divide(band, nb).tolist() for band in (ae, ce, se, xe))
+        ae, ce, se, xe = zip(*[(p / b, q / b, u / b, v / b)
+                               for p, q, u, v, b in zip(ae, ce, se, xe, nb)])
         ak, ck = a[1::2], c[1::2]
         last = len(ak) == len(ae)  # the last kept row has no right neighbour
         kept = []

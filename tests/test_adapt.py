@@ -63,6 +63,20 @@ def test_large_lambda_converges_or_reports():
     assert len(res.history) == res.outer_iterations
 
 
+def test_an_equal_outer_change_damps_the_grid_update():
+    """lam=100, N=40, alpha=1e4, beta=1/4 runs an exact 2-cycle of grids,
+    whose solution change is the same at every step.  Damped only on a
+    change that grows, it stayed undamped at error 0.695 up to max_outer;
+    damped on an equal change too, 50 steps reach 1.5e-5 (the closed-form
+    beta=1/4 grid gives 3.4e-7).  The lone loop runs it alone, and the
+    stack loop runs it as two equal rows."""
+    spec, cfg = ProblemSpec(100.0, 1.0), AdaptiveConfig(alpha=1e4, beta=0.25, max_outer=50)
+    for res in [adaptive_solve(spec, 40, cfg)] + adaptive_solve_many(spec, 40, [cfg, cfg]):
+        assert res.error_norm < 1e-4
+        assert res.history[2][6] == 0.5  # step 3 repeats step 2's change
+        assert res.history[-1][6] == DAMPING_FLOOR
+
+
 def test_inner_stall_is_survivable(spec10):
     """A rough discrete-gradient monitor can cycle below the sweep cap,
     yet the outer loop still converges from its best iterate."""

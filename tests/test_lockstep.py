@@ -1,7 +1,7 @@
 """The lockstep loop against the one-config loop it replaced, bit for bit.
 
 adapt.adaptive_solve_many runs many configs' solve-remesh loops on one
-stack of grids, and equidist.sweep_rows runs their equidistributions in
+stack of grids, and equidist._sweep_rows runs their equidistributions in
 one stacked sweep loop.  The reference below is the loop that ran one
 config at a time before, with its sweep loop, sweep and monitor, kept
 unchanged.  Every batch here must give each config exactly the reference
@@ -18,7 +18,7 @@ from equifd import (AdaptiveConfig, AdaptiveResult, ConstantMonitor, DiscreteGra
                     EquidistributionError, ExactPowerMonitor, Grid, MonitorFunction, ProblemSpec,
                     adapt, adaptive_solve, adaptive_solve_many, equidistribute, max_error,
                     solve_bvp, uniform_grid)
-from equifd.equidist import DAMPING_FLOOR, EquidistResult, sweep_rows
+from equifd.equidist import DAMPING_FLOOR, EquidistResult, _sweep_rows
 from equifd.experiments import TABLE2_ALPHAS, TABLE2_BETAS
 from equifd.problem import largest, smallest
 from equifd.solver import CR_CUTOFF
@@ -183,9 +183,10 @@ def test_lookup_is_exact_at_one_ulp():
     """The adaptive loop's monitor on a stack (DiscreteGradientMonitor._trusted)
     looks each row's midpoints up in that row's breakpoints, exactly as
     the one-grid reference does, also where a breakpoint lies one ulp
-    from a midpoint or on it, and so does the monitor of rows(keep).  (Shifting each row by an offset to search all
-    rows at once would round such pairs together; the complex keys
-    row + 1j*x are compared lexicographically, with no rounding.)"""
+    from a midpoint or on it, and so does the monitor of _rows(keep).
+    (Shifting each row by an offset to search all rows at once would
+    round such pairs together; the complex keys row + 1j*x are compared
+    lexicographically, with no rounding.)"""
     rng = np.random.default_rng(5)
     x = np.sort(rng.random((4, 21)), axis=1)
     x[:, 0], x[:, -1] = 0.0, 1.0
@@ -203,11 +204,11 @@ def test_lookup_is_exact_at_one_ulp():
     monitor = DiscreteGradientMonitor._trusted(alphas, betas, nodes, values)
     assert np.array_equal(monitor.interval_values(x), expected)
     for row in range(4):
-        assert np.array_equal(monitor.rows([row]).interval_values(x[row]), expected[row])
+        assert np.array_equal(monitor._rows([row]).interval_values(x[row]), expected[row])
     for keep in ([0, 2, 3], [3, 1]):
-        assert np.array_equal(monitor.rows(keep).interval_values(x[keep]),
+        assert np.array_equal(monitor._rows(keep).interval_values(x[keep]),
                               [expected[row] for row in keep])
-    assert np.array_equal(monitor.rows([0, 2, 3]).rows([0, 2]).interval_values(x[[0, 3]]),
+    assert np.array_equal(monitor._rows([0, 2, 3])._rows([0, 2]).interval_values(x[[0, 3]]),
                           [expected[0], expected[3]])
 
 
@@ -361,12 +362,12 @@ class _Recording(MonitorFunction):
     def interval_weights(self, nodes):
         return self.interval_values(nodes)
 
-    def rows(self, keep):
-        return _Recording(self.inner.rows(keep), self.shapes)
+    def _rows(self, keep):
+        return _Recording(self.inner._rows(keep), self.shapes)
 
 
 def _reference_row(monitor, spec, n_cells, tol, max_iter):
-    """reference_equidistribute from the uniform grid, as one sweep_rows result."""
+    """reference_equidistribute from the uniform grid, as one _sweep_rows result."""
     try:
         res = reference_equidistribute(monitor, spec, n_cells, tol=tol, max_iter=max_iter)
     except EquidistributionError as err:
@@ -394,7 +395,7 @@ def test_rows_that_stop_leave_a_lone_row_swept_as_one_grid(spec10):
                                                np.repeat(sol.values[None], 3, axis=0))
     for max_iter in (100, 10000):
         shapes = []
-        got = sweep_rows(_Recording(monitor, shapes), x, tol, max_iter)
+        got = _sweep_rows(_Recording(monitor, shapes), x, tol, max_iter)
         sweeps = [row[1] for row in got]
         assert sweeps[0] < sweeps[2] < sweeps[1] <= max_iter
         assert [row[3] is None for row in got] == [True, False, True]
@@ -413,8 +414,8 @@ def test_a_capped_lone_row_asks_for_no_rows(spec10):
     monitor for the rows that remain: none do."""
 
     class NoRows(ExactPowerMonitor):
-        def rows(self, keep):
-            raise AssertionError(f"rows({keep}) asked of a one-grid monitor")
+        def _rows(self, keep):
+            raise AssertionError(f"_rows({keep}) asked of a one-grid monitor")
 
     with pytest.raises(EquidistributionError, match="no convergence after 3 sweeps"):
         equidistribute(NoRows(spec10, 0.5), spec10, 40, max_iter=3)
@@ -424,19 +425,19 @@ def test_a_capped_lone_row_asks_for_no_rows(spec10):
 
 
 class _LoneLoop:
-    """Wraps adapt._adapt_row and adapt.solve_stack: records each entry to
-    the lone loop as (step, mid-step), and each solve as (rows, in the lone
-    loop)."""
+    """Wraps adapt._adapt_row and adapt.solve_stack: records the step at
+    which each row enters the lone loop, and each solve as (rows, in the
+    lone loop)."""
 
     def __init__(self, monkeypatch):
         self.entries, self.solves, self._depth = [], [], 0
         lone, solve = adapt._adapt_row, adapt.solve_stack
 
-        def enter(spec, run, x, prev_values, values, n, stops):
-            self.entries.append((n, values is not None))
+        def enter(spec, run, x, values, n, stops):
+            self.entries.append(n)
             self._depth += 1
             try:
-                return lone(spec, run, x, prev_values, values, n, stops)
+                return lone(spec, run, x, values, n, stops)
             finally:
                 self._depth -= 1
 
@@ -457,17 +458,18 @@ class _LoneLoop:
 ])
 def test_a_lone_config_exits_as_the_reference(spec10, monkeypatch, params, n_cells, stops,
                                                 exit_):
-    """adaptive_solve runs in the lone loop from step 1, every solve on its
-    one grid, and gives the frozen one-config loop's result bit for bit at
-    each exit: eps, a stationary grid, max_outer, after an inner stall at
-    step 1 and on grids past CR_CUTOFF."""
+    """adaptive_solve solves step 1 as a stack of one and enters the lone
+    loop at that step's remesh; every later solve is of its one grid in
+    the lone loop.  It gives the frozen one-config loop's result bit for
+    bit at each exit: eps, a stationary grid, max_outer, after an inner
+    stall at step 1 and on grids past CR_CUTOFF."""
     cfg = AdaptiveConfig(*params, **stops)
     loop = _LoneLoop(monkeypatch)
     got = adaptive_solve(spec10, n_cells, cfg)
     assert_same_result(got, reference_adaptive_solve(spec10, n_cells, cfg))
     assert _exit(cfg, got) == exit_
-    assert loop.entries == [(0, False)]
-    assert loop.solves == [(1, True)] * got.outer_iterations
+    assert loop.entries == [1]
+    assert loop.solves == [(1, False)] + [(1, True)] * (got.outer_iterations - 1)
     if params == (10.0, 1.0):
         assert got.history[0][5] == 1 and got.inner_stalls == 1
     if n_cells == 600:
@@ -476,7 +478,8 @@ def test_a_lone_config_exits_as_the_reference(spec10, monkeypatch, params, n_cel
 
 def test_a_lone_solve_falls_back_to_solve_dirichlet_as_the_reference():
     """At ell = 1e-321 the steps' products underflow: the fused loop returns
-    None, and solve_dirichlet raises, in the lone loop as in the reference."""
+    None, and solve_dirichlet raises, in the stack of one as in the
+    reference."""
     spec, cfg = ProblemSpec(10.0, 1e-321), AdaptiveConfig(2.0, 0.25)
     with pytest.raises(ValueError) as got:
         adaptive_solve(spec, 20, cfg)
@@ -487,25 +490,29 @@ def test_a_lone_solve_falls_back_to_solve_dirichlet_as_the_reference():
 
 
 @pytest.mark.parametrize("params, stops, handover", [
-    ([(2.0, 0.25), (2.0, 2.0)], {}, (13, True)),  # the other leaves on eps
-    ([(0.0, 1.0), (2.0, 0.25)], {}, (1, False)),  # the other's grid is stationary
+    ([(2.0, 0.25), (2.0, 2.0)], {}, (13, 13)),  # the other leaves on eps
+    # the other's grid is stationary at step 1: step 2 solves a stack of one
+    ([(0.0, 1.0), (2.0, 0.25)], {}, (1, 2)),
     # one leaves on a stationary grid at step 1, one on eps at step 16
-    ([(10.0, 1.0), (1.0, 0.5), (0.0, 1.0)], {"max_outer": 40}, (16, True)),
+    ([(10.0, 1.0), (1.0, 0.5), (0.0, 1.0)], {"max_outer": 40}, (16, 16)),
 ])
 def test_the_last_row_is_handed_to_the_lone_loop(spec10, monkeypatch, params, stops, handover):
-    """Once one row is left, mid-step (the others left on eps, before the
-    remesh) or at a step's end (after it), the lone loop takes it over with
-    its record and runs every later step; each result is the reference's."""
+    """Once one row is left after a step's solve and eps check, the lone
+    loop takes it over with its record at that step's remesh and runs every
+    later step.  handover is (left, step): the others left at step left,
+    on eps, in that step, or on a stationary grid, at its end, so that the
+    last row takes one more stacked solve and is handed over at step
+    left + 1.  Each result is the reference's."""
     configs = [AdaptiveConfig(alpha, beta, **stops) for alpha, beta in params]
     loop = _LoneLoop(monkeypatch)
     results = assert_batch_matches(spec10, 20, configs)
-    n = handover[0]
+    left, handover = handover
     assert loop.entries == [handover]
     *others, last = sorted(res.outer_iterations for res in results)
-    assert others[-1] == n
+    assert others[-1] == left
+    assert [inside for _, inside in loop.solves] == [False] * handover + [True] * (last - handover)
     rows = [count for count, _ in loop.solves]
-    assert all(count > 1 for count in rows[:n]) and rows[n:] == [1] * (last - n)
-    assert all(inside == (count == 1) for count, inside in loop.solves)
+    assert all(count > 1 for count in rows[:left]) and rows[left:] == [1] * (last - left)
 
 
 def test_table2_lone_steps_run_in_the_lone_loop(spec10, monkeypatch, table2_reference):
@@ -517,3 +524,4 @@ def test_table2_lone_steps_run_in_the_lone_loop(spec10, monkeypatch, table2_refe
     assert max(res.outer_iterations for res in results) == len(loop.solves) == 653
     assert sum(inside for _, inside in loop.solves) == 447
     assert all(inside == (count == 1) for count, inside in loop.solves)
+    assert loop.entries == [206]

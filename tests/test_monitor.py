@@ -17,7 +17,7 @@ from equifd import (
     solve_bvp,
     uniform_grid,
 )
-from equifd.equidist import equidistribute, sweep_rows
+from equifd.equidist import _sweep_row, _sweep_rows, equidistribute
 from equifd.experiments import TABLE2_ALPHAS, TABLE2_BETAS
 from equifd.problem import ParameterError, smallest
 from conftest import random_grid
@@ -290,25 +290,15 @@ def test_stacked_monitor_rows_keeps_the_rows_given():
                                                values)
     full = monitor.interval_values(query)
     for keep in ([0, 2, 4], [3], [4, 1]):
-        assert np.array_equal(monitor.rows(keep).interval_values(query[keep]), full[keep])
-    assert np.array_equal(monitor.rows([1, 3]).rows([1]).interval_values(query[3]), full[3])
-
-
-def test_rows_of_a_one_grid_monitor_is_a_value_error():
-    """A monitor of one grid, from the public constructor or from _trusted,
-    has no rows to keep: rows says so, where it met a missing attribute."""
-    rng = np.random.default_rng(23)
-    nodes, values = _stack(rng, 1, 12)
-    for monitor in (DiscreteGradientMonitor(1.0, 0.5, nodes[0], values[0]),
-                    DiscreteGradientMonitor._trusted([1.0], [0.5], nodes[0], values[0])):
-        with pytest.raises(ValueError, match="rows needs a stacked monitor"):
-            monitor.rows([0])
+        assert np.array_equal(monitor._rows(keep).interval_values(query[keep]), full[keep])
+    assert np.array_equal(monitor._rows([1, 3])._rows([1]).interval_values(query[3]), full[3])
 
 
 @pytest.mark.parametrize("rows", [1, 2, 9])
 def test_each_stacked_sweep_makes_one_searchsorted(rows):
     """The monitor looks a stack up in one searchsorted, whatever its row
-    count, where it made one per row."""
+    count, where it made one per row; a stack of one is swept as its one
+    grid, as the adaptive loop's lone row is."""
     nodes, values = _stack(np.random.default_rng(rows), rows, 20)
     monitor = DiscreteGradientMonitor._trusted([2.0] * rows, [0.25] * rows, nodes, values)
     calls = []
@@ -319,7 +309,8 @@ def test_each_stacked_sweep_makes_one_searchsorted(rows):
 
     sys.setprofile(profile)
     try:
-        out = sweep_rows(monitor, nodes, 0.0, 6)
+        out = (_sweep_rows(monitor, nodes, 0.0, 6) if rows > 1
+               else [_sweep_row(monitor, nodes[0], 0.0, 6)])
     finally:
         sys.setprofile(None)
     assert [sweeps for _, sweeps, _, _ in out] == [6] * rows
@@ -339,9 +330,9 @@ def test_stacked_query_at_infinite_and_nan_nodes():
     one = DiscreteGradientMonitor(1.0, 0.5, nodes[1], values[1])
     assert np.array_equal(one.interval_values(query[1]), one.interval_values(nodes[1]))
     query[1, 3] = np.nan
-    for monitor, q in ((stacked, query), (stacked.rows([2, 1]), query[[2, 1]]),
-                       (one, query[1]), (one, query[1:2]), (stacked.rows([1]), query[1]),
-                       (stacked.rows([0, 1]).rows([1]), query[1:2])):
+    for monitor, q in ((stacked, query), (stacked._rows([2, 1]), query[[2, 1]]),
+                       (one, query[1]), (one, query[1:2]), (stacked._rows([1]), query[1]),
+                       (stacked._rows([0, 1])._rows([1]), query[1:2])):
         with pytest.raises(ValueError, match="query nodes give a NaN midpoint"):
             monitor.interval_values(q)
     x = np.linspace(0.0, 1.0, 5)
@@ -408,7 +399,7 @@ def _contract_monitors():
             ("gradient-stack-of-one", DiscreteGradientMonitor._trusted([2.0], [0.5], nodes[:1],
                                                                        values[:1])),
             ("gradient-row-of-stack", DiscreteGradientMonitor._trusted(
-                [1.0, 2.0, 3.0], [0.5, 2.0, 0.25], nodes, values).rows([1])),
+                [1.0, 2.0, 3.0], [0.5, 2.0, 0.25], nodes, values)._rows([1])),
             ("subclass", _Quadratic())]
     monitors = base + [(f"scaled-{name}", ScaledMonitor(m, 3.0)) for name, m in base]
     return [pytest.param(m, id=name) for name, m in monitors]

@@ -1,7 +1,7 @@
 """The lone-row sweep loop against the stack loop that ran it before, bit for bit.
 
 equidist._sweep_row sweeps one grid with its record in locals and its
-step in a reused buffer; equidistribute starts in it, and sweep_rows
+step in a reused buffer; equidistribute starts in it, and _sweep_rows
 hands it the last row of a stack.  The reference below is sweep_rows as
 it was before, when the stack loop carried a lone row as its 1-D grid,
 kept unchanged with its sweep.  Every case must give the reference's
@@ -14,7 +14,7 @@ import pytest
 
 from equifd import (DiscreteGradientMonitor, ExactPowerMonitor, MonitorFunction,
                     MonotonicityError, equidistribute, solve_bvp, uniform_grid)
-from equifd.equidist import _sweep_row, sweep_rows
+from equifd.equidist import _sweep_row, _sweep_rows
 from equifd.problem import largest, per_row, row_largest
 
 # --- the reference: sweep_rows with a lone row as its 1-D grid ---------------
@@ -87,7 +87,7 @@ def _reference_sweep_rows(monitor, x, tol, max_iter):
                 break
             keep = [i for i in range(len(rows)) if i not in stopped]
             rows = [rows[i] for i in keep]
-            monitor = monitor.rows(keep)
+            monitor = monitor._rows(keep)
             keep = keep[0] if len(keep) == 1 else keep
             x, step = x[keep], step[keep]
             damped = True
@@ -136,11 +136,10 @@ def _lone(monitor, x, tol, max_iter):
 
 
 def _assert_lone_matches(make_monitor, x, tol, max_iter):
-    """_sweep_row on x and sweep_rows on the stack of x alone both give
-    the reference's outcome; returns it."""
+    """_sweep_row on x gives the reference's outcome for the stack of x
+    alone; returns it."""
     expected = _outcome(_reference_sweep_rows, make_monitor, x[None], tol, max_iter)
     assert _outcome(_lone, make_monitor, x[None], tol, max_iter) == expected
-    assert _outcome(sweep_rows, make_monitor, x[None], tol, max_iter) == expected
     return expected
 
 
@@ -156,8 +155,8 @@ class _Counted(MonitorFunction):
         r = self.inner.inverse_weights(nodes)
         return self.edit(r) if self.calls == self.at else r
 
-    def rows(self, keep):
-        return _Counted(self.inner.rows(keep), self.at, self.edit)
+    def _rows(self, keep):
+        return _Counted(self.inner._rows(keep), self.at, self.edit)
 
 
 def _gradient(spec, n_cells, alpha, beta):
@@ -259,7 +258,7 @@ def test_two_rows_each_give_what_they_give_alone(spec10, alphas, betas, max_iter
     def stacked():
         return _Counted(DiscreteGradientMonitor._trusted(alphas, betas, x, values))
 
-    got = _outcome(sweep_rows, stacked, x, tol, max_iter)
+    got = _outcome(_sweep_rows, stacked, x, tol, max_iter)
     assert got == _outcome(_reference_sweep_rows, stacked, x, tol, max_iter)
     for row, alpha, beta in zip(got, alphas, betas):
         alone, = _assert_lone_matches(_gradient(spec10, n_cells, alpha, beta), x[0], tol,
@@ -275,7 +274,7 @@ def test_two_rows_each_give_what_they_give_alone(spec10, alphas, betas, max_iter
 ])
 def test_a_collision_names_its_row(spec10, at, hit, row):
     """MonotonicityError.row is the first row that collided, by its place in
-    the stack sweep_rows started with, also once the last row sweeps alone:
+    the stack _sweep_rows started with, also once the last row sweeps alone:
     the caller blames that row's parameters."""
     n_cells = 20
     sol = solve_bvp(uniform_grid(spec10, n_cells), spec10)
@@ -286,7 +285,7 @@ def test_a_collision_names_its_row(spec10, at, hit, row):
 
     class Hit(MonitorFunction):
         """monitor's inverse weights, those of sweep `at` zeroed in the first
-        cell of the rows hit, counted across rows(keep)."""
+        cell of the rows hit, counted across _rows(keep)."""
 
         def __init__(self, inner, rows):
             self.inner, self.rows_left = inner, rows
@@ -300,10 +299,10 @@ def test_a_collision_names_its_row(spec10, at, hit, row):
                         r[(i, 0) if r.ndim == 2 else 0] = 0.0
             return r
 
-        def rows(self, keep):
-            return Hit(self.inner.rows(keep), [self.rows_left[i] for i in keep])
+        def _rows(self, keep):
+            return Hit(self.inner._rows(keep), [self.rows_left[i] for i in keep])
 
     with pytest.raises(MonotonicityError, match=f"after sweep {at}$") as err:
-        sweep_rows(Hit(monitor, [0, 1]), x, 1e-12, 10000)
+        _sweep_rows(Hit(monitor, [0, 1]), x, 1e-12, 10000)
     assert err.value.row == row
     assert calls[-1] == ((n_cells + 1,) if at > 4 else (2, n_cells + 1))

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from equifd import (
 )
 from equifd.experiments import TABLE1_BETAS
 from equifd.solver import CR_CUTOFF
+from equifd.tridiag import solve_in_place
 from conftest import dense, matvec, reference_row_sum_reduction, reference_thomas, scheme_bands
 
 # sizes around the solver's cutoff and around powers of two (the
@@ -241,13 +240,13 @@ def test_cyclic_reduction_zero_pivot_in_scalar_tail():
         assert err.value.pivot == 0.0
 
 
-def test_scalar_tail_warns_where_the_numpy_levels_would():
+def test_a_solution_that_is_not_finite_is_a_value_error():
     """Systems that are not diagonally dominant enough overflow in the
-    last rows.  There numpy warns and gives inf or NaN, where Python floats
-    overflow in silence and raise ZeroDivisionError for a zero pivot that
-    a NaN pivot kept from the check (the second system, n = 11, from a
-    random search over badly scaled systems).  The kernel warns, and
-    returns what the reference returns."""
+    last rows, where the reference returns inf or NaN: solve_tridiagonal
+    raises ValueError instead.  A zero pivot that a NaN pivot of its level
+    would hide from numpy's max (the second system, n = 11, from a random
+    search over badly scaled systems) is still found and raises
+    PivotError; Python floats raised ZeroDivisionError for it."""
     overflow = [1e300], [1e-10, 1.0], [1.0], [1.0, 1.0]
     nan_hides_zero = (
         [4e219, -5e210, -3e212, 2e219, 2e212, 1e216, 2e213, -2e217, -2e212, -5e213],
@@ -256,16 +255,28 @@ def test_scalar_tail_warns_where_the_numpy_levels_would():
         [-3e-248, 3e-248, 3e-248, 4e-248, -3e-248, 2e-248, -3e-248, 3e-248, 3e-248,
          -3e-248, -3e-248],
     )
-    for bands in (overflow, nan_hides_zero):
-        bands = [np.array(band) for band in bands]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            x = solve_tridiagonal(*bands)
-        assert any("last rows" in str(w.message) for w in caught)
-        with np.errstate(all="ignore"):
-            expected = reference_cyclic_reduction(*bands)
-        assert not np.isfinite(x).any()
-        np.testing.assert_array_equal(x, expected)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(reference_cyclic_reduction(*map(np.array, overflow))).any()
+    with pytest.raises(ValueError, match="^the solution is not finite"):
+        solve_tridiagonal(*overflow)
+    with pytest.raises(PivotError) as err:
+        solve_tridiagonal(*nan_hides_zero)
+    assert err.value.index == 9 and err.value.pivot == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_a_first_nan_pivot_hides_no_zero_pivot(n):
+    """Row 0's pivot is NaN and row 2's is 0, both eliminated at level 0:
+    in the scalar tail (n = 4), where Python's max keeps a first NaN, and
+    in a numpy level (n = 64), where numpy's max is NaN.  Either check
+    still finds the zero pivot, where the tail divided by it and numpy
+    warned."""
+    rowsum = np.ones(n)
+    rowsum[0], rowsum[2] = np.nan, 0.0
+    bands = np.zeros(n), rowsum, np.zeros(n), np.ones(n)
+    with pytest.raises(PivotError) as err:
+        solve_in_place(*bands, np.empty((n + 1) // 2))
+    assert err.value.index == 2 and err.value.pivot == 0.0
 
 
 def test_weakly_dominant_scheme_matches_reference():

@@ -7,12 +7,14 @@ working tree is compared against BASE.  Each revision is exported with
 `git archive` into a temporary directory, and each tree writes, through
 its own command line (`python3 -m equifd.cli`), the CSVs of table1,
 table2, error-profile, the 14-rung convergence ladder (N = 10 to 81920)
-of each of the four table1 grids, five single-config adaptive solves
+of each of the four table1 grids, six single-config adaptive solves
 with their traces ((alpha, beta) = (2, 1/4); (2, 2), whose 653 outer
 steps sweep one row each; (2, 1/2) with at most 3 sweeps per
 equidistribution, whose first stops at that cap; (10, 1), whose first
-equidistribution stalls; and (2, 2) capped at 300 outer steps, which
-ends not converged), the six equidistributed `solve`s of the
+equidistribution stalls; (2, 2) capped at 300 outer steps, which ends
+not converged; and (1e4, 1/4) at lam = 100 and N = 40, capped at 50
+outer steps, whose grids repeat an exact 2-cycle unless an equal change
+damps them), the six equidistributed `solve`s of the
 smooth_equidist benchmark (beta 1/4 and 1/2 at N = 640, 2560 and 5120)
 and one adaptive `solve`.  Each run's exit code, after what each of the
 six equidistributed solves prints (its max error and sweep count) less
@@ -69,6 +71,9 @@ RUNS = {
                           "--trace", "adapt_stalled_trace.csv"],
     "adapt_max_outer.csv": ["adapt", "--alpha", "2", "--beta", "2", "--max-outer", "300",
                             "--trace", "adapt_max_outer_trace.csv"],
+    "adapt_lambda100.csv": ["adapt", "--lambda", "100", "--n", "40", "--alpha", "1e4",
+                            "--beta", "0.25", "--max-outer", "50",
+                            "--trace", "adapt_lambda100_trace.csv"],
     "solve_equidistributed.csv": ["solve", "--grid", "equidistributed", "--beta", "0.5",
                                   "--n", "640"],
     "solve_equidistributed_5120.csv": ["solve", "--grid", "equidistributed", "--beta", "0.25",
