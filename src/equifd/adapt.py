@@ -32,9 +32,10 @@ all stop.
 
 Once fewer than two rows are left after a step's solve and eps check,
 the last one goes on in its own loop, _adapt_row, on its 1-D grid, from
-that step's remesh: its record lives in locals, its monitor is built on
-the one grid, its sweeps run in equidist._sweep_row and it solves its
-grid as a stack of one.  That is the one hand-over.  A lone config
+that step's remesh: its monitor is built on the one grid, its sweeps run
+in equidist._sweep_row and it solves its grid as a stack of one.  That
+is the one hand-over.  Both loops leave each config's stops, damping
+and history to its _Run.  A lone config
 (adaptive_solve) solves step 1 as a stack of one and is handed over
 then; a row left alone at a step's end, by a neighbour whose grid
 stopped moving, takes one more stacked solve first.  So no stack of one
@@ -125,7 +126,7 @@ class AdaptiveResult:
 
 
 class _Run:
-    """One config's place in the lockstep loop and what it has done so far."""
+    """One config of either outer loop: its record and the rules that stop or damp it."""
 
     __slots__ = ("index", "config", "relax", "error", "change", "prev_change", "history",
                  "stalls")
@@ -141,6 +142,29 @@ class _Run:
         self.prev_change = np.nan
         self.history = []
         self.stalls = 0
+
+    def solved(self, n: int, error: float, change: float, eps: float) -> bool:
+        """Record step n's solve: True where its change from the last solution
+        is below eps, which ends the run; else damp where it did not shrink."""
+        self.error, self.change = error, change
+        if change < eps:
+            self.history.append((n, error, change, 0.0, 0, 0, self.relax))
+            return True
+        # >=: an exact 2-cycle repeats its change, and must be damped too
+        if change >= self.prev_change:
+            self.relax = max(0.5 * self.relax, DAMPING_FLOOR)
+        self.prev_change = change
+        return False
+
+    def remeshed(self, n: int, grid_change: float, inner: tuple, inner_tol: float) -> bool:
+        """Record step n's remesh, which moved the grid by grid_change after the
+        equidistribution inner, (nodes, sweeps, update, message): True where
+        grid_change is below inner_tol, as the next solve would repeat this one."""
+        _, sweeps, _, message = inner
+        stalled = 0 if message is None else 1
+        self.stalls += stalled
+        self.history.append((n, self.error, self.change, grid_change, sweeps, stalled, self.relax))
+        return grid_change < inner_tol
 
     def result(self, spec, nodes, values, converged) -> AdaptiveResult:
         solution = DiscreteSolution(Grid(nodes, spec.ell), values, spec)
@@ -179,16 +203,10 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
             changes = row_largest(abs(values - prev_values))
         keep = []
         for i, (run, error, change) in enumerate(zip(runs, errors, changes)):
-            run.error, run.change = error, change
-            if change < eps:
-                run.history.append((n, error, change, 0.0, 0, 0, run.relax))
+            if run.solved(n, error, change, eps):
                 results[run.index] = run.result(spec, x[i], values[i], True)
-                continue
-            # >=: an exact 2-cycle repeats its change, and must be damped too
-            if change >= run.prev_change:
-                run.relax = max(0.5 * run.relax, DAMPING_FLOOR)
-            run.prev_change = change
-            keep.append(i)
+            else:
+                keep.append(i)
         if len(keep) < 2:  # the last row remeshes in the lone loop
             for i in keep:
                 results[runs[i].index] = _adapt_row(spec, runs[i], x[i], values[i], n, stops)
@@ -209,13 +227,8 @@ def adaptive_solve_many(spec: ProblemSpec, n_cells: int, configs) -> list[Adapti
         new = x + per_row([run.relax for run in runs]) * (target - x)
         grid_changes = row_largest(abs(new - x))
         moved = []
-        for i, (run, grid_change, (_, sweeps, _, message)) in enumerate(
-                zip(runs, grid_changes, inner)):
-            stalled = 0 if message is None else 1
-            run.stalls += stalled
-            run.history.append((n, run.error, run.change, grid_change, sweeps, stalled, run.relax))
-            if grid_change < inner_tol:
-                # stationary grid: the next solve would reproduce this solution
+        for i, (run, grid_change, swept) in enumerate(zip(runs, grid_changes, inner)):
+            if run.remeshed(n, grid_change, swept, inner_tol):
                 results[run.index] = run.result(spec, x[i], values[i], True)
             else:
                 moved.append(i)
@@ -242,7 +255,8 @@ def _adapt_row(spec: ProblemSpec, run: _Run, x: np.ndarray, values: np.ndarray, 
 
     It takes over at the remesh of outer step n, once that step's solve
     and eps check are done: values is the solution on x, whose error,
-    change and damping run holds.  Its record lives in locals, its
+    change and damping run holds.  run keeps the record and the rules
+    (_Run.solved and _Run.remeshed) as it does in the stack loop; its
     monitor is the one-grid DiscreteGradientMonitor._trusted, its sweeps
     are equidist._sweep_row and its solves solve_stack on the stack of x
     alone.  stops are the batch's eps, max_outer, inner_tol and
@@ -251,23 +265,17 @@ def _adapt_row(spec: ProblemSpec, run: _Run, x: np.ndarray, values: np.ndarray, 
     eps, max_outer, inner_tol, inner_max_iter = stops
     config = run.config
     alphas, betas = [float(config.alpha)], [float(config.beta)]
-    relax, prev_change, history = run.relax, run.prev_change, run.history
-    error, change = run.error, run.change
     while True:
         monitor = DiscreteGradientMonitor._trusted(alphas, betas, x, values)
         try:
-            target, sweeps, _, message = _sweep_row(monitor, x, inner_tol, inner_max_iter)
+            inner = _sweep_row(monitor, x, inner_tol, inner_max_iter)
         except MonotonicityError as err:
             raise _collapse(spec, len(x) - 1, config, err) from None
-        step = target - x
-        if relax != 1.0:  # a factor 1 changes no bit
-            step *= relax
+        step = inner[0] - x
+        if run.relax != 1.0:  # a factor 1 changes no bit
+            step *= run.relax
         new = x + step
-        grid_change = largest(abs(new - x))
-        stalled = 0 if message is None else 1
-        run.stalls += stalled
-        history.append((n, error, change, grid_change, sweeps, stalled, relax))
-        if grid_change < inner_tol:
+        if run.remeshed(n, largest(abs(new - x)), inner, inner_tol):
             return run.result(spec, x, values, True)
         if not smallest(new[1:] > new[:-1]):
             raise ValueError("grid nodes must be strictly increasing")
@@ -276,14 +284,9 @@ def _adapt_row(spec: ProblemSpec, run: _Run, x: np.ndarray, values: np.ndarray, 
         n += 1
         x, prev_values = new, values
         values = solve_stack(x[None], spec)[0]
-        run.error = error = largest(abs(values - np.exp(spec.lam * (x - spec.ell))))
-        change = largest(abs(values - prev_values))
-        if change < eps:
-            history.append((n, error, change, 0.0, 0, 0, relax))
+        if run.solved(n, largest(abs(values - np.exp(spec.lam * (x - spec.ell)))),
+                      largest(abs(values - prev_values)), eps):
             return run.result(spec, x, values, True)
-        if change >= prev_change:
-            relax = max(0.5 * relax, DAMPING_FLOOR)
-        prev_change = change
 
 
 def _collapse(spec: ProblemSpec, n_cells: int, config: AdaptiveConfig,

@@ -37,16 +37,16 @@ the whole stack in one monitor.MonitorFunction.inverse_weights call: the
 least of a monitor's checked weights divided by each, or the smooth
 monitor's closed form, whose range it checked when it was built.
 
-A lone row has its own loop, _sweep_row, on its 1-D grid: its record
-lives in locals, its step is formed in one buffer that every sweep
-reuses, and its node order is checked into one reused mask.
-equidistribute and the adaptive loop's lone row (adapt._adapt_row)
-start in it, with any monitor, and _sweep_rows hands it its last
-remaining row with all that row has recorded, so the stack loop never
-carries a stack of one.  Both loops sweep with _sweep and do the same
-IEEE operations in the same order.  A MonotonicityError from either
-names the row that collided, by its place in the stack _sweep_rows
-started with.
+A lone row has its own loop, _sweep_row, on its 1-D grid: its step is
+formed in one buffer that every sweep reuses, and its node order is
+checked into one reused mask.  equidistribute and the adaptive loop's
+lone row (adapt._adapt_row) start in it, with any monitor, and
+_sweep_rows hands it its last remaining row with all that row has
+recorded, so the stack loop never carries a stack of one.  Both loops
+sweep with _sweep and leave each row's stops, damping and best iterate
+to its _Row, so both do the same IEEE operations in the same order.  A
+MonotonicityError from either names the row that collided, by its place
+in the stack _sweep_rows started with.
 """
 
 from __future__ import annotations
@@ -137,26 +137,47 @@ def _buffer(n: int) -> np.ndarray:
 
 
 class _Row:
-    """Damping, best iterate and cycle record of one row of the sweep loop."""
+    """One row of either sweep loop: its damping, best iterate and cycle
+    record, and the rules that stop or damp it."""
 
     __slots__ = ("index", "relax", "prev_update", "best", "best_x", "saved")
 
     def __init__(self, index: int, x: np.ndarray):
         self.index = index  # the row's place in the stack the loop started with
         self.relax = 1.0
-        self.prev_update = None
+        self.prev_update = np.nan  # no comparison with NaN holds: sweep 1 damps nothing
         self.best = np.inf
         self.best_x = x
         self.saved = None  # Brent cycle finding: (sweep, update, iterate) at powers of two
 
+    def record(self, it: int, update: float, x: np.ndarray, tol: float) -> tuple | None:
+        """Record sweep it's undamped update from the iterate x: the row's
+        (nodes, sweeps, update, message) where it converged or x cycles at
+        the damping floor, else None, with relax halved if the update grew."""
+        if update < self.best:
+            self.best, self.best_x = update, x
+        if update < tol:
+            return x, it, update, None
+        if self.relax == DAMPING_FLOOR:
+            # x came from a floor step and the map x -> x + relax * (sweep(x) - x)
+            # is fixed from here on, so a repeat of x is a cycle; equal iterates
+            # have equal updates, so the arrays are compared only when those match
+            saved = self.saved
+            if saved is not None and update == saved[1] and np.array_equal(x, saved[2]):
+                return (self.best_x, it, self.best,
+                        f"the iterate of sweep {it - 1} repeats that of sweep {saved[0]} at the "
+                        f"damping floor (period {it - 1 - saved[0]}; best update {self.best:.3e})")
+            if (it - 1) & (it - 2) == 0:
+                self.saved = (it - 1, update, x)
+        if update > self.prev_update:
+            self.relax = max(0.5 * self.relax, DAMPING_FLOOR)
+        self.prev_update = update
+        return None
 
-def _cycle_message(it: int, saved: tuple, best: float) -> str:
-    return (f"the iterate of sweep {it - 1} repeats that of sweep {saved[0]} at the damping "
-            f"floor (period {it - 1 - saved[0]}; best update {best:.3e})")
-
-
-def _cap_message(it: int, best: float) -> str:
-    return f"no convergence after {it} sweeps (best update {best:.3e})"
+    def capped(self, it: int) -> tuple:
+        """The row's (nodes, sweeps, update, message) at the sweep cap it."""
+        return (self.best_x, it, self.best,
+                f"no convergence after {it} sweeps (best update {self.best:.3e})")
 
 
 def _collision(it: int, row: int) -> MonotonicityError:
@@ -194,27 +215,13 @@ def _sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: i
         stopped = []
         damped = False
         for i, (row, update) in enumerate(zip(rows, row_largest(abs(step)))):
-            if update < row.best:
-                row.best, row.best_x = update, x[i]
-            if update < tol:
-                out[row.index] = (x[i], it, update, None)
+            before = row.relax
+            done = row.record(it, update, x[i], tol)
+            if done is not None:
+                out[row.index] = done
                 stopped.append(i)
-                continue
-            if row.relax == DAMPING_FLOOR:
-                # x[i] came from a floor step and the map x -> x + relax * (sweep(x) - x)
-                # is fixed from here on, so a repeat of x[i] is a cycle; equal iterates
-                # have equal updates, so the arrays are compared only when those match
-                saved = row.saved
-                if saved is not None and update == saved[1] and np.array_equal(x[i], saved[2]):
-                    out[row.index] = (row.best_x, it, row.best, _cycle_message(it, saved, row.best))
-                    stopped.append(i)
-                    continue
-                if (it - 1) & (it - 2) == 0:
-                    row.saved = (it - 1, update, x[i])
-            if row.prev_update is not None and update > row.prev_update:
-                row.relax = max(0.5 * row.relax, DAMPING_FLOOR)
+            elif row.relax != before:
                 damped = True
-            row.prev_update = update
         if stopped:
             if len(stopped) == len(rows):
                 break
@@ -234,7 +241,7 @@ def _sweep_rows(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: i
             raise _collision(it, rows[int(unordered.any(axis=1).argmax())].index)
         if it == max_iter:
             for row in rows:
-                out[row.index] = (row.best_x, it, row.best, _cap_message(it, row.best))
+                out[row.index] = row.capped(it)
             break
         if len(rows) == 1:
             out[rows[0].index] = _sweep_row(monitor, x[0], tol, max_iter, rows[0], it)
@@ -256,35 +263,22 @@ def _sweep_row(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
     """
     if row is None:
         row = _Row(0, x)
-    relax, prev_update, best, best_x, saved = (
-        row.relax, row.prev_update, row.best, row.best_x, row.saved)
     unordered = np.empty(len(x) - 1, dtype=bool)
     while True:
         it += 1
         step = _sweep(x, monitor.inverse_weights(x))
         step -= x
-        update = max(step.item(step.argmax()), -step.item(step.argmin()))
-        if update < best:
-            best, best_x = update, x
-        if update < tol:
-            return x, it, update, None
-        if relax == DAMPING_FLOOR:
-            # as in _sweep_rows: from here on a repeat of x is a cycle
-            if saved is not None and update == saved[1] and np.array_equal(x, saved[2]):
-                return best_x, it, best, _cycle_message(it, saved, best)
-            if (it - 1) & (it - 2) == 0:
-                saved = (it - 1, update, x)
-        if prev_update is not None and update > prev_update:
-            relax = max(0.5 * relax, DAMPING_FLOOR)
-        prev_update = update
-        if relax != 1.0:
-            step *= relax
+        done = row.record(it, max(step.item(step.argmax()), -step.item(step.argmin())), x, tol)
+        if done is not None:
+            return done
+        if row.relax != 1.0:
+            step *= row.relax
         x = x + step
         np.less_equal(x[1:], x[:-1], out=unordered)
         if largest(unordered):
             raise _collision(it, row.index)
         if it == max_iter:
-            return best_x, it, best, _cap_message(it, best)
+            return row.capped(it)
 
 
 def equidist_defect(grid: Grid, monitor: MonitorFunction) -> float:

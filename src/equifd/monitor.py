@@ -148,8 +148,6 @@ class ExactPowerMonitor(MonitorFunction):
 
     def interval_values(self, nodes: np.ndarray) -> np.ndarray:
         y = check_domain(self.spec, _midpoints(nodes, self._wide))
-        if self._in_range:
-            return self._power(y)
         with np.errstate(over="ignore"):  # a weight 0 or inf is interval_weights' to reject
             return self._power(y)
 

@@ -1,10 +1,11 @@
 """The lone-row sweep loop against the stack loop that ran it before, bit for bit.
 
-equidist._sweep_row sweeps one grid with its record in locals and its
-step in a reused buffer; equidistribute starts in it, and _sweep_rows
-hands it the last row of a stack.  The reference below is sweep_rows as
-it was before, when the stack loop carried a lone row as its 1-D grid,
-kept unchanged with its sweep.  Every case must give the reference's
+equidist._sweep_row sweeps one grid with its step in a reused buffer,
+under the rules of its equidist._Row, as _sweep_rows does each row of a
+stack; equidistribute starts in it, and _sweep_rows hands it the last
+row of a stack.  The reference below is sweep_rows as it was before,
+when the stack loop carried a lone row as its 1-D grid, kept unchanged
+with its sweep.  Every case must give the reference's
 (nodes, sweeps, update, message) bit for bit, or raise the same error at
 the same sweep.
 """
