@@ -55,7 +55,7 @@ they are; _rows(keep) shares its table and lookup keys with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,8 +115,8 @@ class AdaptiveResult:
     outer_iterations: int
     error_norm: float
     converged: bool
-    history: list = field(default_factory=list)
-    inner_stalls: int = 0
+    history: list
+    inner_stalls: int
 
     def write_trace_csv(self, path) -> None:
         from .io import write_csv

@@ -14,9 +14,10 @@ lie in (0, 1].
 
 Piecewise-constant monitors (the solution-adaptive family) make the
 sweep map discontinuous and it can enter a small limit cycle instead of
-converging; when the displacement grows between sweeps the update is
-therefore progressively damped.  A smooth monitor can grow it too: the
-(u_x)^(1/2) one at lam = 10 halves the damping twice.
+converging; when the displacement does not shrink between sweeps the
+update is therefore progressively damped, so that an exact 2-cycle of
+equal displacements is damped as well.  A smooth monitor can grow it
+too: the (u_x)^(1/2) one at lam = 10 halves the damping twice.
 Convergence is always measured on the undamped sweep displacement, so a
 converged grid moves less than tol under one more full sweep.
 
@@ -153,7 +154,7 @@ class _Row:
     def record(self, it: int, update: float, x: np.ndarray, tol: float) -> tuple | None:
         """Record sweep it's undamped update from the iterate x: the row's
         (nodes, sweeps, update, message) where it converged or x cycles at
-        the damping floor, else None, with relax halved if the update grew."""
+        the damping floor, else None, with relax halved if the update did not shrink."""
         if update < self.best:
             self.best, self.best_x = update, x
         if update < tol:
@@ -169,7 +170,7 @@ class _Row:
                         f"damping floor (period {it - 1 - saved[0]}; best update {self.best:.3e})")
             if (it - 1) & (it - 2) == 0:
                 self.saved = (it - 1, update, x)
-        if update > self.prev_update:
+        if update >= self.prev_update:
             self.relax = max(0.5 * self.relax, DAMPING_FLOOR)
         self.prev_update = update
         return None

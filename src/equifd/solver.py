@@ -68,14 +68,13 @@ from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer
 
 # unknowns from which solve_dirichlet assembles and solves by cyclic
 # reduction.  Against _solve_short on a uniform grid, with the workspace
-# kept from earlier solves, the kernel with compacted levels and a scalar
-# tail reads 143 us against 138 at 400 unknowns, 149 against 156 at 450
-# and 163 against 196 at 575 (best of 7 alternating runs of 200 solves,
-# 2-vCPU Xeon, numpy 2.4.6): its crossover is near 420.  The kernel before
-# them read 168 against 146 at 400 and crossed between about 450 and 576
-# on that host.  The value stays 576, so that no system changes path and
-# no result moves: below it a system takes the Thomas algorithm's
-# rounding, from it on the reduction's.
+# kept from earlier solves, the kernel reads 156 us against 149 at 450
+# unknowns, 156 against 165 at 500, 178-180 against 174-176 at 525, where
+# it takes a tenth level, and 178 against 189-191 at 575 (best of 7
+# alternating runs of 200 solves, 2-vCPU Xeon, numpy 2.4.6): its
+# crossover lies between 450 and 550.  The value stays 576, so that no
+# system changes path and no result moves: below it a system takes the
+# Thomas algorithm's rounding, from it on the reduction's.
 CR_CUTOFF = 576
 
 # rows from which solve_stack solves a stack of short grids column by

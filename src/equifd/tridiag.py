@@ -40,17 +40,15 @@ live depends on the level:
   The back substitution of such a level copies the solution of the rows
   it kept back into its own rows, so that the solution ends in the
   right-hand side.
-* Once at most _TAIL rows remain, the reduction and its back substitution
-  finish over Python floats, with the numpy levels' IEEE operations in
-  their order.  A solution they leave not finite draws a RuntimeWarning,
-  as numpy's operations would.
 
-Each numpy level costs a fixed ~15 to 25 us of numpy calls, and the tail
-of 32 rows ~50 us in all, where the five numpy levels it stands for took
-~85 us (2-vCPU Xeon, numpy 2.4.6).  That fixed cost is why
-solver.solve_dirichlet keeps short systems to its own loop.  A
-PivotError names the row of the original system whose pivot vanished,
-at whatever level and wherever its row then lives.
+The levels run until one row is left.  Its a and c are 0, so its pivot
+is its row sum, and its solution is x / s.  Each level, with its step
+of the back substitution, costs a fixed ~15 to 20 us of numpy calls
+(2-vCPU Xeon, numpy 2.4.6), so a solve of 32 rows takes ~90 us and one
+of 1024 ~185 us.  That fixed cost is why solver.solve_dirichlet keeps
+short systems to its own loop.  A PivotError names the row of the original
+system whose pivot vanished, at whatever level and wherever its row
+then lives.
 
 Cyclic reduction carries the row sums s = a + b + c of the remaining
 rows, updates them as s - k_l s_l - k_r s_r, and forms each pivot as
@@ -67,15 +65,11 @@ diagonal (see solver).
 
 from __future__ import annotations
 
-import math
-import warnings
-
 import numpy as np
 
-PIVOT_FLOOR = 1e-300
+from .problem import largest
 
-# rows from which solve_in_place finishes over Python floats
-_TAIL = 32
+PIVOT_FLOOR = 1e-300
 
 
 class PivotError(ArithmeticError):
@@ -131,8 +125,7 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     if not np.isfinite(s).all():
         raise ValueError("the row sums diag + lower + upper overflow")
     x = rhs.copy()
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the tail's; checked below
+    with np.errstate(all="ignore"):  # checked below
         solve_in_place(a, s, c, x, np.empty((n + 1) // 2))
     if not np.isfinite(x).all():
         raise ValueError("the solution is not finite: elimination overflowed, so the system "
@@ -170,19 +163,21 @@ def solve_in_place(lower: np.ndarray, rowsum: np.ndarray, upper: np.ndarray,
     n = s.size
     level = 0
     blocks = []  # where the a, c and x of each level from 3 on start in rowsum
-    while s.size > _TAIL:
+    while s.size > 1:
         if level < 2:
             kept = a[1::2], s[1::2], c[1::2], x[1::2]
         else:
             at = blocks[-1] + 3 * s.size if blocks else 0
             blocks.append(at)
             m = s.size // 2
-            a2, c2, x2 = rowsum[at : at + 3 * m].reshape(3, m)
+            a2, c2, x2 = _block(rowsum, at, m)
             kept = a2, buf[s.size - m : s.size], c2, x2
         _eliminate(a, s, c, x, kept, buf, 1 << level)
         a, s, c, x = kept
         level += 1
-    x[:] = _solve_tail(a, s, c, x, 1 << level)
+    if abs(s[0]) < PIVOT_FLOOR:  # the one row left: its pivot is its row sum
+        raise PivotError((1 << level) - 1, float(s[0]))
+    x /= s
     while level:
         level -= 1
         xk = x  # the solution of the rows this level kept
@@ -190,20 +185,24 @@ def solve_in_place(lower: np.ndarray, rowsum: np.ndarray, upper: np.ndarray,
             st = 1 << level
             a, c, x = lower[st - 1 :: st], upper[st - 1 :: st], rhs[st - 1 :: st]
         else:
-            at, m = blocks[level - 3], n >> level
-            a, c, x = rowsum[at : at + 3 * m].reshape(3, m)
+            a, c, x = _block(rowsum, blocks[level - 3], n >> level)
         _substitute(a, c, x, xk, buf)
         if level >= 2:  # the rows it kept were solved in a block
             x[1::2] = xk
+
+
+def _block(rowsum, at, m):
+    """The a, c and x of m compacted rows, one block after another from at
+    in rowsum: three slices cost a third of unpacking a reshape."""
+    return rowsum[at : at + m], rowsum[at + m : at + 2 * m], rowsum[at + 2 * m : at + 3 * m]
 
 
 def _eliminate(a, s, c, x, kept, buf, st):
     """One level of the reduction, at stride st: divides the eliminated
     rows of a, s, c and x in place and leaves the kept rows' new a, s, c
     and x in the four arrays kept, which may be the kept rows' own slots.
-    Its views go with its frame, so that none is held while the tail's
-    Python floats are: a long solve allocates little beyond its nodal
-    vector (tests/test_solver.py bounds the peak)."""
+    Its views go with its frame: a long solve allocates little beyond its
+    nodal vector (tests/test_solver.py bounds the peak)."""
     ae, ce, se, xe = a[::2], c[::2], s[::2], x[::2]
     ak, ck, sk, xk = a[1::2], c[1::2], s[1::2], x[1::2]
     a2, s2, c2, x2 = kept
@@ -248,60 +247,8 @@ def _check_pivots(nb: np.ndarray, st: int) -> None:
     """Raise PivotError for the first of a level's pivots, minus nb, below
     PIVOT_FLOOR in magnitude, also where another is NaN; st is the level's
     stride."""
-    if not nb.max() <= -PIVOT_FLOOR:  # not all pivots positive, or one NaN: find any small one
+    if not largest(nb) <= -PIVOT_FLOOR:  # a pivot not positive, or a NaN: find any small one
         small = np.abs(nb) < PIVOT_FLOOR
         if small.any():
             i = int(small.argmax())
             raise PivotError(2 * st * i + st - 1, -float(nb[i]))
-
-
-def _solve_tail(a: np.ndarray, s: np.ndarray, c: np.ndarray, x: np.ndarray,
-                st: int) -> list:
-    """The solution of the rows left at stride st, as a list: the rest of
-    solve_in_place's reduction and its back substitution, over lists of
-    Python floats, with the IEEE operations of its numpy levels in their
-    order.  Each level builds its kept rows afresh, so the rows it drops
-    are freed as it goes; its eliminated rows are kept for the back
-    substitution."""
-    a, s, c, x = a.tolist(), s.tolist(), c.tolist(), x.tolist()
-    done = []
-    while len(s) > 1:
-        ae, ce, se, xe = a[::2], c[::2], s[::2], x[::2]
-        nb = [p - q + r for p, q, r in zip(ae, se, ce)]
-        # Python's max passes over a NaN after the first entry and keeps
-        # one in it: either way a pivot below the floor is not missed
-        if not max(nb) <= -PIVOT_FLOOR:
-            _check_pivots(np.array(nb), st)
-        ae, ce, se, xe = zip(*[(p / b, q / b, u / b, v / b)
-                               for p, q, u, v, b in zip(ae, ce, se, xe, nb)])
-        ak, ck = a[1::2], c[1::2]
-        last = len(ak) == len(ae)  # the last kept row has no right neighbour
-        kept = []
-        for band, elim in ((s, se), (x, xe)):
-            band = band[1::2]
-            new = [q + p * u + r * v for q, p, u, r, v in zip(band, ak, elim, ck, elim[1:])]
-            if last:
-                new.append(band[-1] + ak[-1] * elim[-1])
-            kept.append(new)
-        s, x = kept
-        a = [p * u for p, u in zip(ak, ae)]
-        c = [r * v for r, v in zip(ck, ce[1:])]
-        if last:
-            c.append(ck[-1])
-        done.append((ae, ce, xe))
-        st *= 2
-    if abs(s[0]) < PIVOT_FLOOR:  # the one row left: its pivot is its row sum
-        raise PivotError(st - 1, s[0])
-    x = [x[0] / s[0]]
-    for ae, ce, xe in reversed(done):
-        xs = [-xe[0] + ce[0] * x[0]]
-        xs += [p * u - q + r * v for p, q, r, u, v in zip(ae[1:], xe[1:], ce[1:], x, x[1:])]
-        if len(xe) > len(x):
-            xs.append(ae[-1] * x[-1] - xe[-1])
-        y = xs + x
-        y[::2] = xs
-        y[1::2] = x
-        x = y
-    if not all(map(math.isfinite, x)):  # numpy warns of this; Python floats do not
-        warnings.warn("overflow or invalid value in the reduction's last rows", RuntimeWarning)
-    return x

@@ -4,9 +4,10 @@ The sweep loop's rules live in equidist._Row and the solve-remesh loop's
 in adapt._Run; each loop has a stack form and a lone form that call
 them.  Every test here runs its case through both forms, with the rule's
 input exactly at its threshold: a value equal to tol, eps or inner_tol
-does not stop a row, and an update equal to the last one does not damp
-it.  The stack cases keep a slower second row in the stack past the step
-under test, so that step is taken by the stack form.
+does not stop a row, and an update equal to the last one damps it, as a
+solution change equal to the last one does.  The stack cases keep a
+second row in the stack past the step under test, so that step is taken
+by the stack form.
 """
 
 import numpy as np
@@ -72,17 +73,24 @@ class _Flip(MonitorFunction):
         return self
 
 
-def test_an_equal_update_does_not_damp_the_sweeps():
-    """The damping halves where the update grew, not where it repeats: every
-    sweep of the flip moves the nodes by 1/4, so none is damped and the
-    best iterate is the first."""
+def test_an_equal_update_damps_the_sweeps():
+    """The damping halves where the update did not shrink: sweep 2 of the
+    flip moves the nodes by 1/4, as sweep 1 did, so its step is halved and
+    sweep 3 finds them 1/8 from where sweep 1 found them.  Damped to its
+    floor, the flip is a 2-cycle of the iterates, found at sweep 131.  Were
+    an equal update not damped, every sweep would flip the nodes by 1/4
+    to the sweep cap, the best iterate the first."""
     x = np.array([0.0, 0.25, 0.5, 1.0])
-    lone = _sweep_row(_Flip(), x, 1e-12, 5)
-    stack = _sweep_rows(_Flip(), np.array([x, x]), 1e-12, 5)
-    for nodes, sweeps, update, message in (lone, *stack):
-        assert (sweeps, update) == (5, 0.25)
-        assert nodes.tobytes() == x.tobytes()
-        assert message == "no convergence after 5 sweeps (best update 2.500e-01)"
+    damped = np.array([0.0, 0.375, 0.625, 1.0])
+    for cap, sweeps, message in (
+            (3, 3, "no convergence after 3 sweeps (best update 1.250e-01)"),
+            (10000, 131, "the iterate of sweep 130 repeats that of sweep 128 at the damping "
+                         "floor (period 2; best update 1.250e-01)")):
+        lone = _sweep_row(_Flip(), x, 1e-12, cap)
+        stack = _sweep_rows(_Flip(), np.array([x, x]), 1e-12, cap)
+        for nodes, its, update, msg in (lone, *stack):
+            assert (its, update, msg) == (sweeps, 0.125, message)
+            assert nodes.tobytes() == damped.tobytes()
 
 
 def test_a_solution_change_equal_to_eps_does_not_stop_the_outer_loop():

@@ -154,10 +154,10 @@ def _same(x, y) -> bool:
 def test_every_n_to_1100_matches_reference_bit_for_bit():
     """At every n to 1,100 the kernel does the arithmetic of the copying
     reduction in the same order: equal results, signed zeros included.
-    These n take the scalar tail alone (n <= 32), and then from one to
-    six numpy levels before it: levels 0 and 1 in place, the rest on
-    compacted rows.  A zero right side, with signed zeros, gives a
-    solution of signed zeros."""
+    These n take from no level (n = 1) to ten (n >= 1024) before the one
+    row left: levels 0 and 1 in place, the rest on compacted rows.  A
+    zero right side, with signed zeros, gives a solution of signed
+    zeros."""
     rng = np.random.default_rng(99)
     for n in range(1, 1101):
         lower, diag, upper, rhs = random_dominant_system(rng, n)
@@ -227,10 +227,10 @@ def test_cyclic_reduction_zero_pivot_compacted_level():
     assert err.value.pivot == 0.0
 
 
-def test_cyclic_reduction_zero_pivot_in_scalar_tail():
-    # n = 579 reaches the scalar tail with 18 rows at stride 32; row 191 =
-    # 64*3 - 1 is eliminated at its second level (stride 64), and row 511,
-    # the one row left, is solved last
+def test_cyclic_reduction_zero_pivot_in_deepest_levels():
+    # n = 579 runs nine levels; row 191 = 64*3 - 1 is eliminated at level 6
+    # (stride 64), where 9 rows are left, and row 511, the one row left
+    # after level 8, is solved last
     for row in (191, 511):
         lower, diag, upper, rhs = _identity_system(CR_CUTOFF + 3)
         diag[row] = 0.0
@@ -243,10 +243,9 @@ def test_cyclic_reduction_zero_pivot_in_scalar_tail():
 def test_a_solution_that_is_not_finite_is_a_value_error():
     """Systems that are not diagonally dominant enough overflow in the
     last rows, where the reference returns inf or NaN: solve_tridiagonal
-    raises ValueError instead.  A zero pivot that a NaN pivot of its level
-    would hide from numpy's max (the second system, n = 11, from a random
-    search over badly scaled systems) is still found and raises
-    PivotError; Python floats raised ZeroDivisionError for it."""
+    raises ValueError instead.  A zero pivot that shares its level with
+    a NaN pivot (the second system, n = 11, from a random search over
+    badly scaled systems) is still found and raises PivotError."""
     overflow = [1e300], [1e-10, 1.0], [1.0], [1.0, 1.0]
     nan_hides_zero = (
         [4e219, -5e210, -3e212, 2e219, 2e212, 1e216, 2e213, -2e217, -2e212, -5e213],
@@ -266,11 +265,10 @@ def test_a_solution_that_is_not_finite_is_a_value_error():
 
 @pytest.mark.parametrize("n", [4, 64])
 def test_a_first_nan_pivot_hides_no_zero_pivot(n):
-    """Row 0's pivot is NaN and row 2's is 0, both eliminated at level 0:
-    in the scalar tail (n = 4), where Python's max keeps a first NaN, and
-    in a numpy level (n = 64), where numpy's max is NaN.  Either check
-    still finds the zero pivot, where the tail divided by it and numpy
-    warned."""
+    """Row 0's pivot is NaN and row 2's is 0, both eliminated at level 0,
+    at n = 4 and at n = 64.  The largest of the level's negated pivots is
+    then the first NaN, which fails the check, so the zero pivot is still
+    found, where numpy would have divided by it with a warning."""
     rowsum = np.ones(n)
     rowsum[0], rowsum[2] = np.nan, 0.0
     bands = np.zeros(n), rowsum, np.zeros(n), np.ones(n)

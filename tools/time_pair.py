@@ -1,6 +1,6 @@
 """Time one case of the working tree against a git revision, in one process.
 
-    python3 tools/time_pair.py BASE [--case table2|lone|smooth] [--rounds N] [--seed S]
+    python3 tools/time_pair.py BASE [--case table2|lone|smooth|ladder] [--rounds N] [--seed S]
 
 BASE is a git revision of this repository, exported with `git archive`
 into a temporary directory.  Both trees' src/equifd are imported into
@@ -19,6 +19,9 @@ The cases, on the paper's problem (lam = 10, ell = 1):
 - smooth: the six equidistributions of the smooth_equidist benchmark,
   equidistribute of the (u_x)^beta monitor for beta 1/4 and 1/2 at
   N = 640, 2560 and 5120.
+- ladder: experiments.run_table1() over the 14 rungs of cmp_tables.LADDER
+  (N = 10 to 81920) for the four table1 grids, the one case whose
+  solves are long enough to run the cyclic-reduction kernel.
 
 The script prints each side's median time, the median over rounds of
 the working tree's time over the base's, the rounds in which the
@@ -43,7 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from cmp_tables import export  # noqa: E402
+from cmp_tables import LADDER, export  # noqa: E402
 
 
 def load(package: Path, name: str):
@@ -80,7 +83,12 @@ def smooth(eq):
     return out
 
 
-CASES = {"table2": table2, "lone": lone, "smooth": smooth}
+def ladder(eq):
+    reports = eq.experiments.run_table1(n_values=[int(n) for n in LADDER.split(",")])
+    return [report.rows for report in reports]
+
+
+CASES = {"table2": table2, "lone": lone, "smooth": smooth, "ladder": ladder}
 
 
 def timed(case, eq) -> float:
