@@ -40,29 +40,47 @@ monitor's closed form, whose range it checked when it was built.
 
 A lone row has its own loop, _sweep_row, on its 1-D grid: its step is
 formed in one buffer that every sweep reuses, and its node order is
-checked into one reused mask.  equidistribute and the adaptive loop's
-lone row (adapt._adapt_row) start in it, with any monitor, and
-_sweep_rows hands it its last remaining row with all that row has
-recorded, so the stack loop never carries a stack of one.  Both loops
-sweep with _sweep and leave each row's stops, damping and best iterate
-to its _Row, so both do the same IEEE operations in the same order.  A
-MonotonicityError from either names the row that collided, by its place
-in the stack _sweep_rows started with.
+checked into one reused mask.  equidistribute, for any monitor but the
+smooth one, and the adaptive loop's lone row (adapt._adapt_row) start in
+it, and _sweep_rows hands it its last remaining row with all that row
+has recorded, so the stack loop never carries a stack of one.  Both
+loops sweep with _sweep and leave each row's stops, damping and best
+iterate to its _Row, so both do the same IEEE operations in the same
+order.  A MonotonicityError from either names the row that collided, by
+its place in the stack _sweep_rows started with.
+
+For an ExactPowerMonitor, equidistribute runs _mix_row instead: the
+same sweeps, each mixed with the last three by type-II Anderson mixing
+(Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer. Anal. 49,
+2011).  The smooth monitor's sweep map is smooth and contracts slowly,
+one mode at a time, which is the case mixing is built for: at lam = 10
+it takes 14 sweeps at beta = 1/4 and 20 or 21 at beta = 1/2 where the
+damped sweeps take 30 and 101, and lands within 7e-13 of their grid.
+_mix_row stops and raises where _sweep_row does, and hands a run that
+stops improving to _sweep_row, whose damping and cycle check then apply.
+The adaptive loop keeps the plain sweeps: its monitor is piecewise
+constant, so its sweep map jumps wherever a midpoint crosses a node of
+the solution's grid and no secant model holds across it; its sweeps are
+few and short, at N = 20, where a sweep is call overhead; and table2's
+pinned outer counts are those of the plain sweeps' iterates.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, uniform_grid
-from .monitor import MonitorFunction
-from .problem import ProblemSpec, largest, per_row, require, require_count, row_largest
+from .monitor import ExactPowerMonitor, MonitorFunction
+from .problem import (ProblemSpec, largest, per_row, require, require_count, row_largest,
+                      smallest)
 from .tridiag import solve_tridiagonal  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 
 DAMPING_FLOOR = 0.25
+_DEPTH = 3  # the differences _mix_row keeps
 
 # each thread's sweep buffer for one grid (_buffer)
 _local = threading.local()
@@ -76,6 +94,12 @@ class EquidistributionError(RuntimeError):
         self.grid = grid
         self.final_update = final_update
         self.iterations = iterations
+
+    def __reduce__(self):
+        # a copy or unpickled error is rebuilt from all four arguments, not
+        # from args, which holds the message only
+        return type(self), (self.args[0], self.grid, self.final_update, self.iterations), \
+            self.__dict__
 
 
 class MonotonicityError(RuntimeError):
@@ -282,6 +306,125 @@ def _sweep_row(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: in
             return row.capped(it)
 
 
+def _mix_row(monitor: MonitorFunction, x: np.ndarray, tol: float, max_iter: int) -> tuple:
+    """_sweep_row's run of the one grid x, each sweep mixed with the last
+    ones: type-II Anderson mixing of depth _DEPTH.  Returns or raises as
+    _sweep_row does.
+
+    Sweep k gives S(x_k) and the residual f_k = S(x_k) - x_k, its step.
+    Their differences from sweep k - 1 replace the oldest of the last
+    _DEPTH kept in d_g and d_f, and the Gram matrix of the d_f gains the
+    new one's row.  The weights gamma fit f_k by the d_f in least squares,
+    and the next iterate is S(x_k) - gamma . d_g, a combination of sweeps
+    whose ends stay 0 and ell; where the kept d_f are dependent to
+    rounding (one is 0 where two sweeps in a row give the same step) the
+    step is plain.  The residuals are kept scaled by the power
+    of two that brings ell into [1/2, 1), exactly, so the Gram matrix and
+    its right-hand side are formed on numbers no larger than 2 for any
+    ell (unscaled, they overflow at ell = 1.5e308).  A mixed iterate that is
+    not strictly ordered (or not finite) gives way to the plain step
+    x + f_k, formed as _sweep_row forms it, and the history is dropped; a
+    plain step that collides raises as there.  After _DEPTH sweeps with no
+    new best update the best iterate goes on in _sweep_row, with its
+    record and the sweeps made so far, under that loop's damping, cycle
+    check and cap.
+    """
+    n = len(x)
+    ell = x.item(-1)
+    scale = math.ldexp(1.0, min(-math.frexp(ell)[1], 1023))  # 2**1023 at most, for a subnormal ell
+    row = _Row(0, x)
+    gs = np.empty((2, n))  # S(x) of this sweep and the last, by the parity of it
+    fs = np.empty((2, n))  # S(x) - x, scaled, likewise
+    d_g = np.empty((_DEPTH, n))
+    d_f = np.empty((_DEPTH, n))
+    gram = [[0.0] * _DEPTH for _ in range(_DEPTH)]
+    kept = 0  # the differences formed since the history was last dropped
+    pairs = np.empty(n - 1, dtype=bool)  # a test of each pair of neighbouring nodes
+    it = stale = 0
+    while True:
+        it += 1
+        cur, last = it & 1, ~it & 1
+        step = _sweep(x, monitor.inverse_weights(x))
+        np.copyto(gs[cur], step)  # step is the shared sweep buffer
+        step -= x
+        update = max(step.item(step.argmax()), -step.item(step.argmin()))
+        if update < row.best:
+            row.best, row.best_x, stale = update, x, 0
+        else:
+            stale += 1
+        if update < tol:
+            return x, it, update, None
+        if stale == _DEPTH and it < max_iter:
+            return _sweep_row(monitor, row.best_x, tol, max_iter, row, it)
+        np.multiply(step, scale, out=fs[cur])
+        mixed = None
+        if it > 1:
+            slot = kept % _DEPTH  # the oldest row, once all are in use
+            kept += 1
+            used = min(kept, _DEPTH)
+            np.subtract(gs[cur], gs[last], out=d_g[slot])
+            np.subtract(fs[cur], fs[last], out=d_f[slot])
+            for j, value in enumerate((d_f[:used] @ d_f[slot]).tolist()):
+                gram[slot][j] = gram[j][slot] = value
+            gamma = _least_squares(gram, (d_f[:used] @ fs[cur]).tolist())
+            if gamma is not None:
+                # near the largest double, large weights can carry a mix out of
+                # the range: it is then not finite, and fails the order test
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mixed = np.dot(gamma, d_g[:used])
+                    np.subtract(gs[cur], mixed, out=mixed)
+                np.greater(mixed[1:], mixed[:-1], out=pairs)
+                if not smallest(pairs):
+                    mixed = None
+                    kept = 0
+        if mixed is None:
+            x = x + step
+            np.less_equal(x[1:], x[:-1], out=pairs)
+            if largest(pairs):
+                raise _collision(it, row.index)
+        else:
+            x = mixed
+        if it == max_iter:
+            return row.capped(it)
+
+
+def _least_squares(gram: list, rhs: list) -> list | None:
+    """The weights that fit the residual by the kept differences in least
+    squares: gram holds the differences' inner products, rhs theirs with
+    the residual, each in its first len(rhs) rows.  The normal equations
+    are factored L D L^T in Python floats; None where a pivot is not
+    above 0, the differences being dependent to rounding."""
+    used = len(rhs)
+    low, pivots = [], []  # the unit lower factor's rows left of its diagonal, and D
+    for i in range(used):
+        line = []
+        for j in range(i):
+            value = gram[i][j]
+            for p in range(j):
+                value -= line[p] * low[j][p] * pivots[p]
+            line.append(value / pivots[j])
+        pivot = gram[i][i]
+        for p in range(i):
+            pivot -= line[p] * line[p] * pivots[p]
+        if not pivot > 0.0:
+            return None
+        low.append(line)
+        pivots.append(pivot)
+    z = []
+    for i in range(used):
+        value = rhs[i]
+        for p in range(i):
+            value -= low[i][p] * z[p]
+        z.append(value)
+    weights = [0.0] * used
+    for i in range(used - 1, -1, -1):
+        value = z[i] / pivots[i]
+        for p in range(i + 1, used):
+            value -= low[p][i] * weights[p]
+        weights[i] = value
+    return weights
+
+
 def equidist_defect(grid: Grid, monitor: MonitorFunction) -> float:
     """Relative spread of omega_{j+1/2} * J_{j+1/2} around its mean.  A
     scale of either factor leaves it unchanged, so each is taken over its
@@ -306,7 +449,9 @@ def equidistribute(
     """Solve the discrete equidistribution equations for the given monitor.
 
     Starts from the uniform grid unless an initial grid with the same
-    N and ell is supplied.  Raises EquidistributionError after max_iter
+    N and ell is supplied.  An ExactPowerMonitor's sweeps are mixed
+    (_mix_row), any other monitor's damped (_sweep_row).  Raises
+    EquidistributionError after max_iter
     sweeps, or as soon as an iterate at the damping floor repeats exactly
     (the exception carries the best iterate either way), and
     MonotonicityError if an iterate loses node ordering.
@@ -318,7 +463,8 @@ def equidistribute(
         initial = uniform_grid(spec, n_cells)
     if initial.n_cells != n_cells or initial.ell != spec.ell:
         raise ValueError("initial grid does not match n_cells and ell")
-    nodes, sweeps, update, message = _sweep_row(monitor, initial.nodes, tol, max_iter)
+    loop = _mix_row if isinstance(monitor, ExactPowerMonitor) else _sweep_row
+    nodes, sweeps, update, message = loop(monitor, initial.nodes, tol, max_iter)
     grid = Grid(nodes, spec.ell)
     if message is None:
         return EquidistResult(grid, sweeps, update)

@@ -85,6 +85,11 @@ class PivotError(ArithmeticError):
         self.pivot = pivot
         super().__init__(f"pivot {pivot!r} below {PIVOT_FLOOR} at elimination index {index}")
 
+    def __reduce__(self):
+        # a copy or unpickled error is rebuilt from index and pivot; args
+        # holds the message they make
+        return type(self), (self.index, self.pivot), self.__dict__
+
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Solve the n-by-n system with diagonal diag, sub- and superdiagonals

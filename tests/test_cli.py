@@ -247,7 +247,7 @@ def test_solve_equidistributed_mode(tmp_path):
     assert np.max(read_csv(out)["abs_error"]) <= 2.0 * 0.883e-6
 
 
-@pytest.mark.parametrize("beta, sweeps", [("0.25", 30), ("0.5", 101)])
+@pytest.mark.parametrize("beta, sweeps", [("0.25", 14), ("0.5", 21)])
 def test_solve_equidistributed_prints_its_sweeps(tmp_path, capsys, beta, sweeps):
     """The equidistributed solve prints its sweep count beside its max
     error: at lambda 10, N = 640 the counts README cites."""

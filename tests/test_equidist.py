@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -368,3 +371,23 @@ def test_the_collapse_of_the_first_sweep_stays_a_monotonicity_error():
     for n_cells in (20, 200):
         with pytest.raises(MonotonicityError, match="^neighbouring nodes collided after sweep 1$"):
             equidistribute(ExactPowerMonitor(spec, 0.25), spec, n_cells)
+
+
+ROUND_TRIPS = [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy]
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["pickle", "copy", "deepcopy"])
+def test_errors_survive_copy_and_pickle(spec10, round_trip):
+    """An EquidistributionError is rebuilt with its message, best grid,
+    update and sweeps, and a MonotonicityError with the row it names."""
+    grid = uniform_grid(spec10, 4)
+    stalled = EquidistributionError("no convergence after 3 sweeps", grid=grid,
+                                    final_update=0.5, iterations=3)
+    got = round_trip(stalled)
+    assert type(got) is EquidistributionError and str(got) == str(stalled)
+    assert np.array_equal(got.grid.nodes, grid.nodes) and got.grid.ell == grid.ell
+    assert (got.final_update, got.iterations) == (0.5, 3)
+
+    collided = equidist._collision(4, 2)
+    got = round_trip(collided)
+    assert type(got) is MonotonicityError and str(got) == str(collided) and got.row == 2

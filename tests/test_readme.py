@@ -100,25 +100,33 @@ def test_docstring_names_resolve():
 
 def test_readme_sweep_counts(monkeypatch):
     """At lam = 10: the smooth monitors' sweep counts at N = 640, 2560 and
-    5120 (benchmark smooth_equidist), and table2's stacked sweeps, those
+    5120 (benchmark smooth_equidist), mixed by equidistribute and plain by
+    equidist._sweep_row, and table2's stacked sweeps, those
     of them on a lone row, counted by a wrapper around equidist._sweep,
     the outer steps of its (2, 2) cell, and those of them that carry one
     row, counted by a wrapper around the adaptive loop's solves."""
     text = " ".join(README.read_text().split())
     smooth = re.search(r"`beta = 1/2` takes (\d+) sweeps and `beta = 1/4` takes (\d+)\.", text)
+    mixed = re.search(r"`equidistribute` takes (\d+), (\d+) and (\d+) sweeps at `beta = 1/4` "
+                      r"and (\d+), (\d+) and (\d+) at `beta = 1/2`", text)
     stacked = re.search(r"table2 makes ([\d,]+) stacked sweeps, and ([\d,]+) of them sweep a "
                         r"lone row, most of them the tail of the \(2, 2\) cell, which alone "
                         r"takes (\d+) outer steps: ([\d,]+) of its (\d+) outer steps carry one "
                         r"row", text)
-    assert smooth and stacked, "README.md no longer cites the sweep counts"
+    assert smooth and mixed and stacked, "README.md no longer cites the sweep counts"
     half, quarter = map(int, smooth.groups())
+    mixed = dict(zip([(beta, n) for beta in (0.25, 0.5) for n in (640, 2560, 5120)],
+                     map(int, mixed.groups())))
     sweeps, lone, outer, lone_steps, steps = (int(count.replace(",", ""))
                                               for count in stacked.groups())
     assert steps == outer
     spec = ProblemSpec(10.0, 1.0)
     for beta, count in ((0.5, half), (0.25, quarter)):
         for n_cells in (640, 2560, 5120):
-            assert equidistribute(ExactPowerMonitor(spec, beta), spec, n_cells).iterations == count
+            monitor = ExactPowerMonitor(spec, beta)
+            assert equidist._sweep_row(monitor, uniform_grid(spec, n_cells).nodes, 1e-12,
+                                       10000)[1] == count
+            assert equidistribute(monitor, spec, n_cells).iterations == mixed[(beta, n_cells)]
 
     shapes, solved = [], []
     sweep, solve = equidist._sweep, adapt.solve_stack

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -286,3 +289,12 @@ def test_weakly_dominant_scheme_matches_reference():
     values = np.concatenate([[spec.left_bc], interior, [spec.right_bc]])
     reference = max_error(DiscreteSolution(grid, values, spec))
     assert max_error(solve_bvp(grid, spec)) == pytest.approx(reference, rel=0.01)
+
+
+@pytest.mark.parametrize("round_trip", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy,
+                                        copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_pivot_error_survives_copy_and_pickle(round_trip):
+    error = PivotError(7, 1e-310)
+    got = round_trip(error)
+    assert type(got) is PivotError and str(got) == str(error)
+    assert (got.index, got.pivot) == (7, 1e-310)

@@ -15,12 +15,16 @@ equidistribution stalls; (2, 2) capped at 300 outer steps, which ends
 not converged; and (1e4, 1/4) at lam = 100 and N = 40, capped at 50
 outer steps, whose grids repeat an exact 2-cycle unless an equal change
 damps them), the six equidistributed `solve`s of the
-smooth_equidist benchmark (beta 1/4 and 1/2 at N = 640, 2560 and 5120)
-and one adaptive `solve`.  Each run's exit code, after what each of the
-six equidistributed solves prints (its max error and sweep count) less
-the output path, is kept as a .txt file beside its CSV and compared
-too, so a run may exit non-zero.  The script prints one line per file, `same` or
-`DIFFERS`, and exits 1 if any file differs.  Below a CSV that differs it
+smooth_equidist benchmark (beta 1/4 and 1/2 at N = 640, 2560 and 5120),
+one adaptive `solve`, and three equidistributed `solve`s of known
+defects: the spurious grids at lam = 20, beta = 1/2 and at lam = 100,
+beta = 1/4 (N = 200), and the first sweep's collision at lam = 160,
+beta = 1/4, N = 20, which exits 2.  Each run's exit code, after what
+each equidistributed solve prints (its max error and sweep count, or
+its error message) less the output path, is kept as a .txt file beside
+its CSV and compared too, so a run may exit non-zero.  The script
+prints one line per file, `same` or `DIFFERS`, and exits 1 if any file
+differs.  Below a CSV that differs it
 prints a difference in the count of rows, and for each numeric column
 that moved the largest absolute and relative difference between rows of
 the same index; below a .txt file that differs, both texts.  Last it
@@ -82,6 +86,14 @@ RUNS = {
                                                  "--beta", beta, "--n", n]
        for beta, n in (("0.25", "640"), ("0.25", "2560"), ("0.5", "2560"), ("0.5", "5120"))},
     "solve_adaptive.csv": ["solve", "--grid", "adaptive", "--alpha", "2", "--beta", "0.5"],
+    # known defects of the equidistributed mode: two spurious grids, and a
+    # first sweep that collides the nodes (exit 2)
+    "solve_spurious_lambda20.csv": ["solve", "--grid", "equidistributed", "--beta", "0.5",
+                                    "--lambda", "20", "--n", "200"],
+    "solve_spurious_lambda100.csv": ["solve", "--grid", "equidistributed", "--beta", "0.25",
+                                     "--lambda", "100", "--n", "200"],
+    "solve_collapse_lambda160.csv": ["solve", "--grid", "equidistributed", "--beta", "0.25",
+                                     "--lambda", "160", "--n", "20"],
 }
 
 
@@ -99,15 +111,18 @@ def export(revision: str, into: Path) -> Path:
 def write_tables(tree: Path, out: Path) -> None:
     """Each CSV of RUNS, written by the command line of the tree at tree,
     and, as a .txt file of the CSV's name, the run's exit code, after what
-    an equidistributed solve prints, less the path."""
+    an equidistributed solve prints to stdout, less the path, and to
+    stderr.  Other runs' stderr passes through."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, args in RUNS.items():
         run = subprocess.run([sys.executable, "-m", "equifd.cli", *args, "--out", name],
-                             cwd=out, env=env, stdout=subprocess.PIPE, text=True)
+                             cwd=out, env=env, capture_output=True, text=True)
         printed = ""
         if args[:3] == ["solve", "--grid", "equidistributed"]:
-            printed = run.stdout.replace(f"  ({name})", "")
+            printed = run.stdout.replace(f"  ({name})", "") + run.stderr
+        else:
+            sys.stderr.write(run.stderr)
         (out / name).with_suffix(".txt").write_text(f"{printed}exit {run.returncode}\n")
 
 

@@ -16,9 +16,10 @@ The cases, on the paper's problem (lam = 10, ell = 1):
 - table2: experiments.run_table2(), the 45 configs in lockstep.
 - lone: the (alpha, beta) = (2, 2) config of table2 on its own through
   adapt.adaptive_solve, whose outer loop runs alone after step 1.
-- smooth: the six equidistributions of the smooth_equidist benchmark,
-  equidistribute of the (u_x)^beta monitor for beta 1/4 and 1/2 at
-  N = 640, 2560 and 5120.
+- smooth: the six cases of the smooth_equidist benchmark, each as the
+  benchmark's pass runs it: equidistribute of the (u_x)^beta monitor for
+  beta 1/4 and 1/2 at N = 640, 2560 and 5120, solve_bvp on its grid, the
+  largest gap to the closed-form grid, equidist_defect and max_error.
 - ladder: experiments.run_table1() over the 14 rungs of cmp_tables.LADDER
   (N = 10 to 81920) for the four table1 grids, the one case whose
   solves are long enough to run the cyclic-reduction kernel.
@@ -78,8 +79,13 @@ def smooth(eq):
     out = []
     for beta in (0.25, 0.5):
         for n in (640, 2560, 5120):
-            res = eq.equidistribute(eq.ExactPowerMonitor(spec, beta), spec, n, tol=1e-12)
-            out.append((res.iterations, res.final_update, res.grid.nodes.tobytes()))
+            monitor = eq.ExactPowerMonitor(spec, beta)
+            res = eq.equidistribute(monitor, spec, n, tol=1e-12)
+            sol = eq.solve_bvp(res.grid, spec)
+            closed = eq.analytic_mapped_grid(eq.GridMapping(spec, beta), n)
+            gap = float(abs(res.grid.nodes - closed.nodes).max())
+            out.append((res.iterations, res.final_update, eq.equidist_defect(res.grid, monitor),
+                        gap, eq.max_error(sol), res.grid.nodes.tobytes()))
     return out
 
 
